@@ -39,12 +39,7 @@ def _out_stream(path: str | None):
 
 def cmd_decompose(args) -> int:
     H, report = _load(args.input, args.lenient)
-    opts = LocalCoreOptions(
-        use_opt2=not args.no_opt2,
-        use_opt3=not args.no_opt3,
-        use_opt4=not args.no_opt4,
-        threads=args.threads,
-    )
+    opts = LocalCoreOptions(use_opt3=not args.no_opt3, threads=args.threads)
     if args.algorithm == "peel":
         res = peel(H)
     elif args.algorithm == "epeel":
@@ -211,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--algorithm", default="local",
                    choices=["peel", "epeel", "local", "naive-h", "degree", "clique"])
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--no-opt2", action="store_true")
-    p.add_argument("--no-opt3", action="store_true")
-    p.add_argument("--no-opt4", action="store_true")
+    p.add_argument("--threads", type=int, default=1,
+                   help="local: more than 1 runs the Jacobi engine on this many threads")
+    p.add_argument("--no-opt3", action="store_true",
+                   help="local: run the Jacobi engine instead of the fused one")
     p.add_argument("--stats", metavar="PATH", help="write counters/rounds JSON sidecar")
     p.set_defaults(func=cmd_decompose)
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import model
 from .model import GuardError, Hypergraph, InputError
 
 ENUMERATION_ATTEMPT_GUARD = 20
@@ -105,16 +106,7 @@ def intervention_delete(H: Hypergraph, ranked_nodes: list[int], top_k: int) -> H
     edge are stripped per the usual build rules; deleting enough nodes can
     yield an empty hypergraph."""
     doomed = set(ranked_nodes[:top_k])
-    kept = [e for e in H.edges if not any(v in doomed for v in e)]
-    labels_used: list[str] = []
-    remap: dict[int, int] = {}
-    new_edges: list[tuple[int, ...]] = []
-    for e in kept:
-        out = []
-        for v in e:
-            if v not in remap:
-                remap[v] = len(labels_used)
-                labels_used.append(H.labels[v])
-            out.append(remap[v])
-        new_edges.append(tuple(sorted(out)))
-    return Hypergraph(new_edges, labels_used)
+    kept = [[H.labels[v] for v in e] for e in H.edges if not any(v in doomed for v in e)]
+    if not kept:  # build rejects an empty edge list
+        return Hypergraph([], [])
+    return model.build(kept)[0]

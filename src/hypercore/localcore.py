@@ -5,44 +5,42 @@ applies a core-correction that lowers the estimate until an incident-edge
 witness supplies enough neighbors at that level.  Without the correction the
 plain h-index recurrence can converge above the true core number (exposed by
 `naive_graph_h_index`).  Estimates decrease monotonically and the loop stops
-on the first round in which no node needed correcting.
+on the first round in which no estimate changed.
 
-Optimization flags:
-    opt2 -- correction via a per-round hyperedge index (min member estimate)
-            with incremental candidate accumulation and early exit;
-    opt3 -- read the freshest available estimate during the h-index sweep
-            (single in-place array) instead of a previous-round snapshot;
-    opt4 -- skip nodes whose estimate already equals the local lower bound.
+Two engines compute the fixpoint; `local_core` picks one by a fixed rule:
 
-With every optimization enabled the sequential engine switches to a fused
-sweep: per node it runs the stability check, then a single pass that computes
-the corrected estimate directly (capped h-index bounded by the best
-incident-edge witness), reading the freshest estimates and keeping the
-per-hyperedge minima live.  Nodes are visited in ascending estimate order so
-most cascades resolve within one round.
+    fused  (`_local_core_fused`) -- threads == 1 and all of use_opt2,
+           use_opt3 and use_opt4 on (the default).  A Gauss-Seidel sweep that
+           applies every optimization: per-hyperedge minimum member estimates
+           kept live (opt2), the freshest estimates read in place (opt3), and
+           nodes at their local lower bound skipped (opt4).
+    Jacobi (`_local_core_jacobi`) -- every other setting.  One vectorized
+           operator per round over round-start estimates, split into
+           `threads` contiguous node blocks.
 
-With threads > 1 a barrier-synchronized data-parallel variant runs: the
-h-sweep and the correction collapse into one vectorized operator (see
-`_local_core_parallel`), each thread recomputes it for a contiguous block of
-nodes every round, and the loop stops on the first change-free round.  The
-optimization flags tune the sequential engine only; the parallel operator
-subsumes them.
+Both engines return the same core array as `peel`; only the round counts,
+convergence history and work counters differ.
 """
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .model import Hypergraph, InputError
-from .peel import CoreAssignment, local_lower_bound, _min_neighbor_count, _max_incident_card
+from .peel import CoreAssignment, _min_neighbor_count, _max_incident_card
 
 
 @dataclass
 class LocalCoreOptions:
+    """Engine selection for `local_core`: the fused engine runs only with
+    threads == 1 and every optimization flag on; turning any flag off or
+    asking for more threads runs the Jacobi engine on `threads` threads."""
+
     use_opt2: bool = True
     use_opt3: bool = True
     use_opt4: bool = True
@@ -53,8 +51,8 @@ class LocalCoreOptions:
 class ConvergenceReport:
     rounds: int
     corrected_per_round: list[int] = field(default_factory=list)
-    # last round in which any estimate actually changed (the remaining rounds
-    # only verify the fixpoint); tracked by the sequential engine
+    # last round in which any estimate actually changed (the final round only
+    # verifies the fixpoint); set by both engines
     converged_round: int | None = None
 
 
@@ -75,25 +73,14 @@ def _lower_bounds(H: Hypergraph) -> list[int]:
     return [max(_max_incident_card(H, v) - 1, mn) for v in range(H.n)]
 
 
-# -- core-correction -------------------------------------------------------
-
-
 def core_correction(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> int:
     """Largest k' <= k at which v has an incident-edge witness: a set of
     incident edges whose members all carry estimate >= k' and which together
     supply >= k' neighbors of v."""
-    return _correct_direct(H, v, k, est)
-
-
-def _correct_direct(H: Hypergraph, v: int, k: int, est: Sequence[int], counters: dict | None = None) -> int:
     inc = H.incident_edges(v)
     while k > 0:
-        if counters is not None:
-            counters["correction_iterations"] += 1
         nplus: set[int] = set()
         for ei in inc:
-            if counters is not None:
-                counters["lccsat_edge_scans"] += 1
             e = H.edges[ei]
             if all(est[u] >= k for u in e):
                 nplus.update(e)
@@ -104,185 +91,34 @@ def _correct_direct(H: Hypergraph, v: int, k: int, est: Sequence[int], counters:
     return 0
 
 
-def _correct_bucket(H: Hypergraph, v: int, k: int, edge_index: Sequence[int], counters: dict | None = None) -> int:
-    """Same result as `_correct_direct`, driven by the hyperedge index.
-
-    Incident edges are bucketed by index value, accumulated incrementally as
-    the candidate level drops, and the scan exits as soon as a newly added
-    hyperedge pushes the candidate neighbor set over the threshold.
-    """
-    inc = sorted(H.incident_edges(v), key=lambda ei: -edge_index[ei])
-    nplus: set[int] = set()
-    i = 0
-    size = 0
-    while k > 0:
-        if counters is not None:
-            counters["correction_iterations"] += 1
-        while i < len(inc) and edge_index[inc[i]] >= k:
-            if counters is not None:
-                counters["lccsat_edge_scans"] += 1
-            nplus.update(H.edges[inc[i]])
-            i += 1
-            size = len(nplus) - (1 if v in nplus else 0)
-            if size >= k:
-                return k
-        if size >= k:
-            return k
-        k -= 1
-    return 0
-
-
-def _nplus_direct(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> set[int]:
-    """Candidate neighbor set at level k, straight from the definition (test probe)."""
-    nplus: set[int] = set()
-    for ei in H.incident_edges(v):
-        e = H.edges[ei]
-        if all(est[u] >= k for u in e):
-            nplus.update(e)
-    nplus.discard(v)
-    return nplus
-
-
-def _nplus_bucket(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> set[int]:
-    """Candidate neighbor set at level k via the bucket recurrence (test probe)."""
-    edge_index = [min(est[u] for u in e) for e in H.edges]
-    nplus: set[int] = set()
-    for ei in H.incident_edges(v):
-        if edge_index[ei] >= k:
-            nplus.update(H.edges[ei])
-    nplus.discard(v)
-    return nplus
-
-
-# -- sequential local-core -------------------------------------------------
+def _result(est: list[int], history: list[int], h_evals: int = 0,
+            corr_iters: int = 0, edge_scans: int = 0) -> CoreAssignment:
+    counters = {"h_operator_evals": h_evals, "correction_iterations": corr_iters,
+                "lccsat_edge_scans": edge_scans}
+    converged = len(history) - 1 if history else None
+    return CoreAssignment(est, counters,
+                          report=ConvergenceReport(len(history), history, converged))
 
 
 def local_core(H: Hypergraph, opts: LocalCoreOptions | None = None) -> CoreAssignment:
     """Neighborhood core numbers via the corrected local fixpoint.
 
-    The output array equals peel's for every flag combination and thread
-    count; only round counts and work counters differ.
+    The output array equals peel's for every option setting; only round
+    counts and work counters differ between the two engines.
     """
     if opts is None:
         opts = LocalCoreOptions()
     if opts.threads < 1:
         raise InputError("threads must be >= 1")
-    if opts.threads > 1:
-        return _local_core_parallel(H, opts)
-
-    n = H.n
-    counters = {"h_operator_evals": 0, "correction_iterations": 0, "lccsat_edge_scans": 0}
-    if n == 0:
-        return CoreAssignment([], counters, report=ConvergenceReport(0))
-    if opts.use_opt2 and opts.use_opt3 and opts.use_opt4:
-        return _local_core_fused(H, counters)
-
-    nbrs = H.neighbor_lists()
-    lb = _lower_bounds(H)
-    est = [H.neighbor_count(v) for v in range(n)]
-    rounds = 0
-    history: list[int] = []
-    last_change = 0
-
-    # A node's h-index and correction depend only on the estimates of its
-    # closed neighborhood; since estimates never increase, a node none of
-    # whose closed neighbors changed last round would recompute the exact
-    # same values, so it is skipped outright.  Likewise the per-edge minimum
-    # only moves when a member's estimate drops, so the hyperedge index is
-    # updated incrementally from the set of changed nodes.
-    changed_prev: list[int] | None = None  # None = first round, all dirty
-    edge_index: list[int] | None = None
-    index_stale: list[int] = []  # corrected since the last index rebuild
-
-    while True:
-        rounds += 1
-        before = est[:]
-        read = est if opts.use_opt3 else before
-
-        if changed_prev is None:
-            dirty = None
-        else:
-            dirty = [False] * n
-            for u in changed_prev:
-                dirty[u] = True
-                for w in nbrs[u]:
-                    dirty[w] = True
-
-        h = est[:]
-        for v in range(n):
-            if dirty is not None and not dirty[v]:
-                continue
-            ev = est[v]
-            if opts.use_opt4 and ev <= lb[v]:
-                continue
-            counters["h_operator_evals"] += 1
-            # counting form of the h-index, capped at the current estimate
-            buckets = [0] * (ev + 1)
-            for u in nbrs[v]:
-                x = read[u]
-                buckets[x if x < ev else ev] += 1
-            hv = 0
-            acc = 0
-            for y in range(ev, 0, -1):
-                acc += buckets[y]
-                if acc >= y:
-                    hv = y
-                    break
-            h[v] = hv
-            if opts.use_opt3:
-                est[v] = hv
-
-        if opts.use_opt2:
-            src = est if opts.use_opt3 else h
-            if edge_index is None or not opts.use_opt3:
-                edge_index = [min(src[u] for u in e) for e in H.edges]
-            else:
-                # apply every estimate drop since the previous rebuild:
-                # last round's corrections plus this round's h-phase
-                for v in index_stale:
-                    sv = est[v]
-                    for ei in H.incident_edges(v):
-                        if sv < edge_index[ei]:
-                            edge_index[ei] = sv
-                for v in range(n):
-                    if before[v] != est[v]:
-                        sv = est[v]
-                        for ei in H.incident_edges(v):
-                            if sv < edge_index[ei]:
-                                edge_index[ei] = sv
-            index_stale = []
-
-        corrected = 0
-        for v in range(n):
-            hv = h[v]
-            if dirty is not None and not dirty[v]:
-                continue
-            if opts.use_opt4 and hv <= lb[v]:
-                new = hv
-            elif opts.use_opt2:
-                new = _correct_bucket(H, v, hv, edge_index, counters)
-            else:
-                new = _correct_direct(H, v, hv, est if opts.use_opt3 else h, counters)
-            if new != hv:
-                corrected += 1
-                index_stale.append(v)
-            est[v] = new
-        history.append(corrected)
-        changed_prev = [v for v in range(n) if est[v] != before[v]]
-        if changed_prev:
-            last_change = rounds
-        # a skipped node's last verification stays valid only while its
-        # closed neighborhood is untouched, so termination additionally
-        # requires a fully change-free round
-        if corrected == 0 and not changed_prev:
-            break
-
-    return CoreAssignment(est, counters,
-                          report=ConvergenceReport(rounds, history, last_change))
+    if H.n == 0:
+        return _result([], [])
+    if opts.threads == 1 and opts.use_opt2 and opts.use_opt3 and opts.use_opt4:
+        return _local_core_fused(H)
+    return _local_core_jacobi(H, opts.threads)
 
 
-def _local_core_fused(H: Hypergraph, counters: dict) -> CoreAssignment:
-    """Fully optimized sequential engine: one fused pass per node.
+def _local_core_fused(H: Hypergraph) -> CoreAssignment:
+    """Gauss-Seidel engine with every optimization: one fused pass per node.
 
     For a node with estimate ev the correction can never land below the best
     incident-edge witness bound kmax = max over incident edges, taken in
@@ -304,12 +140,10 @@ def _local_core_fused(H: Hypergraph, counters: dict) -> CoreAssignment:
     est = [H.neighbor_count(v) for v in range(n)]
     emin = [min(est[u] for u in e) for e in edges]
     h_evals = corr_iters = edge_scans = 0
-    rounds = 0
     history: list[int] = []
     dirty = list(range(n))
 
     while True:
-        rounds += 1
         dirty.sort(key=est.__getitem__)
         changed: list[int] = []
         for v in dirty:
@@ -377,15 +211,10 @@ def _local_core_fused(H: Hypergraph, counters: dict) -> CoreAssignment:
                     seen[w] = 1
                     dirty.append(w)
 
-    counters["h_operator_evals"] += h_evals
-    counters["correction_iterations"] += corr_iters
-    counters["lccsat_edge_scans"] += edge_scans
-    return CoreAssignment(est, counters,
-                          report=ConvergenceReport(rounds, history,
-                                                   rounds - 1 if rounds > 1 else 0))
+    return _result(est, history, h_evals, corr_iters, edge_scans)
 
 
-# -- parallel local-core ---------------------------------------------------
+# -- Jacobi local-core -----------------------------------------------------
 
 
 def _segment_top_h(vals: np.ndarray, seg: np.ndarray, rank: np.ndarray,
@@ -445,8 +274,8 @@ def _pair_table(H: Hypergraph, edge_flat: np.ndarray, edge_starts: np.ndarray):
     return pair_edge, group_starts, seg_id, rank, node_starts, seg_nodes
 
 
-def _local_core_parallel(H: Hypergraph, opts: LocalCoreOptions) -> CoreAssignment:
-    """Barrier-synchronized data-parallel engine.
+def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
+    """Vectorized Jacobi engine over T contiguous node blocks.
 
     Built on a closed form of the per-round update: with
     best(v, u) = max over hyperedges containing both v and u of the
@@ -455,18 +284,12 @@ def _local_core_parallel(H: Hypergraph, opts: LocalCoreOptions) -> CoreAssignmen
     (best(v, u) <= est(u) pointwise, so the h-index cannot exceed the
     neighbor h-index; and the candidate neighborhood at level k is exactly
     {u : best(v, u) >= k}, so the h-index is the largest self-consistent
-    correction level.)  Each round every thread recomputes that h-index for
-    its contiguous share of nodes from the round-start hyperedge minima --
-    pure vectorized work that releases the GIL -- then a barrier, then
-    thread 0 rebuilds the minima; the loop stops on the first change-free
-    round.  Estimates decrease monotonically and match the sequential
-    engine's output exactly."""
+    correction level.)  Each round recomputes that h-index for every block
+    from the round-start hyperedge minima -- pure vectorized work that
+    releases the GIL, so with T > 1 the blocks run on a pool of T threads --
+    then the caller rebuilds the minima; the loop stops on the first
+    change-free round."""
     n = H.n
-    counters = {"h_operator_evals": 0, "correction_iterations": 0, "lccsat_edge_scans": 0}
-    if n == 0:
-        return CoreAssignment([], counters, report=ConvergenceReport(0))
-
-    T = opts.threads
     est = np.array([H.neighbor_count(v) for v in range(n)], dtype=np.int64)
     edge_flat = np.fromiter((u for e in H.edges for u in e), dtype=np.int64,
                             count=sum(len(e) for e in H.edges))
@@ -474,84 +297,50 @@ def _local_core_parallel(H: Hypergraph, opts: LocalCoreOptions) -> CoreAssignmen
     np.cumsum([len(e) for e in H.edges[:-1]], out=edge_starts[1:])
     table = _pair_table(H, edge_flat, edge_starts)
     if table is None:  # no hyperedge with two members: every estimate is 0
-        return CoreAssignment(est.tolist(), counters,
-                              report=ConvergenceReport(1, [0], 0))
+        return _result(est.tolist(), [0])
     pair_edge, group_starts, seg_id, rank, node_starts, seg_nodes = table
 
-    # contiguous node-segment ranges per thread, balanced by pair rows
+    # contiguous node-segment ranges per block, balanced by pair rows
     total_pairs = len(pair_edge)
+    n_groups = len(group_starts)
+    n_segs = len(seg_nodes)
     seg_first_pair = group_starts[node_starts]
     cuts = [int(np.searchsorted(seg_first_pair, t * total_pairs // T))
             for t in range(T + 1)]
-    cuts[-1] = len(seg_nodes)
-
-    emin = np.minimum.reduceat(est[edge_flat], edge_starts) if len(H.edges) else \
-        np.zeros(0, dtype=np.int64)
-    barrier = threading.Barrier(T)
-    change_counts = [0] * T
-    state = {"stop": False, "rounds": 0, "history": [], "last_change": 0}
-    errors: list[BaseException] = []
-    n_groups = len(group_starts)
-    n_segs = len(seg_nodes)
-
-    def worker(t: int) -> None:
-        a, b = cuts[t], cuts[t + 1]
+    cuts[-1] = n_segs
+    blocks = []
+    for a, b in zip(cuts, cuts[1:]):
         if a < b:
             ga = node_starts[a]
             gb = node_starts[b] if b < n_segs else n_groups
             pa = group_starts[ga]
             pb = group_starts[gb] if gb < n_groups else total_pairs
-            my_edges = pair_edge[pa:pb]
-            my_groups = group_starts[ga:gb] - pa
-            my_seg = seg_id[ga:gb] - a
-            my_rank = rank[ga:gb]
-            my_starts = node_starts[a:b] - ga
-            my_nodes = seg_nodes[a:b]
+            blocks.append((pair_edge[pa:pb], group_starts[ga:gb] - pa, seg_id[ga:gb] - a,
+                           rank[ga:gb], node_starts[a:b] - ga, seg_nodes[a:b]))
+
+    emin = np.minimum.reduceat(est[edge_flat], edge_starts)
+
+    def step(block) -> int:
+        """One round for one block; returns the number of estimates lowered."""
+        edges, groups, seg, seg_rank, starts, nodes = block
+        best = np.maximum.reduceat(emin[edges], groups)
+        h = _segment_top_h(best, seg, seg_rank, starts, n)
+        old = est[nodes]
+        np.minimum(h, old, out=h)
+        est[nodes] = h
+        return int(np.count_nonzero(h < old))
+
+    history: list[int] = []
+    with ThreadPoolExecutor(T) if T > 1 else nullcontext() as pool:
+        run = pool.map if pool is not None else map
         while True:
-            changes = 0
-            if a < b:
-                best = np.maximum.reduceat(emin[my_edges], my_groups)
-                h = _segment_top_h(best, my_seg, my_rank, my_starts, n)
-                old = est[my_nodes]
-                np.minimum(h, old, out=h)
-                changes = int(np.count_nonzero(h < old))
-                est[my_nodes] = h
-            change_counts[t] = changes
-            barrier.wait()
-            if t == 0:
-                total = sum(change_counts)
-                state["rounds"] += 1
-                state["history"].append(total)
-                if total:
-                    state["last_change"] = state["rounds"]
-                state["stop"] = total == 0
-                if not state["stop"]:
-                    emin[:] = np.minimum.reduceat(est[edge_flat], edge_starts)
-            barrier.wait()
-            if state["stop"]:
-                return
+            changes = sum(run(step, blocks))
+            history.append(changes)
+            if not changes:
+                break
+            emin[:] = np.minimum.reduceat(est[edge_flat], edge_starts)
 
-    def run(t: int) -> None:
-        try:
-            worker(t)
-        except BaseException as exc:  # propagate to the caller
-            errors.append(exc)
-            barrier.abort()
-
-    threads = [threading.Thread(target=run, args=(t,)) for t in range(T)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-
-    counters["h_operator_evals"] = state["rounds"] * n_segs
-    return CoreAssignment(
-        est.tolist(), counters,
-        report=ConvergenceReport(state["rounds"], state["history"],
-                                 state["last_change"]),
-    )
+    return _result(est.tolist(), history, h_evals=len(history) * n_segs)
 
 
 # -- uncorrected baseline and convergence hierarchy ------------------------

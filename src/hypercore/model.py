@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class HypergraphError(Exception):
@@ -57,7 +57,6 @@ class Hypergraph:
         "nbr_offsets",
         "nbr_flat",
         "_nbr_lists",
-        "_inc_lists",
     )
 
     def __init__(self, edges: list[tuple[int, ...]], labels: list[str]):
@@ -67,7 +66,6 @@ class Hypergraph:
         self.label_to_id = {lab: i for i, lab in enumerate(labels)}
         self._build_csr()
         self._nbr_lists: list[list[int]] | None = None
-        self._inc_lists: list[list[int]] | None = None
 
     def _build_csr(self) -> None:
         n = self.n
@@ -125,17 +123,6 @@ class Hypergraph:
             ]
         return self._nbr_lists
 
-    def incidence_lists(self) -> list[list[int]]:
-        if self._inc_lists is None:
-            self._inc_lists = [
-                self.inc_flat[self.inc_offsets[v] : self.inc_offsets[v + 1]]
-                for v in range(self.n)
-            ]
-        return self._inc_lists
-
-    def strong_induced(self, nodes: Iterable[int]) -> "SubhypergraphView":
-        return SubhypergraphView(self, set(nodes))
-
     def residual_neighbors(self, v: int, alive: Sequence[bool]) -> set[int]:
         """Neighbors of v among edges whose members are all alive.
 
@@ -156,39 +143,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Hypergraph(n={self.n}, m={len(self.edges)})"
-
-
-class SubhypergraphView:
-    """Strongly induced subhypergraph H[S]: keeps only edges fully inside S."""
-
-    def __init__(self, parent: Hypergraph, nodes: set[int]):
-        self.parent = parent
-        self.nodes = nodes
-        self.edge_ids = [
-            ei for ei, e in enumerate(parent.edges) if all(u in nodes for u in e)
-        ]
-        self._nbrs: dict[int, set[int]] = {v: set() for v in nodes}
-        self._deg: dict[int, int] = {v: 0 for v in nodes}
-        for ei in self.edge_ids:
-            e = parent.edges[ei]
-            for v in e:
-                self._nbrs[v].update(e)
-                self._deg[v] += 1
-        for v in nodes:
-            self._nbrs[v].discard(v)
-
-    @property
-    def edges(self) -> list[tuple[int, ...]]:
-        return [self.parent.edges[ei] for ei in self.edge_ids]
-
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self._nbrs[v])
-
-    def neighbor_count(self, v: int) -> int:
-        return len(self._nbrs[v])
-
-    def degree(self, v: int) -> int:
-        return self._deg[v]
 
 
 def build(

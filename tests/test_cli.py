@@ -50,6 +50,15 @@ def test_decompose_stats_sidecar(fig_file, tmp_path, capsys):
     assert payload["algorithm"] == "local" and payload["rounds"] >= 1
 
 
+def test_decompose_no_opt3_matches_peel(fig_file, tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    _, body_peel, _ = run(capsys, "decompose", fig_file, "--algorithm", "peel")
+    code, body_local, _ = run(capsys, "decompose", fig_file, "--algorithm", "local",
+                              "--no-opt3", "--stats", str(stats))
+    assert code == 0 and body_local == body_peel
+    assert json.loads(stats.read_text())["rounds"] >= 1
+
+
 def test_decompose_out_file(fig_file, tmp_path, capsys):
     out_path = tmp_path / "cores.tsv"
     code, out, _ = run(capsys, "decompose", fig_file, "--out", str(out_path))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,17 @@ def test_intervention_deletes_incident_edges(fig_five):
 def test_intervention_can_empty(single_triple):
     H2 = intervention_delete(single_triple, [0], 1)
     assert H2.n == 0 and H2.edges == []
+
+
+def test_intervention_keeps_member_labels():
+    rng = random.Random(0)
+    for seed in range(30):
+        H = random_hypergraph(12, 15, 2, 4, seed)
+        ranked = rng.sample(range(H.n), H.n)
+        k = rng.randint(0, H.n)
+        H2 = intervention_delete(H, ranked, k)
+        doomed = {H.labels[v] for v in ranked[:k]}
+        kept = {frozenset(H.labels[v] for v in e) for e in H.edges}
+        kept = {e for e in kept if not e & doomed}
+        assert {frozenset(H2.labels[v] for v in e) for e in H2.edges} == kept
+        assert not doomed & set(H2.labels)

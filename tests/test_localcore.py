@@ -1,4 +1,7 @@
 import itertools
+import random
+import sys
+import threading
 
 import pytest
 
@@ -14,7 +17,6 @@ from hypercore import (
     peel,
     random_hypergraph,
 )
-from hypercore.localcore import _nplus_bucket, _nplus_direct
 from conftest import by_label, hg
 
 
@@ -52,6 +54,20 @@ def test_thread_counts_match_sequential(fig_five):
     expected = local_core(fig_five).core
     for t in (2, 4, 8):
         assert local_core(fig_five, LocalCoreOptions(threads=t)).core == expected
+
+
+def test_jacobi_threads_under_fast_switching():
+    # more threads than cores and a tiny switch interval interleave the
+    # blocks' writes to the shared estimate array as much as possible
+    H = random_hypergraph(400, 800, 2, 4, 9)
+    expected = peel(H).core
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert local_core(H, LocalCoreOptions(threads=8)).core == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_threads_must_be_positive(fig_five):
@@ -118,12 +134,45 @@ def test_rounds_bounded_by_hierarchy(fig_five):
     assert res.report.rounds <= bound
 
 
-def test_bucket_nplus_equals_direct_scan():
-    H = random_hypergraph(12, 20, 2, 4, 11)
-    est = [H.neighbor_count(v) for v in range(H.n)]
-    for v in range(H.n):
-        for k in range(1, est[v] + 1):
-            assert _nplus_bucket(H, v, k, est) == _nplus_direct(H, v, k, est)
+def test_routes_agree_on_wide_hyperedge():
+    # one 40-member hyperedge, wider than any in the acceptance pool (<= 5),
+    # with small edges of cardinality 2-4 around and across it
+    rng = random.Random(5)
+    labels = [f"w{i}" for i in range(40)] + [f"x{i}" for i in range(30)]
+    lines = [" ".join(labels[:40])]
+    for _ in range(80):
+        lines.append(" ".join(rng.sample(labels, rng.randint(2, 4))))
+    H = hg("\n".join(lines) + "\n")
+    expected = peel(H).core
+    assert len(set(expected)) > 2
+    for opts in (LocalCoreOptions(), LocalCoreOptions(use_opt3=False),
+                 LocalCoreOptions(use_opt2=False), LocalCoreOptions(threads=2)):
+        res = local_core(H, opts)
+        assert res.core == expected, opts
+        assert set(res.counters) == {
+            "h_operator_evals", "correction_iterations", "lccsat_edge_scans"}, opts
+
+
+def _threads_started(monkeypatch, H, opts):
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        real_start(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(threading.Thread, "start", counting_start)
+        core = local_core(H, opts).core
+    return core, len(started)
+
+
+def test_thread_use(monkeypatch):
+    H = random_hypergraph(3000, 6000, 2, 4, 1)
+    expected = peel(H).core
+    for opts in (LocalCoreOptions(), LocalCoreOptions(use_opt3=False)):
+        assert _threads_started(monkeypatch, H, opts) == (expected, 0), opts
+    assert _threads_started(monkeypatch, H, LocalCoreOptions(threads=2)) == (expected, 2)
 
 
 def test_opt4_finishes_at_lower_bound():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hypercore import (
@@ -6,6 +8,7 @@ from hypercore import (
     build,
     parse_hg,
     serialize_hg,
+    volume_density,
 )
 from conftest import by_label, hg
 
@@ -59,19 +62,24 @@ def test_degree_on_fixture(fig_five):
 
 
 def test_strong_induced_drops_partial_edges(fig_five):
-    S = set(ids_of(fig_five, "acde"))
-    view = fig_five.strong_induced(S)
-    assert len(view.edge_ids) == 2
-    assert view.neighbor_count(fig_five.label_to_id["a"]) == 2
+    # H[acde] keeps {a,c,d} and {c,d,e}; {a,b,e} is only partly inside
+    alive = [lab in "acde" for lab in fig_five.labels]
+    a = fig_five.label_to_id["a"]
+    assert fig_five.residual_neighbors(a, alive) == set(ids_of(fig_five, "cd"))
+    assert volume_density(fig_five, ids_of(fig_five, "acde")) == Fraction(10, 4)
 
 
 def test_strong_induced_identity(fig_five):
-    view = fig_five.strong_induced(range(fig_five.n))
-    assert view.edges == fig_five.edges
+    alive = [True] * fig_five.n
+    for v in range(fig_five.n):
+        assert sorted(fig_five.residual_neighbors(v, alive)) == fig_five.neighbors(v)
+    total = sum(fig_five.neighbor_count(v) for v in range(fig_five.n))
+    assert volume_density(fig_five, range(fig_five.n)) == Fraction(total, fig_five.n)
 
 
 def test_strong_induced_empty(fig_five):
-    assert fig_five.strong_induced(set()).edge_ids == []
+    alive = [False] * fig_five.n
+    assert all(fig_five.residual_neighbors(v, alive) == set() for v in range(fig_five.n))
 
 
 def test_residual_neighbors_drop_by_more_than_one():
