@@ -230,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=100)
     p.add_argument("--delete-top-k", type=int, default=0,
-                   help="delete this many top-ranked nodes (and incident edges) first")
-    p.add_argument("--rank-by", default="core", choices=["core"],
-                   help="ranking used by --delete-top-k")
+                   help="delete this many nodes of highest core number "
+                        "(and their incident edges) first")
     p.add_argument("--aggregate-out", metavar="PATH",
                    help="write mean spread per seed-core bucket as CSV")
     p.set_defaults(func=cmd_sir)

@@ -14,7 +14,7 @@ unsafe here.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -40,30 +40,17 @@ def volume_density(H: Hypergraph, nodes: Iterable[int]) -> Fraction:
     S = set(nodes)
     if not S:
         raise InputError("volume density of the empty set is undefined")
-    nbrs: dict[int, set[int]] = {v: set() for v in S}
-    for e in H.edges:
-        if all(u in S for u in e):
-            for v in e:
-                nbrs[v].update(e)
-    total = sum(len(s) - (1 if v in s else 0) for v, s in nbrs.items())
+    in_S = [False] * H.n
+    for v in S:
+        in_S[v] = True
+    total = sum(len(H.residual_neighbors(v, in_S)) for v in S)
     return Fraction(total, len(S))
-
-
-def _max_pair_multiplicity(H: Hypergraph) -> int:
-    """Largest number of hyperedges sharing one unordered node pair."""
-    pair_counts: Counter[tuple[int, int]] = Counter()
-    for e in H.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                pair_counts[(e[i], e[j])] += 1
-    return max(pair_counts.values(), default=0)
 
 
 def guarantee_factor(H: Hypergraph) -> Fraction:
     """d_pair * (d_card - 2) + 2 for this hypergraph (2 for plain graphs)."""
     d_card = max(len(e) for e in H.edges)
-    d_pair = _max_pair_multiplicity(H)
-    return Fraction(d_pair * (d_card - 2) + 2)
+    return Fraction(H.d_pair * (d_card - 2) + 2)
 
 
 def greedy_densest(H: Hypergraph) -> DensestResult:
@@ -172,27 +159,39 @@ class _Dinic:
                     q.append(v)
         return self.level[t] >= 0
 
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self.it[u] < len(self.graph[u]):
-            edge = self.graph[u][self.it[u]]
-            v, cap, rev = edge
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, cap))
-                if d > 0:
-                    edge[1] -= d
-                    self.graph[v][rev][1] += d
-                    return d
-            self.it[u] += 1
-        return 0
+    def _dfs(self, s: int, t: int) -> int:
+        """Push flow along one s-t path of the level graph and return the
+        amount, or 0 once the phase is blocked.  The path is kept in a list,
+        not on the call stack: it can run the length of the network."""
+        graph, level, it = self.graph, self.level, self.it
+        path: list[list[int]] = []  # edges from s to u
+        u = s
+        while u != t:
+            adj, i = graph[u], it[u]
+            while i < len(adj) and not (adj[i][1] > 0 and level[adj[i][0]] == level[u] + 1):
+                i += 1
+            it[u] = i
+            if i < len(adj):
+                path.append(adj[i])
+                u = adj[i][0]
+            elif not path:
+                return 0
+            else:  # dead end: back to the tail of the last edge, which is skipped
+                edge = path.pop()
+                u = graph[edge[0]][edge[2]][0]
+                it[u] += 1
+        f = min(edge[1] for edge in path)
+        for edge in path:
+            edge[1] -= f
+            graph[edge[0]][edge[2]][1] += f
+        return f
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
-                f = self._dfs(s, t, 1 << 300)
+                f = self._dfs(s, t)
                 if f == 0:
                     break
                 flow += f
@@ -273,7 +272,7 @@ def exact_densest(H: Hypergraph) -> DensestResult:
     upper = Fraction(total_nbrs)
     delta = Fraction(1, 2 * n * n)
     best = set(range(n))
-    flow_conclusive = _max_pair_multiplicity(H) <= 1
+    flow_conclusive = H.d_pair <= 1
     fallback: tuple[Fraction, set[int]] | None = None
     while upper - lower >= delta:
         eta = (lower + upper) / 2

@@ -94,10 +94,7 @@ def clique_expansion(H: Hypergraph) -> nx.Graph:
     """Replace each hyperedge by a clique on its members."""
     G = nx.Graph()
     G.add_nodes_from(range(H.n))
-    for e in H.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                G.add_edge(e[i], e[j])
+    G.add_edges_from((v, u) for v in range(H.n) for u in H.neighbors(v) if v < u)
     return G
 
 

@@ -231,47 +231,20 @@ def _segment_top_h(vals: np.ndarray, seg: np.ndarray, rank: np.ndarray,
     return np.maximum.reduceat(cand, starts)
 
 
-def _pair_table(H: Hypergraph, edge_flat: np.ndarray, edge_starts: np.ndarray):
-    """Static (node, neighbor) pair table for the one-shot update operator.
-
-    For every ordered pair of distinct members (v, u) of every hyperedge,
-    one row carries the hyperedge id.  Rows are sorted by (v, u) and grouped;
-    each group corresponds to one neighbor u of one node v.  Returns
-    (pair_edge, group_starts, seg_id, rank, node_starts, seg_nodes): the
-    hyperedge column, the row index of each group start, per-group node
+def _pair_table(offsets: np.ndarray):
+    """Node segments of the model's pair table for the one-shot update
+    operator, from the neighbor offsets `H.nbr_offsets`.  Each pair group is
+    one neighbor u of one node v, and the groups of one v form that node's
+    segment.  Returns (seg_id, rank, seg_bounds, seg_nodes): per-group
     segment ids and 1-based group rank within the segment, the group index
-    of each node segment start, and the node of each segment."""
-    n = H.n
-    by_card: dict[int, list[int]] = {}
-    for ei, e in enumerate(H.edges):
-        by_card.setdefault(len(e), []).append(ei)
-    v_parts, u_parts, e_parts = [], [], []
-    for card, eis in by_card.items():
-        if card < 2:
-            continue
-        idx = np.array(eis, dtype=np.int64)
-        members = edge_flat[edge_starts[idx][:, None] + np.arange(card)]
-        for i in range(card):
-            for j in range(card):
-                if i != j:
-                    v_parts.append(members[:, i])
-                    u_parts.append(members[:, j])
-                    e_parts.append(idx)
-    if not v_parts:
-        return None
-    key = np.concatenate(v_parts) * np.int64(n + 1) + np.concatenate(u_parts)
-    pair_edge = np.concatenate(e_parts)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    pair_edge = pair_edge[order]
-    group_starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    gv = key[group_starts] // (n + 1)
-    new_node = np.concatenate(([True], gv[1:] != gv[:-1]))
-    node_starts = np.flatnonzero(new_node)
-    seg_nodes = gv[node_starts]
-    seg_id = np.cumsum(new_node) - 1
-    rank = np.arange(len(gv), dtype=np.int64) - node_starts[seg_id] + 1
-    return pair_edge, group_starts, seg_id, rank, node_starts, seg_nodes
+    of each segment start followed by the group count, and the node of each
+    segment."""
+    counts = np.diff(offsets)
+    seg_nodes = np.flatnonzero(counts)
+    seg_bounds = offsets[np.append(seg_nodes, len(counts))]
+    seg_id = np.repeat(np.arange(len(seg_nodes)), counts[seg_nodes])
+    rank = np.arange(len(seg_id)) - seg_bounds[seg_id] + 1
+    return seg_id, rank, seg_bounds, seg_nodes
 
 
 def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
@@ -290,35 +263,26 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
     then the caller rebuilds the minima; the loop stops on the first
     change-free round."""
     n = H.n
-    est = np.array([H.neighbor_count(v) for v in range(n)], dtype=np.int64)
-    edge_flat = np.fromiter((u for e in H.edges for u in e), dtype=np.int64,
-                            count=sum(len(e) for e in H.edges))
-    edge_starts = np.zeros(len(H.edges), dtype=np.int64)
-    np.cumsum([len(e) for e in H.edges[:-1]], out=edge_starts[1:])
-    table = _pair_table(H, edge_flat, edge_starts)
-    if table is None:  # no hyperedge with two members: every estimate is 0
+    offsets = np.array(H.nbr_offsets, dtype=np.int64)
+    est = np.diff(offsets)
+    pair_edge = H.pair_edge
+    if not len(pair_edge):  # no hyperedge with two members: every estimate is 0
         return _result(est.tolist(), [0])
-    pair_edge, group_starts, seg_id, rank, node_starts, seg_nodes = table
+    seg_id, rank, seg_bounds, seg_nodes = _pair_table(offsets)
 
     # contiguous node-segment ranges per block, balanced by pair rows
-    total_pairs = len(pair_edge)
-    n_groups = len(group_starts)
-    n_segs = len(seg_nodes)
-    seg_first_pair = group_starts[node_starts]
-    cuts = [int(np.searchsorted(seg_first_pair, t * total_pairs // T))
-            for t in range(T + 1)]
-    cuts[-1] = n_segs
+    row_bounds = np.append(H.pair_starts, len(pair_edge))
+    cuts = np.searchsorted(row_bounds[seg_bounds], np.arange(T + 1) * len(pair_edge) // T)
+    cuts[-1] = len(seg_nodes)
     blocks = []
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
         if a < b:
-            ga = node_starts[a]
-            gb = node_starts[b] if b < n_segs else n_groups
-            pa = group_starts[ga]
-            pb = group_starts[gb] if gb < n_groups else total_pairs
-            blocks.append((pair_edge[pa:pb], group_starts[ga:gb] - pa, seg_id[ga:gb] - a,
-                           rank[ga:gb], node_starts[a:b] - ga, seg_nodes[a:b]))
+            ga, gb = seg_bounds[a], seg_bounds[b]
+            pa, pb = row_bounds[ga], row_bounds[gb]
+            blocks.append((pair_edge[pa:pb], row_bounds[ga:gb] - pa, seg_id[ga:gb] - a,
+                           rank[ga:gb], seg_bounds[a:b] - ga, seg_nodes[a:b]))
 
-    emin = np.minimum.reduceat(est[edge_flat], edge_starts)
+    emin = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
 
     def step(block) -> int:
         """One round for one block; returns the number of estimates lowered."""
@@ -338,9 +302,9 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
             history.append(changes)
             if not changes:
                 break
-            emin[:] = np.minimum.reduceat(est[edge_flat], edge_starts)
+            emin[:] = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
 
-    return _result(est.tolist(), history, h_evals=len(history) * n_segs)
+    return _result(est.tolist(), history, h_evals=len(history) * len(seg_nodes))
 
 
 # -- uncorrected baseline and convergence hierarchy ------------------------

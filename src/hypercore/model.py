@@ -1,4 +1,5 @@
-"""Hypergraph data model: label interning, CSR incidence/adjacency, neighborhood queries.
+"""Hypergraph data model: label interning, the pair table, CSR incidence/adjacency,
+neighborhood queries.
 
 The hypergraph is immutable after build; every algorithm in this package reads it
 through the queries defined here.  Nodes are dense integers in [0, n); the label
@@ -9,7 +10,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
+
+# Largest pair table (sum of |e|(|e| - 1) over hyperedges) a hypergraph may
+# have; every row costs about 40 bytes while the table is built.
+PAIR_ROW_GUARD = 2**25
 
 
 class HypergraphError(Exception):
@@ -41,10 +49,18 @@ class BuildReport:
 class Hypergraph:
     """Immutable simple hypergraph with CSR incidence and neighbor adjacency.
 
+    The (v, u) co-occurrence pairs are enumerated once, into a pair table:
+    one row per ordered pair of distinct members of a hyperedge, sorted and
+    grouped by (v, u).  Group g is the pair of nbr_flat[g] and the node whose
+    nbr_offsets range holds g.
+
     Attributes:
         n: number of retained nodes.
         edges: canonical hyperedges, each a strictly ascending tuple of node ids.
         labels: node id -> original label, in first-seen order.
+        edge_flat, edge_starts: concatenated members, and each edge's offset.
+        pair_edge, pair_starts: hyperedge of each row, first row of each group.
+        d_pair: largest group size, i.e. most hyperedges sharing a node pair.
     """
 
     __slots__ = (
@@ -56,6 +72,11 @@ class Hypergraph:
         "inc_flat",
         "nbr_offsets",
         "nbr_flat",
+        "edge_flat",
+        "edge_starts",
+        "pair_edge",
+        "pair_starts",
+        "d_pair",
         "_nbr_lists",
     )
 
@@ -68,28 +89,43 @@ class Hypergraph:
         self._nbr_lists: list[list[int]] | None = None
 
     def _build_csr(self) -> None:
-        n = self.n
-        inc: list[list[int]] = [[] for _ in range(n)]
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for ei, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(ei)
-                nbrs[v].update(e)
-        inc_offsets = [0] * (n + 1)
-        nbr_offsets = [0] * (n + 1)
-        inc_flat: list[int] = []
-        nbr_flat: list[int] = []
-        for v in range(n):
-            inc_flat.extend(inc[v])
-            inc_offsets[v + 1] = len(inc_flat)
-            s = nbrs[v]
-            s.discard(v)
-            nbr_flat.extend(sorted(s))
-            nbr_offsets[v + 1] = len(nbr_flat)
-        self.inc_offsets = inc_offsets
-        self.inc_flat = inc_flat
-        self.nbr_offsets = nbr_offsets
-        self.nbr_flat = nbr_flat
+        n, m = self.n, len(self.edges)
+        cards = np.fromiter(map(len, self.edges), dtype=np.int64, count=m)
+        rows = int(cards @ (cards - 1))
+        if rows > PAIR_ROW_GUARD:
+            raise GuardError(f"pair-table guard: {rows} pair rows > {PAIR_ROW_GUARD}")
+        self.edge_flat = edge_flat = np.fromiter(
+            chain.from_iterable(self.edges), dtype=np.int64, count=int(cards.sum()))
+        self.edge_starts = np.zeros(m, dtype=np.int64)
+        np.cumsum(cards[:-1], out=self.edge_starts[1:])
+
+        # one row per ordered member pair, built per cardinality: key v * n + u
+        keys = [np.empty(0, dtype=np.int64)]
+        edge_ids = [np.empty(0, dtype=np.int64)]
+        for c in np.flatnonzero(np.bincount(cards)).tolist():
+            idx = np.flatnonzero(cards == c)
+            members = edge_flat[self.edge_starts[idx, None] + np.arange(c)]
+            grid = members[:, :, None] * n + members[:, None, :]
+            keys.append(grid[:, ~np.eye(c, dtype=bool)].ravel())
+            edge_ids.append(np.repeat(idx, c * (c - 1)))
+            del grid
+        key, pair_edge = np.concatenate(keys), np.concatenate(edge_ids)
+        del keys, edge_ids
+        order = np.argsort(key)
+        key = key[order]
+        self.pair_edge = pair_edge[order]
+        del order, pair_edge
+        self.pair_starts = np.flatnonzero(np.diff(key, prepend=-1))
+        self.d_pair = int(np.diff(self.pair_starts, append=rows).max(initial=0))
+        group_v, group_u = np.divmod(key[self.pair_starts], n)
+        del key
+
+        # the lists share one int object per node id and per edge id
+        inc_order = np.argsort(edge_flat, kind="stable")
+        self.inc_flat = np.repeat(np.arange(m, dtype=object), cards)[inc_order].tolist()
+        self.inc_offsets = np.searchsorted(edge_flat[inc_order], np.arange(n + 1)).tolist()
+        self.nbr_flat = np.arange(n, dtype=object)[group_u].tolist()
+        self.nbr_offsets = np.searchsorted(group_v, np.arange(n + 1)).tolist()
 
     # -- queries -----------------------------------------------------------
 

@@ -1,7 +1,10 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+from hypercore import model
 from hypercore.cli import main
 
 FIG5 = "a b e\na c d\nc d e\n"
@@ -129,9 +132,39 @@ def test_sir_unknown_seed(fig_file, capsys):
 
 def test_sir_intervention(fig_file, capsys):
     code, out, _ = run(capsys, "sir", fig_file, "--seed-node", "a",
-                       "--beta", "1.0", "--delete-top-k", "1", "--rank-by", "core")
+                       "--beta", "1.0", "--delete-top-k", "1")
     # node 'a' has the lowest id among the (all-equal) cores, so it is deleted
     assert code == 2  # seed no longer present
+
+
+def test_densest_exact_long_path_without_deep_recursion(tmp_path, capsys):
+    # a max-flow augmenting path can run the length of the chain; allow
+    # only 50 frames beyond this test's own stack depth.  A first call at the
+    # normal limit runs the library's lazy imports, which nest deeply.
+    p = tmp_path / "path.hg"
+    p.write_text("".join(f"p{i} p{i + 1}\n" for i in range(99)))
+    assert run(capsys, "densest", str(p), "--method", "exact")[0] == 0
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        code, out, _ = run(capsys, "densest", str(p), "--method", "exact")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    payload = json.loads(out)
+    assert Fraction(payload["density"]) == Fraction(99, 50) and payload["size"] == 100
+
+
+def test_pair_row_guard(fig_file, capsys, monkeypatch):
+    # three triples: 3 * 3 * 2 = 18 ordered pair rows
+    monkeypatch.setattr(model, "PAIR_ROW_GUARD", 18)
+    assert run(capsys, "decompose", fig_file)[0] == 0
+    monkeypatch.setattr(model, "PAIR_ROW_GUARD", 17)
+    code, out, err = run(capsys, "decompose", fig_file)
+    assert code == 3 and out == "" and "18 pair rows > 17" in err
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -1,8 +1,12 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercore import (
+    Hypergraph,
     InputError,
     SingletonPolicy,
     build,
@@ -120,3 +124,46 @@ def test_every_retained_node_has_a_neighbor(fig_five):
 
 def ids_of(H, labels):
     return [H.label_to_id[ch] for ch in labels]
+
+
+@st.composite
+def edge_lists(draw):
+    """Label lists over a few nodes (so node pairs repeat), sometimes with
+    one extra hyperedge of 40 or more members."""
+    n = draw(st.integers(2, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.sets(node, min_size=2), max_size=10))
+    if draw(st.booleans()):
+        wide = set(range(n, n + draw(st.integers(40, 44))))
+        edges.append(wide | draw(st.sets(node, max_size=3)))
+    return [[str(v) for v in sorted(e)] for e in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+@example([])
+@example([["a", "b", "c"], ["a", "b", "d"], ["a", "b"]])
+@example([[str(v) for v in range(42)], ["0", "1"], ["1", "2", "x"]])
+def test_pair_table_matches_brute_force(raw):
+    H = build(raw)[0] if raw else Hypergraph([], [])
+    inc = [[ei for ei, e in enumerate(H.edges) if v in e] for v in range(H.n)]
+    assert H.inc_flat == [ei for lst in inc for ei in lst]
+    assert H.inc_offsets == list(accumulate(map(len, inc), initial=0))
+    mult = Counter(p for e in H.edges for p in permutations(e, 2))
+    nbrs = [sorted(u for w, u in mult if w == v) for v in range(H.n)]
+    assert H.nbr_flat == [u for lst in nbrs for u in lst]
+    assert H.nbr_offsets == list(accumulate(map(len, nbrs), initial=0))
+    assert H.d_pair == max(mult.values(), default=0)
+    assert H.edge_flat.tolist() == [v for e in H.edges for v in e]
+    assert H.edge_starts.tolist() == list(accumulate(map(len, H.edges), initial=0))[:-1]
+    # one group per (v, u), holding exactly the hyperedges that contain both
+    bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
+    groups = {
+        (v, H.nbr_flat[g]): sorted(H.pair_edge[bounds[g]:bounds[g + 1]].tolist())
+        for v in range(H.n)
+        for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1])
+    }
+    assert len(groups) == len(H.pair_starts) == len(mult)
+    assert groups == {
+        (v, u): [ei for ei, e in enumerate(H.edges) if v in e and u in e] for v, u in mult
+    }
