@@ -16,7 +16,7 @@ import random
 import sys
 
 from . import diffusion, gen, kdcore, densest as densest_mod
-from .localcore import LocalCoreOptions, local_core, naive_graph_h_index
+from .localcore import MAX_THREADS, LocalCoreOptions, local_core, naive_graph_h_index
 from .model import (
     GuardError,
     Hypergraph,
@@ -39,7 +39,7 @@ def _out_stream(path: str | None):
 
 def cmd_decompose(args) -> int:
     H, report = _load(args.input, args.lenient)
-    opts = LocalCoreOptions(use_opt3=not args.no_opt3, threads=args.threads)
+    opts = LocalCoreOptions(threads=args.threads)
     if args.algorithm == "peel":
         res = peel(H)
     elif args.algorithm == "epeel":
@@ -207,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="local",
                    choices=["peel", "epeel", "local", "naive-h", "degree", "clique"])
     p.add_argument("--threads", type=int, default=1,
-                   help="local: more than 1 runs the Jacobi engine on this many threads")
-    p.add_argument("--no-opt3", action="store_true",
-                   help="local: run the Jacobi engine instead of the fused one")
+                   help="local: run each round's node blocks on this many threads "
+                        f"(1 to {MAX_THREADS})")
     p.add_argument("--stats", metavar="PATH", help="write counters/rounds JSON sidecar")
     p.set_defaults(func=cmd_decompose)
 

@@ -263,26 +263,26 @@ def exact_densest(H: Hypergraph) -> DensestResult:
     always trustworthy and supplies the min cut's node side as the witness.
     A negative answer is only conclusive when no node pair is shared by two
     hyperedges; otherwise it is confirmed against the subset-enumeration
-    optimum (computed once per call, node-count guarded like the brute-force
-    oracle), because the flow network overcharges neighbors reachable
-    through several hyperedges and can miss denser subsets."""
+    optimum, because the flow network overcharges neighbors reachable
+    through several hyperedges and can miss denser subsets.  The bracket
+    cannot close without a negative answer, so with shared pairs that
+    optimum is computed, or refused by the brute-force oracle's node guard,
+    before the first probe."""
     n = H.n
     total_nbrs = sum(H.neighbor_count(v) for v in range(n))
     lower = Fraction(total_nbrs, n)
     upper = Fraction(total_nbrs)
     delta = Fraction(1, 2 * n * n)
     best = set(range(n))
-    flow_conclusive = H.d_pair <= 1
     fallback: tuple[Fraction, set[int]] | None = None
+    if H.d_pair > 1:
+        density, mask = _enumerate_optimum(H)
+        fallback = (density, {v for v in range(n) if mask >> v & 1})
     while upper - lower >= delta:
         eta = (lower + upper) / 2
         denser, nodes, _ = _flow_probe(H, eta)
-        if not denser and not flow_conclusive:
-            if fallback is None:
-                density, mask = _enumerate_optimum(H)
-                fallback = (density, {v for v in range(n) if mask >> v & 1})
-            if fallback[0] > eta:
-                denser, nodes = True, fallback[1]
+        if not denser and fallback is not None and fallback[0] > eta:
+            denser, nodes = True, fallback[1]
         if denser:
             lower = eta
             best = nodes

@@ -7,19 +7,10 @@ plain h-index recurrence can converge above the true core number (exposed by
 `naive_graph_h_index`).  Estimates decrease monotonically and the loop stops
 on the first round in which no estimate changed.
 
-Two engines compute the fixpoint; `local_core` picks one by a fixed rule:
-
-    fused  (`_local_core_fused`) -- threads == 1 and all of use_opt2,
-           use_opt3 and use_opt4 on (the default).  A Gauss-Seidel sweep that
-           applies every optimization: per-hyperedge minimum member estimates
-           kept live (opt2), the freshest estimates read in place (opt3), and
-           nodes at their local lower bound skipped (opt4).
-    Jacobi (`_local_core_jacobi`) -- every other setting.  One vectorized
-           operator per round over round-start estimates, split into
-           `threads` contiguous node blocks.
-
-Both engines return the same core array as `peel`; only the round counts,
-convergence history and work counters differ.
+One engine computes the fixpoint: `_local_core_jacobi`, a vectorized Jacobi
+operator applied once per round to the round-start estimates of every node,
+split into `threads` contiguous node blocks.  It returns the same core array
+as `peel`.
 """
 
 from __future__ import annotations
@@ -32,18 +23,20 @@ from typing import Sequence
 import numpy as np
 
 from .model import Hypergraph, InputError
-from .peel import CoreAssignment, _min_neighbor_count, _max_incident_card
+from .peel import CoreAssignment
+
+# Most threads `local_core` accepts.  Each thread runs node blocks of one
+# round, so counts far above the core count only add threads; an unchecked
+# count could start one thread per node or fail allocating the block split.
+MAX_THREADS = 64
 
 
 @dataclass
 class LocalCoreOptions:
-    """Engine selection for `local_core`: the fused engine runs only with
-    threads == 1 and every optimization flag on; turning any flag off or
-    asking for more threads runs the Jacobi engine on `threads` threads."""
+    """Settings for `local_core`.  With threads == 1 each round runs in the
+    calling thread; with more, its node blocks run on a pool of `threads`
+    threads (at most MAX_THREADS)."""
 
-    use_opt2: bool = True
-    use_opt3: bool = True
-    use_opt4: bool = True
     threads: int = 1
 
 
@@ -52,7 +45,7 @@ class ConvergenceReport:
     rounds: int
     corrected_per_round: list[int] = field(default_factory=list)
     # last round in which any estimate actually changed (the final round only
-    # verifies the fixpoint); set by both engines
+    # verifies the fixpoint)
     converged_round: int | None = None
 
 
@@ -66,11 +59,6 @@ def h_operator(values: Sequence[int]) -> int:
         else:
             break
     return h
-
-
-def _lower_bounds(H: Hypergraph) -> list[int]:
-    mn = _min_neighbor_count(H)
-    return [max(_max_incident_card(H, v) - 1, mn) for v in range(H.n)]
 
 
 def core_correction(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> int:
@@ -91,144 +79,44 @@ def core_correction(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> int:
     return 0
 
 
-def _result(est: list[int], history: list[int], h_evals: int = 0,
-            corr_iters: int = 0, edge_scans: int = 0) -> CoreAssignment:
-    counters = {"h_operator_evals": h_evals, "correction_iterations": corr_iters,
-                "lccsat_edge_scans": edge_scans}
+def _result(est: list[int], history: list[int], h_evals: int = 0) -> CoreAssignment:
     converged = len(history) - 1 if history else None
-    return CoreAssignment(est, counters,
+    return CoreAssignment(est, {"h_operator_evals": h_evals},
                           report=ConvergenceReport(len(history), history, converged))
 
 
 def local_core(H: Hypergraph, opts: LocalCoreOptions | None = None) -> CoreAssignment:
     """Neighborhood core numbers via the corrected local fixpoint.
 
-    The output array equals peel's for every option setting; only round
-    counts and work counters differ between the two engines.
+    The output array equals peel's; the thread count changes neither it nor
+    the round count.
     """
     if opts is None:
         opts = LocalCoreOptions()
-    if opts.threads < 1:
-        raise InputError("threads must be >= 1")
+    if not 1 <= opts.threads <= MAX_THREADS:
+        raise InputError(f"threads must be between 1 and {MAX_THREADS}, got {opts.threads}")
     if H.n == 0:
         return _result([], [])
-    if opts.threads == 1 and opts.use_opt2 and opts.use_opt3 and opts.use_opt4:
-        return _local_core_fused(H)
     return _local_core_jacobi(H, opts.threads)
-
-
-def _local_core_fused(H: Hypergraph) -> CoreAssignment:
-    """Gauss-Seidel engine with every optimization: one fused pass per node.
-
-    For a node with estimate ev the correction can never land below the best
-    incident-edge witness bound kmax = max over incident edges, taken in
-    decreasing order of their current index value, of min(index, running
-    union size); and it always equals min(h, kmax) where h is the capped
-    h-index of the neighbor estimates.  That collapses the h-sweep and the
-    correction into a single computation.  Estimates are read fresh, the
-    per-hyperedge minima are updated in place on every drop (exact because
-    estimates only decrease), and nodes known stable -- every incident edge
-    index at least ev and ev neighbors at estimate >= ev -- are skipped.
-    The dirty set propagates through closed neighborhoods; the loop stops on
-    the first change-free round.
-    """
-    n = H.n
-    nbrs = H.neighbor_lists()
-    edges = H.edges
-    inc = [H.incident_edges(v) for v in range(n)]
-    lb = _lower_bounds(H)
-    est = [H.neighbor_count(v) for v in range(n)]
-    emin = [min(est[u] for u in e) for e in edges]
-    h_evals = corr_iters = edge_scans = 0
-    history: list[int] = []
-    dirty = list(range(n))
-
-    while True:
-        dirty.sort(key=est.__getitem__)
-        changed: list[int] = []
-        for v in dirty:
-            ev = est[v]
-            if ev <= lb[v]:
-                continue
-            stable = True
-            for ei in inc[v]:
-                if emin[ei] < ev:
-                    stable = False
-                    break
-            if stable:
-                acc = 0
-                for u in nbrs[v]:
-                    if est[u] >= ev:
-                        acc += 1
-                        if acc >= ev:
-                            break
-                if acc >= ev:
-                    continue
-            corr_iters += 1
-            ents = sorted((emin[ei], ei) for ei in inc[v])
-            best = 0
-            union: set[int] = set()
-            for i in range(len(ents) - 1, -1, -1):
-                ee, ei = ents[i]
-                if ee <= best:
-                    break
-                edge_scans += 1
-                union.update(edges[ei])
-                size = len(union) - 1
-                m = ee if ee < size else size
-                if m > best:
-                    best = m
-            h_evals += 1
-            cap = ev if ev < best else best
-            buckets = [0] * (cap + 1)
-            for u in nbrs[v]:
-                x = est[u]
-                buckets[x if x < cap else cap] += 1
-            acc = 0
-            hv = 0
-            for y in range(cap, 0, -1):
-                acc += buckets[y]
-                if acc >= y:
-                    hv = y
-                    break
-            if hv < ev:
-                est[v] = hv
-                changed.append(v)
-                for ei in inc[v]:
-                    if hv < emin[ei]:
-                        emin[ei] = hv
-        history.append(len(changed))
-        if not changed:
-            break
-        seen = bytearray(n)
-        dirty = []
-        for u in changed:
-            if not seen[u]:
-                seen[u] = 1
-                dirty.append(u)
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    dirty.append(w)
-
-    return _result(est, history, h_evals, corr_iters, edge_scans)
 
 
 # -- Jacobi local-core -----------------------------------------------------
 
 
-def _segment_top_h(vals: np.ndarray, seg: np.ndarray, rank: np.ndarray,
-                   starts: np.ndarray, hi: int) -> np.ndarray:
-    """Per-segment h-index of `vals` (segment ids ascending, values <= hi).
+def _segment_top_h(vals: np.ndarray, base: np.ndarray, rank: np.ndarray,
+                   starts: np.ndarray) -> np.ndarray:
+    """Per-segment h-index of `vals`, given base = seg * (hi + 1) + hi for
+    ascending segment ids seg and values <= hi.
 
-    A single sort on the combined key seg * (hi + 1) + (hi - val) orders each
-    segment's values descending while keeping segments contiguous, which is
-    measurably faster than a two-key lexsort."""
-    width = hi + 1
-    key = np.sort(seg * width + (hi - vals))
-    sv = seg * width + hi - key
-    cand = np.where(sv >= rank, rank, 0)
-    return np.maximum.reduceat(cand, starts)
+    A single sort on the combined key base - val orders each segment's values
+    descending while keeping segments contiguous, which is measurably faster
+    than a two-key lexsort.  Of values sorted descending, the h-index is the
+    largest min(value, rank)."""
+    key = base - vals
+    key.sort()
+    np.subtract(base, key, out=key)
+    np.minimum(key, rank, out=key)
+    return np.maximum.reduceat(key, starts)
 
 
 def _pair_table(offsets: np.ndarray):
@@ -243,7 +131,8 @@ def _pair_table(offsets: np.ndarray):
     seg_nodes = np.flatnonzero(counts)
     seg_bounds = offsets[np.append(seg_nodes, len(counts))]
     seg_id = np.repeat(np.arange(len(seg_nodes)), counts[seg_nodes])
-    rank = np.arange(len(seg_id)) - seg_bounds[seg_id] + 1
+    rank = np.arange(1, len(seg_id) + 1)
+    rank -= seg_bounds[seg_id]
     return seg_id, rank, seg_bounds, seg_nodes
 
 
@@ -279,16 +168,22 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
         if a < b:
             ga, gb = seg_bounds[a], seg_bounds[b]
             pa, pb = row_bounds[ga], row_bounds[gb]
-            blocks.append((pair_edge[pa:pb], row_bounds[ga:gb] - pa, seg_id[ga:gb] - a,
+            base = seg_id[ga:gb] - a  # the sort key base of _segment_top_h
+            base *= n + 1
+            base += n
+            blocks.append((pair_edge[pa:pb], row_bounds[ga:gb] - pa, base,
                            rank[ga:gb], seg_bounds[a:b] - ga, seg_nodes[a:b]))
+    segments = len(seg_nodes)
+    # the blocks hold what the rounds read; free the whole-table arrays first
+    del seg_id, rank, row_bounds, seg_bounds, seg_nodes
 
     emin = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
 
     def step(block) -> int:
         """One round for one block; returns the number of estimates lowered."""
-        edges, groups, seg, seg_rank, starts, nodes = block
+        edges, groups, base, seg_rank, starts, nodes = block
         best = np.maximum.reduceat(emin[edges], groups)
-        h = _segment_top_h(best, seg, seg_rank, starts, n)
+        h = _segment_top_h(best, base, seg_rank, starts)
         old = est[nodes]
         np.minimum(h, old, out=h)
         est[nodes] = h
@@ -304,7 +199,7 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
                 break
             emin[:] = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
 
-    return _result(est.tolist(), history, h_evals=len(history) * len(seg_nodes))
+    return _result(est.tolist(), history, h_evals=len(history) * segments)
 
 
 # -- uncorrected baseline and convergence hierarchy ------------------------
@@ -316,8 +211,8 @@ def naive_graph_h_index(H: Hypergraph) -> CoreAssignment:
     On hypergraphs this may converge strictly above the true core numbers;
     it is kept as a comparison baseline."""
     n = H.n
-    nbrs = H.neighbor_lists()
-    cur = [H.neighbor_count(v) for v in range(n)]
+    nbrs = [H.neighbors(v) for v in range(n)]
+    cur = [len(nbr) for nbr in nbrs]
     rounds = 0
     while True:
         rounds += 1

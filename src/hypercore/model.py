@@ -77,7 +77,6 @@ class Hypergraph:
         "pair_edge",
         "pair_starts",
         "d_pair",
-        "_nbr_lists",
     )
 
     def __init__(self, edges: list[tuple[int, ...]], labels: list[str]):
@@ -86,7 +85,6 @@ class Hypergraph:
         self.labels = labels
         self.label_to_id = {lab: i for i, lab in enumerate(labels)}
         self._build_csr()
-        self._nbr_lists: list[list[int]] | None = None
 
     def _build_csr(self) -> None:
         n, m = self.n, len(self.edges)
@@ -149,15 +147,6 @@ class Hypergraph:
     def incident_edges(self, v: int) -> list[int]:
         self._check_node(v)
         return self.inc_flat[self.inc_offsets[v] : self.inc_offsets[v + 1]]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Materialized adjacency lists; cached, shared, must not be mutated."""
-        if self._nbr_lists is None:
-            self._nbr_lists = [
-                self.nbr_flat[self.nbr_offsets[v] : self.nbr_offsets[v + 1]]
-                for v in range(self.n)
-            ]
-        return self._nbr_lists
 
     def residual_neighbors(self, v: int, alive: Sequence[bool]) -> set[int]:
         """Neighbors of v among edges whose members are all alive.

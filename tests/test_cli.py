@@ -1,10 +1,11 @@
 import json
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from hypercore import model
+from hypercore import densest, model
 from hypercore.cli import main
 
 FIG5 = "a b e\na c d\nc d e\n"
@@ -53,13 +54,29 @@ def test_decompose_stats_sidecar(fig_file, tmp_path, capsys):
     assert payload["algorithm"] == "local" and payload["rounds"] >= 1
 
 
-def test_decompose_no_opt3_matches_peel(fig_file, tmp_path, capsys):
+def test_decompose_threads2_matches_peel(fig_file, tmp_path, capsys):
     stats = tmp_path / "stats.json"
     _, body_peel, _ = run(capsys, "decompose", fig_file, "--algorithm", "peel")
     code, body_local, _ = run(capsys, "decompose", fig_file, "--algorithm", "local",
-                              "--no-opt3", "--stats", str(stats))
+                              "--threads", "2", "--stats", str(stats))
     assert code == 0 and body_local == body_peel
     assert json.loads(stats.read_text())["rounds"] >= 1
+
+
+def test_decompose_thread_count_guard(fig_file, capsys, monkeypatch):
+    # a refused count must fail before any pool exists; the stub refuses to
+    # start a thread, so a missing guard cannot start them either
+    started = []
+
+    def refuse_start(self):
+        started.append(self)
+        raise RuntimeError("thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse_start)
+    for threads in ("65", "1000000000000"):
+        code, out, err = run(capsys, "decompose", fig_file, "--threads", threads)
+        assert code == 2 and out == "" and started == []
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_decompose_out_file(fig_file, tmp_path, capsys):
@@ -165,6 +182,19 @@ def test_pair_row_guard(fig_file, capsys, monkeypatch):
     monkeypatch.setattr(model, "PAIR_ROW_GUARD", 17)
     code, out, err = run(capsys, "decompose", fig_file)
     assert code == 3 and out == "" and "18 pair rows > 17" in err
+
+
+def test_densest_exact_refused_before_any_probe(tmp_path, capsys, monkeypatch):
+    # a b c and a b d share the pair (a, b); a path brings n to 25 > 20
+    p = tmp_path / "shared.hg"
+    p.write_text("a b c\na b d\nd p0\n" + "".join(f"p{i} p{i + 1}\n" for i in range(20)))
+
+    def no_probe(H, eta):
+        raise AssertionError("flow probe built")
+
+    monkeypatch.setattr(densest, "_flow_probe", no_probe)
+    code, out, err = run(capsys, "densest", str(p), "--method", "exact")
+    assert code == 3 and out == "" and "enumeration guard: 25 nodes > 20" in err
 
 
 def test_gen_deterministic(tmp_path, capsys):

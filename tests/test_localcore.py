@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 import threading
@@ -43,11 +42,8 @@ def test_core_correction_pair_edge():
     assert core_correction(H, 0, 1, [1, 1]) == 1
 
 
-def test_all_flag_combinations_match_peel(fig_five):
-    expected = peel(fig_five).core
-    for o2, o3, o4 in itertools.product([False, True], repeat=3):
-        opts = LocalCoreOptions(use_opt2=o2, use_opt3=o3, use_opt4=o4)
-        assert local_core(fig_five, opts).core == expected
+def test_default_matches_peel(fig_five):
+    assert local_core(fig_five).core == peel(fig_five).core
 
 
 def test_thread_counts_match_sequential(fig_five):
@@ -130,8 +126,7 @@ def test_hierarchy_path():
 
 def test_rounds_bounded_by_hierarchy(fig_five):
     bound = max(neighborhood_hierarchy(fig_five)) + 1
-    res = local_core(fig_five, LocalCoreOptions(use_opt3=False))
-    assert res.report.rounds <= bound
+    assert local_core(fig_five).report.rounds <= bound
 
 
 def test_routes_agree_on_wide_hyperedge():
@@ -145,12 +140,10 @@ def test_routes_agree_on_wide_hyperedge():
     H = hg("\n".join(lines) + "\n")
     expected = peel(H).core
     assert len(set(expected)) > 2
-    for opts in (LocalCoreOptions(), LocalCoreOptions(use_opt3=False),
-                 LocalCoreOptions(use_opt2=False), LocalCoreOptions(threads=2)):
+    for opts in (LocalCoreOptions(), LocalCoreOptions(threads=2), LocalCoreOptions(threads=4)):
         res = local_core(H, opts)
         assert res.core == expected, opts
-        assert set(res.counters) == {
-            "h_operator_evals", "correction_iterations", "lccsat_edge_scans"}, opts
+        assert set(res.counters) == {"h_operator_evals"}, opts
 
 
 def _threads_started(monkeypatch, H, opts):
@@ -170,15 +163,15 @@ def _threads_started(monkeypatch, H, opts):
 def test_thread_use(monkeypatch):
     H = random_hypergraph(3000, 6000, 2, 4, 1)
     expected = peel(H).core
-    for opts in (LocalCoreOptions(), LocalCoreOptions(use_opt3=False)):
+    for opts in (None, LocalCoreOptions(threads=1)):
         assert _threads_started(monkeypatch, H, opts) == (expected, 0), opts
     assert _threads_started(monkeypatch, H, LocalCoreOptions(threads=2)) == (expected, 2)
 
 
-def test_opt4_finishes_at_lower_bound():
+def test_single_wide_edge_at_lower_bound():
     H = hg("a b c d e\n")  # LB = |N| = true core for everyone
-    res = local_core(H, LocalCoreOptions(use_opt4=True))
-    assert res.core == [4] * 5
+    for t in (1, 2):
+        assert local_core(H, LocalCoreOptions(threads=t)).core == [4] * 5
 
 
 def test_parallel_matches_on_random_instances():
