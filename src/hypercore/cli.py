@@ -9,6 +9,7 @@ core 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -33,8 +34,14 @@ def _load(path: str, lenient: bool):
     return load_hg(path, policy)
 
 
-def _out_stream(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at `path`, closed on exit, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def cmd_decompose(args) -> int:
@@ -53,15 +60,11 @@ def cmd_decompose(args) -> int:
     else:  # clique
         res = gen.clique_graph_core(H)
 
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         for v in range(H.n):
             out.write(f"{H.labels[v]}\t{res.core[v]}\n")
         for lab in report.isolated_labels:
             out.write(f"{lab}\t0\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.stats:
         sidecar = {"algorithm": args.algorithm, "counters": res.counters}
         if res.report is not None:
@@ -76,14 +79,10 @@ def cmd_decompose(args) -> int:
 def cmd_kdcore(args) -> int:
     H, _ = _load(args.input, args.lenient)
     result = kdcore.kd_decompose(H)
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         for k in range(1, result.kmax + 1):
             for v in sorted(result.levels[k]):
                 out.write(f"{H.labels[v]}\t{k}\t{result.levels[k][v]}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -103,13 +102,9 @@ def cmd_densest(args) -> int:
         "size": len(res.nodes),
         "members": sorted(H.labels[v] for v in res.nodes),
     }
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -132,18 +127,14 @@ def cmd_sir(args) -> int:
         rng = random.Random(args.rng_seed)
         seeds = [rng.randrange(H.n) for _ in range(args.runs)]
 
-    out = _out_stream(args.out)
     per_core: dict[int, list[int]] = {}
-    try:
+    with _output(args.out) as out:
         out.write("run\tseed\tcore\tspread\n")
         for i, s in enumerate(seeds):
             outcome = diffusion.sir_run(
                 H, s, args.beta, max_steps=args.max_steps, rng_seed=args.rng_seed + i)
             out.write(f"{i}\t{H.labels[s]}\t{cores[s]}\t{outcome.spread}\n")
             per_core.setdefault(cores[s], []).append(outcome.spread)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.aggregate_out:
         with open(args.aggregate_out, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
@@ -156,12 +147,8 @@ def cmd_sir(args) -> int:
 
 def cmd_gen(args) -> int:
     H = gen.random_hypergraph(args.n, args.m, args.card_min, args.card_max, args.rng_seed)
-    text = serialize_hg(H)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as out:
+        out.write(serialize_hg(H))
     return 0
 
 

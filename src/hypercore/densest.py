@@ -17,9 +17,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
-from .model import GuardError, Hypergraph, InputError
+from .model import GuardError, Hypergraph, InputError, Residual
 from .peel import peel
 
 BRUTE_FORCE_NODE_GUARD = 20
@@ -58,35 +59,23 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     densest prefix; density >= optimum / guarantee_factor(H)."""
     n = H.n
     cores = peel(H).core
-    alive = [True] * n
+    R = Residual(H)
     counts = [H.neighbor_count(v) for v in range(n)]
     total = sum(counts)
     best_set = set(range(n))
     best_density = Fraction(total, n)
 
-    order = sorted(range(n), key=lambda v: cores[v])
-    pos = 0
     alive_count = n
-    by_core: list[list[int]] = []
-    while pos < n:
-        level = cores[order[pos]]
-        group = []
-        while pos < n and cores[order[pos]] == level:
-            group.append(order[pos])
-            pos += 1
-        by_core.append(group)
-
-    for group in by_core:
+    for _, group in groupby(sorted(range(n), key=cores.__getitem__), key=cores.__getitem__):
         pending = set(group)
         while pending:
             v = min(pending, key=lambda u: (counts[u], u))
             pending.discard(v)
-            affected = H.residual_neighbors(v, alive)
-            alive[v] = False
+            affected = R.delete(v)
             alive_count -= 1
             total -= counts[v]
             for u in affected:
-                c = len(H.residual_neighbors(u, alive))
+                c = len(R.neighbors(u))
                 total += c - counts[u]
                 counts[u] = c
             if alive_count == 0:
@@ -94,7 +83,7 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
             density = Fraction(total, alive_count)
             if density > best_density:
                 best_density = density
-                best_set = {u for u in range(n) if alive[u]}
+                best_set = {u for u in range(n) if R.alive[u]}
     return DensestResult(best_set, best_density, "greedy", guarantee_factor(H))
 
 

@@ -9,6 +9,7 @@ import random
 import networkx as nx
 
 from .model import BuildReport, GuardError, Hypergraph, InputError, SingletonPolicy, build
+from .kdcore import kd_fixpoint_oracle
 from .peel import CoreAssignment
 
 ORACLE_NODE_GUARD = 200
@@ -57,7 +58,7 @@ def naive_core_oracle(H: Hypergraph) -> CoreAssignment:
     core = [0] * H.n
     k = 1
     while True:
-        survivors = _k_core_members(H, k)
+        survivors = kd_fixpoint_oracle(H, k, 0)
         if not survivors:
             break
         for v in survivors:
@@ -66,24 +67,12 @@ def naive_core_oracle(H: Hypergraph) -> CoreAssignment:
     return CoreAssignment(core=core, counters={})
 
 
-def _k_core_members(H: Hypergraph, k: int) -> set[int]:
-    alive = [True] * H.n
-    changed = True
-    while changed:
-        changed = False
-        for v in range(H.n):
-            if alive[v] and len(H.residual_neighbors(v, alive)) < k:
-                alive[v] = False
-                changed = True
-    return {v for v in range(H.n) if alive[v]}
-
-
 def oracle_k_core_sets(H: Hypergraph) -> list[set[int]]:
     """Per-k survivor sets [1-core, 2-core, ...] from the definitional oracle."""
     sets = []
     k = 1
     while True:
-        s = _k_core_members(H, k)
+        s = kd_fixpoint_oracle(H, k, 0)
         if not s:
             return sets
         sets.append(s)

@@ -1,18 +1,20 @@
 """(neighborhood, degree)-core decomposition and the degree-core baseline.
 
 The hybrid algorithm first computes neighborhood core numbers, then for each
-level k degree-peels the strong k-core: a popped node's secondary value d_k is
-the level at which it leaves the bucket queue.  The membership rule
-C(k,d) = {v : d_k(v) >= d} reproduces the definitional fixpoint.
+level k degree-peels the strong k-core on a `model.Residual`: a popped node's
+secondary value d_k is the level at which it leaves the bucket queue.  The
+membership rule C(k,d) = {v : d_k(v) >= d} reproduces the definitional
+fixpoint.  Degree-core numbers are level 1 of the same peel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
-from .model import Hypergraph
+from .model import Hypergraph, Residual
 from .peel import BucketQueue, CoreAssignment
-from .localcore import LocalCoreOptions, local_core
+from .localcore import local_core
 
 
 @dataclass
@@ -25,16 +27,8 @@ class KDCoreResult:
         return {v for v, dv in self.levels.get(k, {}).items() if dv >= d}
 
 
-def _alive_degree(H: Hypergraph, v: int, alive: list[bool]) -> int:
-    deg = 0
-    for ei in H.incident_edges(v):
-        if all(alive[u] for u in H.edges[ei]):
-            deg += 1
-    return deg
-
-
-def kd_decompose(H: Hypergraph, opts: LocalCoreOptions | None = None) -> KDCoreResult:
-    cores = local_core(H, opts).core
+def kd_decompose(H: Hypergraph) -> KDCoreResult:
+    cores = local_core(H).core
     kmax = max(cores, default=0)
     result = KDCoreResult(kmax=kmax)
     for k in range(1, kmax + 1):
@@ -43,15 +37,13 @@ def kd_decompose(H: Hypergraph, opts: LocalCoreOptions | None = None) -> KDCoreR
     return result
 
 
-def _degree_peel_level(H: Hypergraph, vk: set[int], k: int) -> dict[int, int]:
+def _degree_peel_level(H: Hypergraph, vk: Collection[int], k: int) -> dict[int, int]:
     """Degree-peel H[V_k]; a neighbor that would drop below k residual
     neighbors is kept at the current level instead of moving up."""
-    alive = [False] * H.n
-    for v in vk:
-        alive[v] = True
+    R = Residual(H, vk)
     B = BucketQueue(H.n)
     for v in vk:
-        B.insert(v, _alive_degree(H, v, alive))
+        B.insert(v, R.degree[v])
     dvals: dict[int, int] = {}
     remaining = len(vk)
     d = 1
@@ -62,41 +54,18 @@ def _degree_peel_level(H: Hypergraph, vk: set[int], k: int) -> dict[int, int]:
             continue
         dvals[v] = d
         remaining -= 1
-        nbrs = H.residual_neighbors(v, alive)
-        alive[v] = False
-        for u in nbrs:
-            if len(H.residual_neighbors(u, alive)) >= k:
-                B.move(u, max(_alive_degree(H, u, alive), d))
-            else:
-                B.move(u, d)
+        for u in R.delete(v):
+            # a degree at or below d moves u to d whatever its neighbor count
+            up = R.degree[u] > d and len(R.neighbors(u)) >= k
+            B.move(u, R.degree[u] if up else d)
     return dvals
 
 
 def degree_core(H: Hypergraph) -> CoreAssignment:
-    """Exact degree-based core numbers by bucket peeling with strong-induction
-    residuals (an edge counts toward a degree only while fully alive)."""
-    n = H.n
-    core = [0] * n
-    if n == 0:
-        return CoreAssignment(core, {})
-    alive = [True] * n
-    B = BucketQueue(n)
-    for v in range(n):
-        B.insert(v, H.degree(v))
-    remaining = n
-    k = 1
-    while remaining:
-        v = B.pop(k)
-        if v is None:
-            k += 1
-            continue
-        core[v] = k
-        remaining -= 1
-        nbrs = H.residual_neighbors(v, alive)
-        alive[v] = False
-        for u in nbrs:
-            B.move(u, max(_alive_degree(H, u, alive), k))
-    return CoreAssignment(core, {})
+    """Exact degree-based core numbers: level 1 of the (k,d)-decomposition,
+    where every node with a live hyperedge has a residual neighbor."""
+    dvals = _degree_peel_level(H, range(H.n), 1)
+    return CoreAssignment([dvals[v] for v in range(H.n)], {})
 
 
 def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
@@ -110,7 +79,8 @@ def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
             if not alive[v]:
                 continue
             if (len(H.residual_neighbors(v, alive)) < k
-                    or _alive_degree(H, v, alive) < d):
+                    or sum(all(alive[u] for u in H.edges[ei])
+                           for ei in H.incident_edges(v)) < d):
                 alive[v] = False
                 changed = True
     return {v for v in range(H.n) if alive[v]}

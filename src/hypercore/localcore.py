@@ -44,9 +44,6 @@ class LocalCoreOptions:
 class ConvergenceReport:
     rounds: int
     corrected_per_round: list[int] = field(default_factory=list)
-    # last round in which any estimate actually changed (the final round only
-    # verifies the fixpoint)
-    converged_round: int | None = None
 
 
 def h_operator(values: Sequence[int]) -> int:
@@ -65,24 +62,14 @@ def core_correction(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> int:
     """Largest k' <= k at which v has an incident-edge witness: a set of
     incident edges whose members all carry estimate >= k' and which together
     supply >= k' neighbors of v."""
-    inc = H.incident_edges(v)
-    while k > 0:
-        nplus: set[int] = set()
-        for ei in inc:
-            e = H.edges[ei]
-            if all(est[u] >= k for u in e):
-                nplus.update(e)
-        nplus.discard(v)
-        if len(nplus) >= k:
-            return k
+    while k > 0 and len(H.residual_neighbors(v, [x >= k for x in est])) < k:
         k -= 1
-    return 0
+    return k
 
 
 def _result(est: list[int], history: list[int], h_evals: int = 0) -> CoreAssignment:
-    converged = len(history) - 1 if history else None
     return CoreAssignment(est, {"h_operator_evals": h_evals},
-                          report=ConvergenceReport(len(history), history, converged))
+                          report=ConvergenceReport(len(history), history))
 
 
 def local_core(H: Hypergraph, opts: LocalCoreOptions | None = None) -> CoreAssignment:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -151,8 +151,8 @@ class Hypergraph:
     def residual_neighbors(self, v: int, alive: Sequence[bool]) -> set[int]:
         """Neighbors of v among edges whose members are all alive.
 
-        This is the deletion-marked incidence scan used by the peeling
-        algorithms: an edge contributes only while every member survives.
+        The definitional member scan, kept for the oracles and checks; the
+        peeling loops track liveness incrementally in `Residual`.
         """
         out: set[int] = set()
         inc = self.inc_flat
@@ -168,6 +168,61 @@ class Hypergraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Hypergraph(n={self.n}, m={len(self.edges)})"
+
+
+class Residual:
+    """The strongly induced residual of H on a node set, as peeling shrinks it.
+
+    A hyperedge is live while every member is alive: it starts live when all
+    its members are in `nodes` (default: every node) and dies with its first
+    deleted member, so liveness is decided once per hyperedge instead of by a
+    member scan per query.
+
+    Attributes:
+        alive: node -> still in the residual.
+        live: hyperedge -> every member still alive.
+        degree: node -> number of live hyperedges containing it.
+    """
+
+    __slots__ = ("H", "alive", "live", "degree")
+
+    def __init__(self, H: Hypergraph, nodes: Iterable[int] | None = None):
+        self.H = H
+        if nodes is None:
+            self.alive = [True] * H.n
+        else:
+            self.alive = [False] * H.n
+            for v in nodes:
+                self.alive[v] = True
+        alive = self.alive
+        self.live = live = [all(alive[u] for u in e) for e in H.edges]
+        self.degree = [sum(live[ei] for ei in H.incident_edges(v)) for v in range(H.n)]
+
+    def neighbors(self, v: int) -> set[int]:
+        """Union of v's live hyperedges, without v."""
+        H, live = self.H, self.live
+        out: set[int] = set()
+        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
+            if live[ei]:
+                out.update(H.edges[ei])
+        out.discard(v)
+        return out
+
+    def delete(self, v: int) -> set[int]:
+        """Remove v and kill its live hyperedges; returns v's neighbors from
+        before the deletion, the only nodes whose residual changed."""
+        H, live, degree = self.H, self.live, self.degree
+        out: set[int] = set()
+        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
+            if live[ei]:
+                live[ei] = False
+                e = H.edges[ei]
+                out.update(e)
+                for u in e:
+                    degree[u] -= 1
+        out.discard(v)
+        self.alive[v] = False
+        return out
 
 
 def build(

@@ -1,8 +1,10 @@
 """Bucket-based peeling decomposition: Peel and the bounded variant E-Peel.
 
-Both algorithms recompute residual neighbor counts against the surviving
-hypergraph (deleting a node can drop a neighbor's count by more than one, so
-decrement-by-one graph peeling does not apply).  The
+Both run one loop, `_peel`, over a `model.Residual`: Peel starts every node
+at its exact neighbor count, E-Peel at the local lower bound and defers the
+recount until the node is popped.  Counts are recomputed against the
+surviving hypergraph (deleting a node can drop a neighbor's count by more
+than one, so decrement-by-one graph peeling does not apply).  The
 `neighborhood_recomputations` counter tracks exactly those residual
 recomputations, which is what makes E-Peel's work ratio measurable.
 """
@@ -13,7 +15,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
-from .model import Hypergraph
+from .model import Hypergraph, Residual
 
 
 @dataclass
@@ -60,10 +62,6 @@ class BucketQueue:
                 return v
         return None
 
-    @property
-    def max_key(self) -> int:
-        return len(self.cells) - 1
-
 
 def local_lower_bound(H: Hypergraph, v: int) -> int:
     """max(|e_m(v)| - 1, min_u |N(u)|): guaranteed <= c(v)."""
@@ -75,83 +73,54 @@ def _max_incident_card(H: Hypergraph, v: int) -> int:
 
 
 def _min_neighbor_count(H: Hypergraph) -> int:
-    return min(H.neighbor_count(u) for u in range(H.n))
+    return min((H.neighbor_count(u) for u in range(H.n)), default=0)
 
 
 def peel(H: Hypergraph) -> CoreAssignment:
     """Exact neighborhood core numbers by processing nodes in increasing
     residual neighborhood size."""
-    n = H.n
-    core = [0] * n
-    counters = {"neighborhood_recomputations": 0, "cell_updates": 0}
-    if n == 0:
-        return CoreAssignment(core, counters)
-
-    B = BucketQueue(n)
-    for v in range(n):
-        B.insert(v, H.neighbor_count(v))
-    counters["neighborhood_recomputations"] = n  # initial N_V(u) sweep
-
-    alive = [True] * n
-    for k in range(1, B.max_key + 1):
-        while True:
-            v = B.pop(k)
-            if v is None:
-                break
-            core[v] = k
-            nbrs = H.residual_neighbors(v, alive)
-            counters["neighborhood_recomputations"] += 1
-            alive[v] = False
-            for u in nbrs:
-                cnt = len(H.residual_neighbors(u, alive))
-                counters["neighborhood_recomputations"] += 1
-                B.move(u, max(cnt, k))
-                counters["cell_updates"] += 1
-    return CoreAssignment(core, counters)
+    return _peel(H, [H.neighbor_count(v) for v in range(H.n)], bounded=False)
 
 
 def e_peel(H: Hypergraph) -> CoreAssignment:
     """Peel with the local lower bound: neighbors still sitting on their bound
     are not recomputed or moved, so the recomputation counter never exceeds
     peel's on the same input."""
+    min_nbr = _min_neighbor_count(H)
+    keys = [max(_max_incident_card(H, v) - 1, min_nbr) for v in range(H.n)]
+    return _peel(H, keys, bounded=True)
+
+
+def _peel(H: Hypergraph, keys: list[int], bounded: bool) -> CoreAssignment:
+    """Bucket-peel the residual from the initial cell keys.  A popped node is
+    assigned the current level and deleted, and each neighbor it had is
+    recounted and moved to max(count, level).  With `bounded`, every key is
+    only a lower bound: a node popped on its bound is recounted and requeued
+    instead, and is not recounted as a neighbor until then."""
     n = H.n
     core = [0] * n
-    counters = {"neighborhood_recomputations": 0, "cell_updates": 0}
-    if n == 0:
-        return CoreAssignment(core, counters)
-
-    min_nbr = _min_neighbor_count(H)
+    # exact keys are one residual count per node
+    counters = {"neighborhood_recomputations": 0 if bounded else n, "cell_updates": 0}
+    on_bound = [bounded] * n
     B = BucketQueue(n)
-    set_lb = [True] * n
-    for v in range(n):
-        B.insert(v, max(_max_incident_card(H, v) - 1, min_nbr))
-
-    alive = [True] * n
+    for v, key in enumerate(keys):
+        B.insert(v, key)
+    R = Residual(H)
     assigned = 0
     for k in range(1, n + 1):
-        while True:
-            v = B.pop(k)
-            if v is None:
-                break
-            if set_lb[v]:
-                cnt = len(H.residual_neighbors(v, alive))
-                counters["neighborhood_recomputations"] += 1
-                B.move(v, max(cnt, k))
-                counters["cell_updates"] += 1
-                set_lb[v] = False
+        while (v := B.pop(k)) is not None:
+            if on_bound[v]:
+                on_bound[v] = False
+                recount = [v]
             else:
                 core[v] = k
                 assigned += 1
-                nbrs = H.residual_neighbors(v, alive)
+                recount = [u for u in R.delete(v) if not on_bound[u]]
                 counters["neighborhood_recomputations"] += 1
-                alive[v] = False
-                for u in nbrs:
-                    if set_lb[u]:
-                        continue
-                    cnt = len(H.residual_neighbors(u, alive))
-                    counters["neighborhood_recomputations"] += 1
-                    B.move(u, max(cnt, k))
-                    counters["cell_updates"] += 1
+            for u in recount:
+                B.move(u, max(len(R.neighbors(u)), k))
+            counters["neighborhood_recomputations"] += len(recount)
+            counters["cell_updates"] += len(recount)
         if assigned == n:
             break
     return CoreAssignment(core, counters)

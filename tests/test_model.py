@@ -14,6 +14,7 @@ from hypercore import (
     serialize_hg,
     volume_density,
 )
+from hypercore.model import Residual
 from conftest import by_label, hg
 
 
@@ -167,3 +168,30 @@ def test_pair_table_matches_brute_force(raw):
     assert groups == {
         (v, u): [ei for ei, e in enumerate(H.edges) if v in e and u in e] for v, u in mult
     }
+
+
+def _assert_residual_is_definitional(H, R, alive):
+    assert R.alive == alive
+    assert R.live == [all(alive[u] for u in e) for e in H.edges]
+    for v in range(H.n):
+        assert R.neighbors(v) == H.residual_neighbors(v, alive)
+        assert R.degree[v] == sum(all(alive[u] for u in e) for e in H.edges if v in e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_lists(), st.data())
+@example([], None)
+def test_residual_matches_definition_under_deletion(raw, data):
+    """After every deletion of a random order, on all nodes or on a subset,
+    the incremental residual agrees with the member scan and a brute-force
+    live-edge count, and delete returns the neighbors before the deletion."""
+    H = build(raw)[0] if raw else Hypergraph([], [])
+    nodes = data.draw(st.none() | st.sets(st.sampled_from(range(H.n)))) if H.n else None
+    R = Residual(H, nodes)
+    alive = [nodes is None or v in nodes for v in range(H.n)]
+    order = data.draw(st.permutations(range(H.n))) if H.n else []
+    for v in order:
+        _assert_residual_is_definitional(H, R, alive)
+        assert R.delete(v) == H.residual_neighbors(v, alive)
+        alive[v] = False
+    _assert_residual_is_definitional(H, R, alive)

@@ -61,6 +61,18 @@ def test_counter_strictly_smaller_on_deferring_fixture():
             < p.counters["neighborhood_recomputations"])
 
 
+def test_counters_on_five_node_fixture(fig_five):
+    # pinned work counts: the shared peel loop must keep both routes' counters
+    assert peel(fig_five).counters == {"neighborhood_recomputations": 16, "cell_updates": 6}
+    assert e_peel(fig_five).counters == {"neighborhood_recomputations": 11, "cell_updates": 6}
+
+
+def test_counters_on_deferring_fixture():
+    H = hg("x a\na b c\na b d\na c d\nb c d\n")
+    assert peel(H).counters == {"neighborhood_recomputations": 16, "cell_updates": 6}
+    assert e_peel(H).counters == {"neighborhood_recomputations": 15, "cell_updates": 10}
+
+
 def test_core_containment(fig_five):
     res = peel(fig_five)
     for k in range(1, max(res.core) + 1):
