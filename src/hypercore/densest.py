@@ -20,8 +20,10 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable
 
+import numpy as np
+
 from .model import GuardError, Hypergraph, InputError, Residual
-from .peel import peel
+from .peel import BucketQueue, peel
 
 BRUTE_FORCE_NODE_GUARD = 20
 
@@ -55,36 +57,45 @@ def guarantee_factor(H: Hypergraph) -> Fraction:
 
 
 def greedy_densest(H: Hypergraph) -> DensestResult:
-    """Peel in (core number, residual neighbor count) order and keep the
-    densest prefix; density >= optimum / guarantee_factor(H)."""
+    """Peel in (core number, residual neighbor count, node id) order and keep
+    the densest prefix; density >= optimum / guarantee_factor(H).
+
+    Each core group is popped from a bucket queue keyed by residual neighbor
+    count.  Counts only fall, so a low-water mark that drops with every
+    moved node and climbs past empty cells finds the least count; cells pop
+    the lowest id first."""
     n = H.n
     cores = peel(H).core
     R = Residual(H)
-    counts = [H.neighbor_count(v) for v in range(n)]
+    counts = np.diff(H.nbr_offsets).tolist()
     total = sum(counts)
-    best_set = set(range(n))
-    best_density = Fraction(total, n)
-
-    alive_count = n
-    for _, group in groupby(sorted(range(n), key=cores.__getitem__), key=cores.__getitem__):
-        pending = set(group)
-        while pending:
-            v = min(pending, key=lambda u: (counts[u], u))
-            pending.discard(v)
-            affected = R.delete(v)
-            alive_count -= 1
+    best_total, best_alive = total, n
+    deleted: list[int] = []  # deletion order
+    best_deleted = 0
+    B = BucketQueue(n)
+    for c, group in groupby(sorted(range(n), key=cores.__getitem__), key=cores.__getitem__):
+        group = list(group)
+        for v in group:
+            B.insert(v, counts[v])
+        low = min(counts[v] for v in group)
+        for _ in group:
+            while (v := B.pop(low)) is None:
+                low += 1
+            deleted.append(v)
             total -= counts[v]
-            for u in affected:
-                c = len(R.neighbors(u))
-                total += c - counts[u]
-                counts[u] = c
-            if alive_count == 0:
-                break
-            density = Fraction(total, alive_count)
-            if density > best_density:
-                best_density = density
-                best_set = {u for u in range(n) if R.alive[u]}
-    return DensestResult(best_set, best_density, "greedy", guarantee_factor(H))
+            for u in R.delete(v):
+                count = len(R.neighbors(u))
+                if count != counts[u]:
+                    total += count - counts[u]
+                    counts[u] = count
+                    if cores[u] == c:  # u is still pending in this group
+                        B.move(u, count)
+                        low = min(low, count)
+            alive = n - len(deleted)
+            if alive and total * best_alive > best_total * alive:
+                best_total, best_alive, best_deleted = total, alive, len(deleted)
+    return DensestResult(set(deleted[best_deleted:]), Fraction(best_total, best_alive),
+                         "greedy", guarantee_factor(H))
 
 
 def _enumerate_optimum(H: Hypergraph) -> tuple[Fraction, int]:

@@ -1,16 +1,24 @@
 """(neighborhood, degree)-core decomposition and the degree-core baseline.
 
-The hybrid algorithm first computes neighborhood core numbers, then for each
-level k degree-peels the strong k-core on a `model.Residual`: a popped node's
-secondary value d_k is the level at which it leaves the bucket queue.  The
-membership rule C(k,d) = {v : d_k(v) >= d} reproduces the definitional
+The hybrid algorithm first computes neighborhood core numbers c, then for
+each level k degree-peels the strong k-core on a `model.Residual`: a popped
+node's secondary value d_k is the level at which it leaves the bucket queue.
+The membership rule C(k,d) = {v : d_k(v) >= d} reproduces the definitional
 fixpoint.  Degree-core numbers are level 1 of the same peel.
+
+Level k starts from its own hyperedges only.  E_k, the hyperedges whose
+members all have c >= k, is a prefix of the hyperedges sorted once by
+descending minimum member core, and for k >= 1 its members are exactly
+V_k = {v : c(v) >= k}, a prefix of the nodes sorted by descending core.  A
+level therefore costs its own hyperedges, not all of H's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Collection
+
+import numpy as np
 
 from .model import Hypergraph, Residual
 from .peel import BucketQueue, CoreAssignment
@@ -31,17 +39,30 @@ def kd_decompose(H: Hypergraph) -> KDCoreResult:
     cores = local_core(H).core
     kmax = max(cores, default=0)
     result = KDCoreResult(kmax=kmax)
+    core = np.array(cores, dtype=np.int64)
+    # the least member core of each hyperedge: e is in E_k iff it is >= k
+    low = np.minimum.reduceat(core[H.edge_flat], H.edge_starts) if H.edges else core[:0]
+    nodes, node_ends = _descending_prefixes(core, kmax)
+    edges, edge_ends = _descending_prefixes(low, kmax)
     for k in range(1, kmax + 1):
-        vk = {v for v, c in enumerate(cores) if c >= k}
-        result.levels[k] = _degree_peel_level(H, vk, k)
+        R = Residual(H, edges[: edge_ends[k]])
+        result.levels[k] = _degree_peel_level(R, nodes[: node_ends[k]], k)
     return result
 
 
-def _degree_peel_level(H: Hypergraph, vk: Collection[int], k: int) -> dict[int, int]:
-    """Degree-peel H[V_k]; a neighbor that would drop below k residual
-    neighbors is kept at the current level instead of moving up."""
-    R = Residual(H, vk)
-    B = BucketQueue(H.n)
+def _descending_prefixes(values: np.ndarray, kmax: int) -> tuple[list[int], list[int]]:
+    """Indices sorted by descending value, and for each k in [0, kmax] the
+    length of the prefix whose values are >= k."""
+    order = np.argsort(-values, kind="stable")
+    ends = np.searchsorted(-values[order], -np.arange(kmax + 1), side="right")
+    return order.tolist(), ends.tolist()
+
+
+def _degree_peel_level(R: Residual, vk: Collection[int], k: int) -> dict[int, int]:
+    """Degree-peel the residual R on its nodes vk; a neighbor that would drop
+    below k residual neighbors is kept at the current level instead of
+    moving up."""
+    B = BucketQueue(R.H.n)
     for v in vk:
         B.insert(v, R.degree[v])
     dvals: dict[int, int] = {}
@@ -64,7 +85,7 @@ def _degree_peel_level(H: Hypergraph, vk: Collection[int], k: int) -> dict[int, 
 def degree_core(H: Hypergraph) -> CoreAssignment:
     """Exact degree-based core numbers: level 1 of the (k,d)-decomposition,
     where every node with a live hyperedge has a residual neighbor."""
-    dvals = _degree_peel_level(H, range(H.n), 1)
+    dvals = _degree_peel_level(Residual(H), range(H.n), 1)
     return CoreAssignment([dvals[v] for v in range(H.n)], {})
 
 

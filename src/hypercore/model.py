@@ -54,6 +54,9 @@ class Hypergraph:
     grouped by (v, u).  Group g is the pair of nbr_flat[g] and the node whose
     nbr_offsets range holds g.
 
+    Every node is a member of some hyperedge: a label in none is an
+    InputError (`build` strips such labels and reports them as isolated).
+
     Attributes:
         n: number of retained nodes.
         edges: canonical hyperedges, each a strictly ascending tuple of node ids.
@@ -89,11 +92,14 @@ class Hypergraph:
     def _build_csr(self) -> None:
         n, m = self.n, len(self.edges)
         cards = np.fromiter(map(len, self.edges), dtype=np.int64, count=m)
+        self.edge_flat = edge_flat = np.fromiter(
+            chain.from_iterable(self.edges), dtype=np.int64, count=int(cards.sum()))
+        isolated = np.flatnonzero(np.bincount(edge_flat, minlength=n) == 0)
+        if isolated.size:
+            raise InputError(f"label {self.labels[isolated[0]]!r} is in no hyperedge")
         rows = int(cards @ (cards - 1))
         if rows > PAIR_ROW_GUARD:
             raise GuardError(f"pair-table guard: {rows} pair rows > {PAIR_ROW_GUARD}")
-        self.edge_flat = edge_flat = np.fromiter(
-            chain.from_iterable(self.edges), dtype=np.int64, count=int(cards.sum()))
         self.edge_starts = np.zeros(m, dtype=np.int64)
         np.cumsum(cards[:-1], out=self.edge_starts[1:])
 
@@ -171,12 +177,14 @@ class Hypergraph:
 
 
 class Residual:
-    """The strongly induced residual of H on a node set, as peeling shrinks it.
+    """A residual subhypergraph of H, as peeling shrinks it.
 
-    A hyperedge is live while every member is alive: it starts live when all
-    its members are in `nodes` (default: every node) and dies with its first
-    deleted member, so liveness is decided once per hyperedge instead of by a
-    member scan per query.
+    It starts from `edges` (default: every hyperedge of H), all live, on the
+    nodes that are their members.  Callers pass a set that is strongly
+    induced on its members, such as the hyperedges whose members all have
+    core number >= k.  A hyperedge dies with its first deleted member, so
+    liveness is decided once per hyperedge instead of by a member scan per
+    query, and building the residual costs the members of `edges` alone.
 
     Attributes:
         alive: node -> still in the residual.
@@ -186,17 +194,22 @@ class Residual:
 
     __slots__ = ("H", "alive", "live", "degree")
 
-    def __init__(self, H: Hypergraph, nodes: Iterable[int] | None = None):
+    def __init__(self, H: Hypergraph, edges: Iterable[int] | None = None):
         self.H = H
-        if nodes is None:
+        if edges is None:
+            # a Hypergraph has no isolated node, so every node is alive
             self.alive = [True] * H.n
-        else:
-            self.alive = [False] * H.n
-            for v in nodes:
-                self.alive[v] = True
-        alive = self.alive
-        self.live = live = [all(alive[u] for u in e) for e in H.edges]
-        self.degree = [sum(live[ei] for ei in H.incident_edges(v)) for v in range(H.n)]
+            self.live = [True] * len(H.edges)
+            self.degree = np.diff(H.inc_offsets).tolist()
+            return
+        self.alive = alive = [False] * H.n
+        self.live = live = [False] * len(H.edges)
+        self.degree = degree = [0] * H.n
+        for ei in edges:
+            live[ei] = True
+            for u in H.edges[ei]:
+                alive[u] = True
+                degree[u] += 1
 
     def neighbors(self, v: int) -> set[int]:
         """Union of v's live hyperedges, without v."""

@@ -33,8 +33,8 @@ class CoreAssignment:
 class BucketQueue:
     """Vector of cells B[i]; each node sits in the cell of its current key.
 
-    Cells pop the lowest node id first.  Implemented as lazy heaps: moves
-    push a fresh entry and stale entries are skipped on pop.
+    Cells pop the lowest node id first.  Implemented as lazy heaps: a move
+    to a new key pushes a fresh entry and stale entries are skipped on pop.
     """
 
     def __init__(self, n: int):
@@ -50,7 +50,9 @@ class BucketQueue:
         self.key[v] = k
         heapq.heappush(self._cell(k), v)
 
-    move = insert
+    def move(self, v: int, k: int) -> None:
+        if self.key[v] != k:
+            self.insert(v, k)
 
     def pop(self, k: int) -> int | None:
         """Pop the lowest node currently keyed k, or None if the cell is empty."""

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from hypercore import parse_hg
+from hypercore import build, parse_hg
 
 
 def hg(text):
@@ -38,3 +40,10 @@ def ids(H, labels):
 
 def by_label(H, array):
     return {H.labels[v]: array[v] for v in range(H.n)}
+
+
+def with_wide_edge(H, seed):
+    """H plus one hyperedge on 8 to 12 of its nodes (H needs at least 8)."""
+    rng = random.Random(seed)
+    wide = rng.sample(H.labels, rng.randint(8, min(12, H.n)))
+    return build([[H.labels[v] for v in e] for e in H.edges] + [wide])[0]

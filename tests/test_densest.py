@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,11 +11,12 @@ from hypercore import (
     exact_densest,
     greedy_densest,
     guarantee_factor,
+    naive_core_oracle,
     random_hypergraph,
     volume_density,
 )
 from hypercore.densest import _flow_probe
-from conftest import hg, ids
+from conftest import hg, ids, with_wide_edge
 
 
 def test_volume_density_single_triple(single_triple):
@@ -90,6 +93,39 @@ def test_greedy_within_factor():
         opt = brute_force_densest(H).density
         assert g.density <= opt
         assert g.density >= opt / g.factor, seed
+
+
+def reference_greedy(H):
+    """Greedy by its definition: within each core group, in ascending core
+    order, delete the pending node of least (residual neighbor count, id),
+    recounting every count with a member scan; keep the first densest
+    prefix."""
+    cores = naive_core_oracle(H).core
+    alive = [True] * H.n
+    best_set, best_density = set(range(H.n)), volume_density(H, range(H.n))
+    for c in sorted(set(cores)):
+        pending = {v for v in range(H.n) if cores[v] == c}
+        while pending:
+            v = min(pending, key=lambda u: (len(H.residual_neighbors(u, alive)), u))
+            pending.discard(v)
+            alive[v] = False
+            rest = {u for u in range(H.n) if alive[u]}
+            if rest and volume_density(H, rest) > best_density:
+                best_set, best_density = rest, volume_density(H, rest)
+    pairs = Counter(p for e in H.edges for p in combinations(e, 2))
+    factor = max(pairs.values()) * (max(map(len, H.edges)) - 2) + 2
+    return best_set, best_density, factor
+
+
+def test_greedy_matches_reference_order():
+    # few nodes and many hyperedges make count ties common; every other
+    # input adds one hyperedge on 8 to 12 nodes
+    for seed in range(40):
+        H = random_hypergraph(8 + seed % 7, 10 + seed % 13, 2, 4, seed)
+        if seed % 2:
+            H = with_wide_edge(H, seed)
+        res = greedy_densest(H)
+        assert (res.nodes, res.density, res.factor) == reference_greedy(H), seed
 
 
 def test_two_uniform_factor_is_two():

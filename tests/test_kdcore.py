@@ -5,7 +5,7 @@ from hypercore import (
     peel,
     random_hypergraph,
 )
-from conftest import by_label, hg
+from conftest import by_label, hg, with_wide_edge
 
 
 def test_single_triple_levels(single_triple):
@@ -37,10 +37,17 @@ def test_level_sets_match_neighborhood_cores(fig_five):
 
 
 def test_matches_fixpoint_oracle_random():
-    for seed in range(15):
-        H = random_hypergraph(8 + seed % 8, 12 + seed, 2, 4, seed)
+    for seed in range(25):
+        if seed < 15:
+            H = random_hypergraph(8 + seed % 8, 12 + seed, 2, 4, seed)
+        else:  # a wide hyperedge makes the hyperedges live at each level differ
+            H = with_wide_edge(random_hypergraph(12 + seed % 6, 14 + seed % 10, 2, 4, seed), seed)
         res = kd_decompose(H)
+        degree = degree_core(H).core
         dmax = max(H.degree(v) for v in range(H.n))
+        for d in range(1, dmax + 2):
+            assert {v for v in range(H.n) if degree[v] >= d} == kd_fixpoint_oracle(H, 1, d), (
+                seed, d)
         for k in range(1, res.kmax + 2):
             for d in range(1, dmax + 2):
                 assert res.core_members(k, d) == kd_fixpoint_oracle(H, k, d), (

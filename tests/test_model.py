@@ -123,6 +123,16 @@ def test_every_retained_node_has_a_neighbor(fig_five):
     assert all(fig_five.neighbor_count(v) >= 1 for v in range(fig_five.n))
 
 
+def test_label_in_no_hyperedge_rejected():
+    # build strips such labels; direct construction must refuse them, since
+    # the peeling loops assume every node sits in a hyperedge
+    with pytest.raises(InputError, match="'c' is in no hyperedge"):
+        Hypergraph([(0, 1)], ["a", "b", "c"])
+    with pytest.raises(InputError):
+        Hypergraph([], ["a"])
+    assert Hypergraph([], []).n == 0
+
+
 def ids_of(H, labels):
     return [H.label_to_id[ch] for ch in labels]
 
@@ -182,13 +192,19 @@ def _assert_residual_is_definitional(H, R, alive):
 @given(edge_lists(), st.data())
 @example([], None)
 def test_residual_matches_definition_under_deletion(raw, data):
-    """After every deletion of a random order, on all nodes or on a subset,
-    the incremental residual agrees with the member scan and a brute-force
-    live-edge count, and delete returns the neighbors before the deletion."""
+    """After every deletion of a random order, on all of H or on the
+    hyperedges strongly induced by a node subset, the incremental residual
+    agrees with the member scan and a brute-force live-edge count, and
+    delete returns the neighbors before the deletion."""
     H = build(raw)[0] if raw else Hypergraph([], [])
     nodes = data.draw(st.none() | st.sets(st.sampled_from(range(H.n)))) if H.n else None
-    R = Residual(H, nodes)
-    alive = [nodes is None or v in nodes for v in range(H.n)]
+    if nodes is None:
+        R = Residual(H)
+        alive = [True] * H.n
+    else:
+        induced = [ei for ei, e in enumerate(H.edges) if set(e) <= nodes]
+        R = Residual(H, induced)
+        alive = [any(v in H.edges[ei] for ei in induced) for v in range(H.n)]
     order = data.draw(st.permutations(range(H.n))) if H.n else []
     for v in order:
         _assert_residual_is_definitional(H, R, alive)
