@@ -109,6 +109,9 @@ def cmd_densest(args) -> int:
 
 
 def cmd_sir(args) -> int:
+    for flag in ("delete_top_k", "runs", "max_steps"):
+        if getattr(args, flag) < 0:
+            raise InputError(f"--{flag.replace('_', '-')} must be >= 0")
     H, _ = _load(args.input, args.lenient)
     if args.delete_top_k:
         cores = local_core(H).core

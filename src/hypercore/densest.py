@@ -50,8 +50,16 @@ def volume_density(H: Hypergraph, nodes: Iterable[int]) -> Fraction:
     return Fraction(total, len(S))
 
 
+def _node_count(H: Hypergraph) -> int:
+    """H.n, refusing the empty hypergraph: it has no non-empty subset to rate."""
+    if H.n == 0:
+        raise InputError("the empty hypergraph has no densest subhypergraph")
+    return H.n
+
+
 def guarantee_factor(H: Hypergraph) -> Fraction:
     """d_pair * (d_card - 2) + 2 for this hypergraph (2 for plain graphs)."""
+    _node_count(H)
     d_card = max(len(e) for e in H.edges)
     return Fraction(H.d_pair * (d_card - 2) + 2)
 
@@ -64,7 +72,7 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     count.  Counts only fall, so a low-water mark that drops with every
     moved node and climbs past empty cells finds the least count; cells pop
     the lowest id first."""
-    n = H.n
+    n = _node_count(H)
     cores = peel(H).core
     R = Residual(H)
     counts = np.diff(H.nbr_offsets).tolist()
@@ -100,7 +108,7 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
 
 def _enumerate_optimum(H: Hypergraph) -> tuple[Fraction, int]:
     """(max density, witness bitmask) over every non-empty node subset."""
-    n = H.n
+    n = _node_count(H)
     if n > BRUTE_FORCE_NODE_GUARD:
         raise GuardError(f"enumeration guard: {n} nodes > {BRUTE_FORCE_NODE_GUARD}")
     edge_masks = [sum(1 << v for v in e) for e in H.edges]
@@ -209,10 +217,10 @@ class _Dinic:
         return seen
 
 
-def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[bool, set[int], set[int]]:
+def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[bool, set[int]]:
     """Build the density-feasibility network at eta and solve it exactly.
 
-    Returns (denser_exists, source_side_nodes, source_side_edges).
+    Returns (denser_exists, source_side_nodes).
     The probe is one-sided in general: max-flow < sum of all neighbor counts
     certifies that some subset beats density eta (the cut identity counts
     each lost neighbor at least once, so the cut objective never exceeds the
@@ -249,8 +257,7 @@ def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[bool, set[int], set[int]]
     flow = net.max_flow(s, t)
     side = net.min_cut_source_side(s)
     nodes = {v for v in range(n) if 2 + v in side}
-    edges = {ei for ei in range(m) if n + 2 + ei in side}
-    return flow < total, nodes, edges
+    return flow < total, nodes
 
 
 def exact_densest(H: Hypergraph) -> DensestResult:
@@ -268,7 +275,7 @@ def exact_densest(H: Hypergraph) -> DensestResult:
     cannot close without a negative answer, so with shared pairs that
     optimum is computed, or refused by the brute-force oracle's node guard,
     before the first probe."""
-    n = H.n
+    n = _node_count(H)
     total_nbrs = sum(H.neighbor_count(v) for v in range(n))
     lower = Fraction(total_nbrs, n)
     upper = Fraction(total_nbrs)
@@ -280,7 +287,7 @@ def exact_densest(H: Hypergraph) -> DensestResult:
         fallback = (density, {v for v in range(n) if mask >> v & 1})
     while upper - lower >= delta:
         eta = (lower + upper) / 2
-        denser, nodes, _ = _flow_probe(H, eta)
+        denser, nodes = _flow_probe(H, eta)
         if not denser and fallback is not None and fallback[0] > eta:
             denser, nodes = True, fallback[1]
         if denser:

@@ -105,6 +105,8 @@ def intervention_delete(H: Hypergraph, ranked_nodes: list[int], top_k: int) -> H
     The result is rebuilt from the surviving edges, so nodes left without any
     edge are stripped per the usual build rules; deleting enough nodes can
     yield an empty hypergraph."""
+    if top_k < 0:
+        raise InputError(f"top_k must be >= 0, got {top_k}")
     doomed = set(ranked_nodes[:top_k])
     kept = [[H.labels[v] for v in e] for e in H.edges if not any(v in doomed for v in e)]
     if not kept:  # build rejects an empty edge list

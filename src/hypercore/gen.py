@@ -6,11 +6,9 @@ from __future__ import annotations
 import math
 import random
 
-import networkx as nx
-
-from .model import BuildReport, GuardError, Hypergraph, InputError, SingletonPolicy, build
+from .model import GuardError, Hypergraph, InputError, build
 from .kdcore import kd_fixpoint_oracle
-from .peel import CoreAssignment
+from .peel import CoreAssignment, peel
 
 ORACLE_NODE_GUARD = 200
 
@@ -42,29 +40,19 @@ def random_hypergraph(
             continue
         seen.add(e)
         edges.append([str(v) for v in e])
-    H, _ = build(edges, SingletonPolicy.REJECT)
-    return H
+    return build(edges)[0]
 
 
 def naive_core_oracle(H: Hypergraph) -> CoreAssignment:
     """Ground-truth neighborhood core numbers straight from the definition.
 
-    For each k, repeatedly delete nodes with fewer than k neighbors in the
-    strong residual until a fixpoint; c(v) is the largest k at which v
-    survives.  Residuals are recomputed from scratch for clarity.
+    c(v) is the number of nested k-cores that hold v, i.e. the largest k at
+    which v survives in `oracle_k_core_sets`.
     """
     if H.n > ORACLE_NODE_GUARD:
         raise GuardError(f"oracle guard: {H.n} nodes > {ORACLE_NODE_GUARD}")
-    core = [0] * H.n
-    k = 1
-    while True:
-        survivors = kd_fixpoint_oracle(H, k, 0)
-        if not survivors:
-            break
-        for v in survivors:
-            core[v] = k
-        k += 1
-    return CoreAssignment(core=core, counters={})
+    sets = oracle_k_core_sets(H)
+    return CoreAssignment(core=[sum(v in s for s in sets) for v in range(H.n)], counters={})
 
 
 def oracle_k_core_sets(H: Hypergraph) -> list[set[int]]:
@@ -79,16 +67,15 @@ def oracle_k_core_sets(H: Hypergraph) -> list[set[int]]:
         k += 1
 
 
-def clique_expansion(H: Hypergraph) -> nx.Graph:
-    """Replace each hyperedge by a clique on its members."""
-    G = nx.Graph()
-    G.add_nodes_from(range(H.n))
-    G.add_edges_from((v, u) for v in range(H.n) for u in H.neighbors(v) if v < u)
-    return G
+def clique_expansion(H: Hypergraph) -> Hypergraph:
+    """Replace each hyperedge by a clique on its members: the 2-uniform
+    hypergraph of H's co-occurring node pairs, on H's labels."""
+    return Hypergraph([(v, u) for v in range(H.n) for u in H.neighbors(v) if v < u], H.labels)
 
 
 def clique_graph_core(H: Hypergraph) -> CoreAssignment:
-    """Classical graph core numbers of the clique expansion (comparison baseline)."""
-    G = clique_expansion(H)
-    cn = nx.core_number(G)
-    return CoreAssignment(core=[cn[v] for v in range(H.n)], counters={})
+    """Classical graph core numbers of the clique expansion (comparison baseline).
+
+    With two-member edges strong induction is ordinary induction and a
+    node's neighbor count is its degree, so `peel` runs the graph core peel."""
+    return peel(clique_expansion(H))

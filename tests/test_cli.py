@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
+import hypercore
 from hypercore import densest, model
 from hypercore.cli import main
 
@@ -77,6 +80,32 @@ def test_decompose_thread_count_guard(fig_file, capsys, monkeypatch):
         code, out, err = run(capsys, "decompose", fig_file, "--threads", threads)
         assert code == 2 and out == "" and started == []
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_decompose_clique(tmp_path, capsys):
+    p = tmp_path / "clique.hg"
+    p.write_text("x a b\na c\na d\nb c\nb d\nc d\n")
+    stats = tmp_path / "stats.json"
+    code, out, _ = run(capsys, "decompose", str(p), "--algorithm", "clique",
+                       "--stats", str(stats))
+    assert code == 0
+    assert out == "x\t2\na\t3\nb\t3\nc\t3\nd\t3\n"
+    # peel's counters on the expansion
+    counters = json.loads(stats.read_text())["counters"]
+    assert set(counters) == {"neighborhood_recomputations", "cell_updates"}
+    lenient = tmp_path / "iso.hg"
+    lenient.write_text("a b c\nz\n")
+    code, out, _ = run(capsys, "decompose", str(lenient), "--algorithm", "clique", "--lenient")
+    assert code == 0
+    assert out == "a\t2\nb\t2\nc\t2\nz\t0\n"
+
+
+def test_import_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(hypercore.__file__))
+    probe = "import sys, hypercore.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_decompose_out_file(fig_file, tmp_path, capsys):
@@ -152,6 +181,14 @@ def test_sir_intervention(fig_file, capsys):
                        "--beta", "1.0", "--delete-top-k", "1")
     # node 'a' has the lowest id among the (all-equal) cores, so it is deleted
     assert code == 2  # seed no longer present
+
+
+def test_sir_negative_counts_refused(fig_file, capsys):
+    for flag, value in (("--delete-top-k", "-1"), ("--delete-top-k", "-3"),
+                        ("--runs", "-2"), ("--max-steps", "-1")):
+        code, out, err = run(capsys, "sir", fig_file, "--beta", "0.5", flag, value)
+        assert code == 2 and out == "", flag
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
 
 
 def test_densest_exact_long_path_without_deep_recursion(tmp_path, capsys):

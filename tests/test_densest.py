@@ -6,15 +6,18 @@ import pytest
 
 from hypercore import (
     GuardError,
+    Hypergraph,
     InputError,
     brute_force_densest,
     exact_densest,
     greedy_densest,
     guarantee_factor,
+    intervention_delete,
     naive_core_oracle,
     random_hypergraph,
     volume_density,
 )
+from hypercore import densest
 from hypercore.densest import _flow_probe
 from conftest import hg, ids, with_wide_edge
 
@@ -35,6 +38,14 @@ def test_volume_density_partial_set(fig_five):
 def test_volume_density_empty_set_rejected(fig_five):
     with pytest.raises(InputError):
         volume_density(fig_five, [])
+
+
+def test_empty_hypergraph_refused(single_triple):
+    emptied = intervention_delete(single_triple, [0], 1)
+    for H in (Hypergraph([], []), emptied):
+        for route in (brute_force_densest, greedy_densest, exact_densest, guarantee_factor):
+            with pytest.raises(InputError):
+                route(H)
 
 
 def test_guarantee_factor_values(single_triple):
@@ -140,7 +151,7 @@ def test_flow_probe_positive_answers_are_sound():
         for eta in (opt - Fraction(1, 7), opt, opt + Fraction(1, 7)):
             if eta <= 0:
                 continue
-            denser, nodes, _ = _flow_probe(H, eta)
+            denser, nodes = _flow_probe(H, eta)
             if denser:
                 assert volume_density(H, nodes) > eta, (seed, eta)
 
@@ -150,7 +161,7 @@ def test_flow_probe_exact_without_shared_pairs():
     H = hg("a b c\nd e\nf g h\n")
     opt = brute_force_densest(H).density
     for eta in (opt - Fraction(1, 7), opt, opt + Fraction(1, 7)):
-        denser, _, _ = _flow_probe(H, eta)
+        denser, _ = _flow_probe(H, eta)
         assert denser == (opt > eta), eta
 
 
@@ -161,8 +172,18 @@ def test_exact_handles_shared_pairs():
     assert exact_densest(H).density == brute_force_densest(H).density
 
 
-def test_min_cut_edge_layer_is_strongly_induced(fig_five):
-    eta = Fraction(3)
-    _, nodes, edges = _flow_probe(fig_five, eta)
+def test_min_cut_edge_layer_is_strongly_induced(fig_five, monkeypatch):
+    # read the edge layer (network vertices n + 2 + ei) off the min cut itself
+    sides = []
+    source_side = densest._Dinic.min_cut_source_side
+
+    def record(net, s):
+        sides.append(source_side(net, s))
+        return sides[-1]
+
+    monkeypatch.setattr(densest._Dinic, "min_cut_source_side", record)
+    _, nodes = _flow_probe(fig_five, Fraction(3))
+    n = fig_five.n
+    edges = {ei for ei in range(len(fig_five.edges)) if n + 2 + ei in sides[0]}
     inside = {ei for ei, e in enumerate(fig_five.edges) if all(v in nodes for v in e)}
     assert edges == inside

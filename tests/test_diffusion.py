@@ -83,6 +83,11 @@ def test_intervention_deletes_incident_edges(fig_five):
     assert len(H2.edges) == 1
 
 
+def test_intervention_negative_top_k_refused(fig_five):
+    with pytest.raises(InputError):
+        intervention_delete(fig_five, [0, 1, 2], -1)
+
+
 def test_intervention_can_empty(single_triple):
     H2 = intervention_delete(single_triple, [0], 1)
     assert H2.n == 0 and H2.edges == []

@@ -10,7 +10,7 @@ from hypercore import (
     random_hypergraph,
 )
 from hypercore.gen import oracle_k_core_sets
-from conftest import by_label, hg
+from conftest import by_label, hg, with_wide_edge
 
 
 def test_forced_single_edge():
@@ -66,8 +66,16 @@ def test_oracle_sets_nested(fig_five):
 def test_clique_expansion_structure(fig_five):
     G = clique_expansion(fig_five)
     a, e = fig_five.label_to_id["a"], fig_five.label_to_id["e"]
-    assert G.degree[a] == 4 and G.degree[e] == 4
-    assert G.degree[fig_five.label_to_id["b"]] == 2
+    assert G.degree(a) == 4 and G.degree(e) == 4
+    assert G.degree(fig_five.label_to_id["b"]) == 2
+
+
+def test_clique_expansion_is_two_uniform_on_same_labels(fig_five):
+    G = clique_expansion(fig_five)
+    assert G.labels == fig_five.labels
+    assert all(len(e) == 2 for e in G.edges)
+    assert sorted(G.edges) == sorted(
+        (v, u) for v in range(fig_five.n) for u in fig_five.neighbors(v) if v < u)
 
 
 def test_clique_core_triangle(single_triple):
@@ -89,3 +97,13 @@ def test_clique_core_differs_from_neighborhood_core():
         "x": 2, "a": 3, "b": 3, "c": 3, "d": 3,
     }
     assert by_label(H, peel(H).core) == dict.fromkeys("xabcd", 2)
+
+
+def test_clique_core_matches_oracle_on_expansion():
+    # graph cores straight from the definition, on the 2-uniform expansion
+    for seed in range(40):
+        H = random_hypergraph(10 + seed % 8, 12 + seed % 10, 2, 4, seed)
+        if seed % 3 == 0:
+            H = with_wide_edge(H, seed)
+        G = clique_expansion(H)
+        assert clique_graph_core(H).core == naive_core_oracle(G).core, seed
