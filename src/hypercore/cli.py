@@ -112,6 +112,7 @@ def cmd_sir(args) -> int:
     for flag in ("delete_top_k", "runs", "max_steps"):
         if getattr(args, flag) < 0:
             raise InputError(f"--{flag.replace('_', '-')} must be >= 0")
+    diffusion.check_beta(args.beta)
     H, _ = _load(args.input, args.lenient)
     if args.delete_top_k:
         cores = local_core(H).core

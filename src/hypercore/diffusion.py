@@ -27,6 +27,11 @@ class SirOutcome:
     spread: int
 
 
+def check_beta(beta) -> None:
+    if not 0 <= beta <= 1:
+        raise InputError(f"beta must be in [0, 1], got {beta}")
+
+
 def _attempt_uniform(rng_seed: int, u: int, v: int) -> float:
     # random.Random seeds strings via SHA-512: stable across runs and platforms
     return random.Random(f"{rng_seed}:{u}:{v}").random()
@@ -39,8 +44,9 @@ def sir_run(
     max_steps: int = 100,
     rng_seed: int = 0,
 ) -> SirOutcome:
-    if not 0 <= beta <= 1:
-        raise InputError(f"beta must be in [0, 1], got {beta}")
+    check_beta(beta)
+    if max_steps < 0:
+        raise InputError(f"max_steps must be >= 0, got {max_steps}")
     H._check_node(seed)
 
     infection_time = {seed: 0}
@@ -67,9 +73,8 @@ def sir_expected_spread(H: Hypergraph, seed: int, beta: Fraction) -> Fraction:
 
     Guarded by the total number of potential directed contacts; only tiny
     fixtures are enumerable."""
+    check_beta(beta)
     beta = Fraction(beta)
-    if not 0 <= beta <= 1:
-        raise InputError(f"beta must be in [0, 1], got {beta}")
     H._check_node(seed)
     potential = sum(H.neighbor_count(v) for v in range(H.n))
     if potential > ENUMERATION_ATTEMPT_GUARD:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 
+from . import model
 from .model import GuardError, Hypergraph, InputError, build
 from .kdcore import kd_fixpoint_oracle
 from .peel import CoreAssignment, peel
@@ -26,9 +28,15 @@ def random_hypergraph(
         raise InputError(f"need 2 <= card_min <= card_max <= n, got ({card_min},{card_max},{n})")
     if m < 1:
         raise InputError("m must be >= 1")
-    distinct = sum(math.comb(n, c) for c in range(card_min, card_max + 1))
-    if m > distinct:
+    # stop at m: the whole sum for a wide cardinality range takes minutes
+    for distinct in accumulate(math.comb(n, c) for c in range(card_min, card_max + 1)):
+        if distinct >= m:
+            break
+    else:
         raise InputError(f"m={m} exceeds the {distinct} distinct edges possible")
+    # every edge has at least card_min members: refuse before any draw
+    if (rows := m * card_min * (card_min - 1)) > model.PAIR_ROW_GUARD:
+        raise GuardError(f"pair-table guard: at least {rows} pair rows > {model.PAIR_ROW_GUARD}")
 
     rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()

@@ -25,19 +25,23 @@ import numpy as np
 from .model import Hypergraph, InputError
 from .peel import CoreAssignment
 
-# Most threads `local_core` accepts.  Each thread runs node blocks of one
+# Most threads `LocalCoreOptions` accepts.  Each thread runs node blocks of one
 # round, so counts far above the core count only add threads; an unchecked
 # count could start one thread per node or fail allocating the block split.
 MAX_THREADS = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalCoreOptions:
     """Settings for `local_core`.  With threads == 1 each round runs in the
     calling thread; with more, its node blocks run on a pool of `threads`
-    threads (at most MAX_THREADS)."""
+    threads (at most MAX_THREADS); other counts are refused here."""
 
     threads: int = 1
+
+    def __post_init__(self):
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise InputError(f"threads must be between 1 and {MAX_THREADS}, got {self.threads}")
 
 
 @dataclass
@@ -78,13 +82,9 @@ def local_core(H: Hypergraph, opts: LocalCoreOptions | None = None) -> CoreAssig
     The output array equals peel's; the thread count changes neither it nor
     the round count.
     """
-    if opts is None:
-        opts = LocalCoreOptions()
-    if not 1 <= opts.threads <= MAX_THREADS:
-        raise InputError(f"threads must be between 1 and {MAX_THREADS}, got {opts.threads}")
     if H.n == 0:
         return _result([], [])
-    return _local_core_jacobi(H, opts.threads)
+    return _local_core_jacobi(H, (opts or LocalCoreOptions()).threads)
 
 
 # -- Jacobi local-core -----------------------------------------------------

@@ -252,68 +252,53 @@ def build(
         raise InputError("no hyperedges given")
 
     intern: dict[str, int] = {}
-    first_seen: list[str] = []
-
-    def intern_label(tok: str) -> int:
-        i = intern.get(tok)
-        if i is None:
-            i = len(first_seen)
-            intern[tok] = i
-            first_seen.append(tok)
-        return i
-
+    kept: dict[tuple[int, ...], None] = {}
     report = BuildReport()
-    seen: set[tuple[int, ...]] = set()
-    raw_edges: list[tuple[int, ...]] = []
     for idx, members in enumerate(edge_lists):
         if len(members) == 0:
             raise InputError(f"edge {idx}: empty hyperedge")
-        ids = tuple(sorted({intern_label(t) for t in members}))
+        ids = tuple(sorted({intern.setdefault(t, len(intern)) for t in members}))
         if len(ids) < 2:
             if policy is SingletonPolicy.REJECT:
                 raise InputError(f"edge {idx}: singleton hyperedge {list(members)!r}")
             report.singleton_edges.append(idx)
-            continue
-        if ids in seen:
+        elif ids in kept:
             report.duplicate_edges.append(idx)
-            continue
-        seen.add(ids)
-        raw_edges.append(ids)
+        else:
+            kept[ids] = None
+    labels, edges = list(intern), list(kept)
 
-    used = {v for e in raw_edges for v in e}
-    report.isolated_labels = [lab for lab in first_seen if intern[lab] not in used]
-
-    remap = {}
-    labels = []
-    for lab in first_seen:
-        old = intern[lab]
-        if old in used:
-            remap[old] = len(labels)
-            labels.append(lab)
-    edges = [tuple(sorted(remap[v] for v in e)) for e in raw_edges]
+    # only a dropped singleton can leave a label in no kept edge (a duplicate's
+    # labels are in its kept copy); the remap keeps id order, so edges stay sorted
+    if report.singleton_edges:
+        used = set(chain.from_iterable(edges))
+        report.isolated_labels = [lab for v, lab in enumerate(labels) if v not in used]
+        remap = {v: i for i, v in enumerate(sorted(used))}
+        labels = [labels[v] for v in remap]
+        edges = [tuple(remap[v] for v in e) for e in edges]
     return Hypergraph(edges, labels), report
 
 
 def parse_hg(text: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:
-    """Parse the .hg text format: one edge per line, '#' comments, blanks ignored."""
+    """Parse the .hg text format: one edge per line, whitespace-separated.  A
+    line whose first non-blank character is '#' is a comment; elsewhere '#' is
+    part of a label.  Blank lines are ignored."""
     edge_lists: list[list[str]] = []
     line_nos: list[int] = []
     for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        edge_lists.append(stripped.split())
-        line_nos.append(ln)
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            edge_lists.append(tokens)
+            line_nos.append(ln)
     if not edge_lists:
         raise InputError("no hyperedges in input")
     try:
         return build(edge_lists, policy)
     except InputError as exc:
         # rewrite edge indices into file line numbers
-        msg = str(exc)
-        if msg.startswith("edge "):
-            idx = int(msg.split()[1].rstrip(":"))
-            raise InputError(f"line {line_nos[idx]}: {msg.split(': ', 1)[1]}") from None
+        head, _, rest = str(exc).partition(": ")
+        if head.startswith("edge "):
+            raise InputError(f"line {line_nos[int(head[5:])]}: {rest}") from None
         raise
 
 

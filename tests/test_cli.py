@@ -76,10 +76,12 @@ def test_decompose_thread_count_guard(fig_file, capsys, monkeypatch):
         raise RuntimeError("thread started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse_start)
-    for threads in ("65", "1000000000000"):
-        code, out, err = run(capsys, "decompose", fig_file, "--threads", threads)
-        assert code == 2 and out == "" and started == []
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    for algorithm in ("local", "peel"):
+        for threads in ("0", "65", "1000000000000"):
+            code, out, err = run(capsys, "decompose", fig_file, "--algorithm", algorithm,
+                                 "--threads", threads)
+            assert code == 2 and out == "" and started == [], (algorithm, threads)
+            assert err.startswith("error: threads must be between") and err.count("\n") == 1, err
 
 
 def test_decompose_clique(tmp_path, capsys):
@@ -191,6 +193,17 @@ def test_sir_negative_counts_refused(fig_file, capsys):
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
 
 
+def test_sir_beta_refused_before_any_run(fig_file, tmp_path, capsys):
+    # with no run to make, only the up-front check sees the bad beta
+    for beta in ("5", "-0.1"):
+        code, out, err = run(capsys, "sir", fig_file, "--beta", beta, "--runs", "0")
+        assert code == 2 and out == "", beta
+        assert err.startswith("error: beta must be in [0, 1]") and err.count("\n") == 1, err
+    # checked before the input is read
+    code, _, err = run(capsys, "sir", str(tmp_path / "missing.hg"), "--beta", "5")
+    assert code == 2 and err.startswith("error: beta must be in [0, 1]"), err
+
+
 def test_densest_exact_long_path_without_deep_recursion(tmp_path, capsys):
     # a max-flow augmenting path can run the length of the chain; allow
     # only 50 frames beyond this test's own stack depth.  A first call at the
@@ -238,6 +251,14 @@ def test_gen_deterministic(tmp_path, capsys):
     _, out1, _ = run(capsys, "gen", "--n", "10", "--m", "8", "--rng-seed", "5")
     _, out2, _ = run(capsys, "gen", "--n", "10", "--m", "8", "--rng-seed", "5")
     assert out1 == out2 and len(out1.strip().splitlines()) == 8
+
+
+def test_gen_pair_table_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(model, "PAIR_ROW_GUARD", 100)
+    code, out, err = run(capsys, "gen", "--n", "10", "--m", "20",
+                         "--card-min", "3", "--card-max", "3")
+    assert code == 3 and out == ""
+    assert err == "error: pair-table guard: at least 120 pair rows > 100\n"
 
 
 def test_stats_json(fig_file, capsys):

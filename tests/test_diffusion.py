@@ -28,8 +28,18 @@ def test_beta_one_reaches_everything(path3):
 
 
 def test_beta_out_of_range(path3):
-    with pytest.raises(InputError):
-        sir_run(path3, 0, beta=1.5)
+    for beta in (1.5, 5, -0.5, float("nan")):
+        with pytest.raises(InputError, match=r"beta must be in \[0, 1\]"):
+            sir_run(path3, 0, beta=beta)
+    for beta in (Fraction(5), 1.5, float("nan"), float("inf")):
+        with pytest.raises(InputError, match=r"beta must be in \[0, 1\], got"):
+            sir_expected_spread(path3, 0, beta)
+
+
+def test_negative_max_steps_refused(path3):
+    with pytest.raises(InputError, match="max_steps must be >= 0, got -4"):
+        sir_run(path3, 0, beta=1.0, max_steps=-4)
+    assert sir_run(path3, 0, beta=1.0, max_steps=0).spread == 1
 
 
 def test_deterministic_given_seed(path3):

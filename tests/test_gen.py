@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from hypercore import (
@@ -5,6 +8,7 @@ from hypercore import (
     InputError,
     clique_expansion,
     clique_graph_core,
+    model,
     naive_core_oracle,
     peel,
     random_hypergraph,
@@ -27,6 +31,42 @@ def test_determinism():
 def test_infeasible_request_rejected():
     with pytest.raises(InputError):
         random_hypergraph(4, 100, 2, 2, 0)
+
+
+def test_feasibility_sum_stops_at_m(monkeypatch):
+    # the full sum over 2..20000 does not finish in a minute; a request for
+    # one edge needs a single binomial
+    comb, calls = math.comb, []
+
+    def counted(n, k):
+        calls.append(k)
+        if len(calls) > 3:
+            raise AssertionError("feasibility bound kept summing")
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    monkeypatch.setattr(model, "PAIR_ROW_GUARD", 1)  # stop before any draw
+    with pytest.raises(GuardError):
+        random_hypergraph(20000, 1, 2, 20000, 0)
+    assert calls == [2]
+    calls.clear()
+    with pytest.raises(InputError, match="m=12 exceeds the 11 distinct edges possible"):
+        random_hypergraph(4, 12, 2, 4, 0)
+    assert calls == [2, 3, 4]
+
+
+def test_pair_table_guard_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("random edges drawn")
+
+    monkeypatch.setattr(model, "PAIR_ROW_GUARD", 119)
+    monkeypatch.setattr(random, "Random", no_draw)
+    with pytest.raises(GuardError, match="at least 120 pair rows > 119"):
+        random_hypergraph(10, 20, 3, 4, 0)
+    monkeypatch.undo()
+    # at the bound the request goes through (all edges have card_min members)
+    monkeypatch.setattr(model, "PAIR_ROW_GUARD", 120)
+    assert len(random_hypergraph(10, 20, 3, 3, 0).edges) == 20
 
 
 def test_bad_cardinality_range():

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +14,7 @@ from hypercore import (
     serialize_hg,
     volume_density,
 )
-from hypercore.model import Residual
+from hypercore.model import BuildReport, Residual
 from conftest import by_label, hg
 
 
@@ -107,6 +107,24 @@ def test_parse_skips_comments_and_blanks():
     assert len(H.edges) == 2
 
 
+def test_hash_starts_a_comment_only_at_line_start():
+    H, _ = parse_hg("# header\n  # indented comment\na b # note\n")
+    assert H.labels == ["a", "b", "#", "note"]
+    assert H.edges == [(0, 1, 2, 3)]
+
+
+def test_parse_singleton_after_comments_and_a_duplicate():
+    text = "# header\n\na b\n# note\nb a\n  \nc\nc d\n"
+    with pytest.raises(InputError, match=r"^line 7: singleton hyperedge \['c'\]$"):
+        parse_hg(text)
+    H, report = parse_hg(text, SingletonPolicy.DROP)
+    assert (report.duplicate_edges, report.singleton_edges) == ([1], [2])
+    assert report.isolated_labels == []
+    H, report = parse_hg(text.replace("c d", "a d"), SingletonPolicy.DROP)
+    assert report.isolated_labels == ["c"]
+    assert H.labels == ["a", "b", "d"] and H.edges == [(0, 1), (0, 2)]
+
+
 def test_round_trip(fig_five):
     H2, _ = parse_hg(serialize_hg(fig_five))
     assert [[fig_five.labels[v] for v in e] for e in fig_five.edges] == [
@@ -178,6 +196,74 @@ def test_pair_table_matches_brute_force(raw):
     assert groups == {
         (v, u): [ei for ei, e in enumerate(H.edges) if v in e and u in e] for v, u in mult
     }
+
+
+def _reference_build(edge_lists, policy):
+    """The builder written out plainly: intern in first-seen order, keep the
+    first copy of each member set, then strip labels in no kept edge."""
+    if not edge_lists:
+        raise InputError("no hyperedges given")
+    first_seen = []
+    for tok in chain.from_iterable(edge_lists):
+        if tok not in first_seen:
+            first_seen.append(tok)
+    report = BuildReport()
+    kept = []
+    for idx, members in enumerate(edge_lists):
+        if not members:
+            raise InputError(f"edge {idx}: empty hyperedge")
+        member_set = set(members)
+        if len(member_set) < 2:
+            if policy is SingletonPolicy.REJECT:
+                raise InputError(f"edge {idx}: singleton hyperedge {list(members)!r}")
+            report.singleton_edges.append(idx)
+        elif member_set in kept:
+            report.duplicate_edges.append(idx)
+        else:
+            kept.append(member_set)
+    labels = [lab for lab in first_seen if any(lab in e for e in kept)]
+    report.isolated_labels = [lab for lab in first_seen if lab not in labels]
+    edges = [tuple(sorted(labels.index(lab) for lab in e)) for e in kept]
+    return labels, edges, report
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Token lists with repeats inside an edge, singletons, duplicate member
+    sets in other orders and, rarely, empty lists."""
+    token = st.sampled_from(["a", "b", "c", "d", "e", "f", "#", "x1"])
+    edges = draw(st.lists(st.lists(token, min_size=1, max_size=5), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        if edges:
+            copy = draw(st.permutations(draw(st.sampled_from(edges))))
+            edges.insert(draw(st.integers(0, len(edges))), list(copy))
+    if draw(st.integers(0, 9)) == 0:
+        edges.insert(draw(st.integers(0, len(edges))), [])
+    return edges
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_edge_lists(), st.sampled_from(SingletonPolicy))
+@example([["a", "b"], ["c"]], SingletonPolicy.DROP)
+@example([["c"], ["a", "b"], ["b", "a"], ["b", "c", "b"]], SingletonPolicy.DROP)
+@example([["b", "a"], ["c", "c"], ["a", "d", "c"], ["e"], ["d", "a"]], SingletonPolicy.DROP)
+@example([["a", "a"]], SingletonPolicy.DROP)
+@example([["a", "b"], ["b", "b"]], SingletonPolicy.REJECT)
+@example([["a", "b"], []], SingletonPolicy.DROP)
+@example([], SingletonPolicy.REJECT)
+def test_build_matches_reference(raw, policy):
+    def built(raw, policy):
+        H, report = build(raw, policy)
+        return H.labels, H.edges, report
+
+    assert _outcome(built, raw, policy) == _outcome(_reference_build, raw, policy)
 
 
 def _assert_residual_is_definitional(H, R, alive):
