@@ -1,8 +1,8 @@
 """Volume-densest subhypergraph discovery.
 
-Three routes: a core-ordered greedy peel with a provable approximation
-factor, an exact method (binary search on the density with an integer
-max-flow feasibility probe, whose negative answers are confirmed by
+Three routes: a greedy peel by least residual neighbor count, which is core
+order, with a provable approximation factor, an exact method (binary search
+on the density with an integer max-flow feasibility probe, whose negative answers are confirmed by
 enumeration whenever hyperedges share node pairs), and a subset-enumeration
 oracle for testing.
 
@@ -17,12 +17,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable
 
-import numpy as np
-
 from .model import GuardError, Hypergraph, InputError, Residual
+# peel is unused here but stays bound: perfbench/tracing.py patches densest.peel
 from .peel import BucketQueue, peel
 
 BRUTE_FORCE_NODE_GUARD = 20
@@ -68,40 +66,33 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     """Peel in (core number, residual neighbor count, node id) order and keep
     the densest prefix; density >= optimum / guarantee_factor(H).
 
-    Each core group is popped from a bucket queue keyed by residual neighbor
-    count.  Counts only fall, so a low-water mark that drops with every
-    moved node and climbs past empty cells finds the least count; cells pop
-    the lowest id first."""
+    A bucket queue keyed by residual neighbor count pops the least
+    (count, id) until it is empty, which is core order.  Once every node of
+    core below c is deleted and one of core c remains, the least count is at
+    most c, or the residual would be a (c+1)-core; a node of core above c
+    still has at least c+1 residual neighbors, because every hyperedge of the
+    (c+1)-core is live.  So the least count lies in the lowest remaining core
+    group, and ties go to the lowest id."""
     n = _node_count(H)
-    cores = peel(H).core
     R = Residual(H)
-    counts = np.diff(H.nbr_offsets).tolist()
-    total = sum(counts)
+    B = BucketQueue(n)
+    for v in range(n):
+        B.put(v, H.neighbor_count(v))
+    total = H.nbr_offsets[-1]  # sum of the residual neighbor counts
     best_total, best_alive = total, n
     deleted: list[int] = []  # deletion order
     best_deleted = 0
-    B = BucketQueue(n)
-    for c, group in groupby(sorted(range(n), key=cores.__getitem__), key=cores.__getitem__):
-        group = list(group)
-        for v in group:
-            B.insert(v, counts[v])
-        low = min(counts[v] for v in group)
-        for _ in group:
-            while (v := B.pop(low)) is None:
-                low += 1
-            deleted.append(v)
-            total -= counts[v]
-            for u in R.delete(v):
-                count = len(R.neighbors(u))
-                if count != counts[u]:
-                    total += count - counts[u]
-                    counts[u] = count
-                    if cores[u] == c:  # u is still pending in this group
-                        B.move(u, count)
-                        low = min(low, count)
-            alive = n - len(deleted)
-            if alive and total * best_alive > best_total * alive:
-                best_total, best_alive, best_deleted = total, alive, len(deleted)
+    while (popped := B.pop_min()) is not None:
+        key, v = popped
+        deleted.append(v)
+        total -= key
+        for u in R.delete(v):
+            count = len(R.neighbors(u))
+            total += count - B.key[u]
+            B.put(u, count)
+        alive = n - len(deleted)
+        if alive and total * best_alive > best_total * alive:
+            best_total, best_alive, best_deleted = total, alive, len(deleted)
     return DensestResult(set(deleted[best_deleted:]), Fraction(best_total, best_alive),
                          "greedy", guarantee_factor(H))
 

@@ -16,7 +16,7 @@ level therefore costs its own hyperedges, not all of H's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Iterable
 
 import numpy as np
 
@@ -58,27 +58,21 @@ def _descending_prefixes(values: np.ndarray, kmax: int) -> tuple[list[int], list
     return order.tolist(), ends.tolist()
 
 
-def _degree_peel_level(R: Residual, vk: Collection[int], k: int) -> dict[int, int]:
+def _degree_peel_level(R: Residual, vk: Iterable[int], k: int) -> dict[int, int]:
     """Degree-peel the residual R on its nodes vk; a neighbor that would drop
     below k residual neighbors is kept at the current level instead of
     moving up."""
     B = BucketQueue(R.H.n)
     for v in vk:
-        B.insert(v, R.degree[v])
+        B.put(v, R.degree[v])
     dvals: dict[int, int] = {}
-    remaining = len(vk)
-    d = 1
-    while remaining:
-        v = B.pop(d)
-        if v is None:
-            d += 1
-            continue
+    while (popped := B.pop_min()) is not None:
+        d, v = popped
         dvals[v] = d
-        remaining -= 1
         for u in R.delete(v):
             # a degree at or below d moves u to d whatever its neighbor count
             up = R.degree[u] > d and len(R.neighbors(u)) >= k
-            B.move(u, R.degree[u] if up else d)
+            B.put(u, R.degree[u] if up else d)
     return dvals
 
 

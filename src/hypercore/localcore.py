@@ -109,18 +109,13 @@ def _segment_top_h(vals: np.ndarray, base: np.ndarray, rank: np.ndarray,
 def _pair_table(offsets: np.ndarray):
     """Node segments of the model's pair table for the one-shot update
     operator, from the neighbor offsets `H.nbr_offsets`.  Each pair group is
-    one neighbor u of one node v, and the groups of one v form that node's
-    segment.  Returns (seg_id, rank, seg_bounds, seg_nodes): per-group
-    segment ids and 1-based group rank within the segment, the group index
-    of each segment start followed by the group count, and the node of each
-    segment."""
-    counts = np.diff(offsets)
-    seg_nodes = np.flatnonzero(counts)
-    seg_bounds = offsets[np.append(seg_nodes, len(counts))]
-    seg_id = np.repeat(np.arange(len(seg_nodes)), counts[seg_nodes])
+    one neighbor u of one node v, and the groups of node v form segment v
+    (every node has a neighbor).  Returns (seg_id, rank): per-group segment
+    ids and 1-based group rank within the segment."""
+    seg_id = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     rank = np.arange(1, len(seg_id) + 1)
-    rank -= seg_bounds[seg_id]
-    return seg_id, rank, seg_bounds, seg_nodes
+    rank -= offsets[seg_id]
+    return seg_id, rank
 
 
 def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
@@ -142,27 +137,24 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
     offsets = np.array(H.nbr_offsets, dtype=np.int64)
     est = np.diff(offsets)
     pair_edge = H.pair_edge
-    if not len(pair_edge):  # no hyperedge with two members: every estimate is 0
-        return _result(est.tolist(), [0])
-    seg_id, rank, seg_bounds, seg_nodes = _pair_table(offsets)
+    seg_id, rank = _pair_table(offsets)
 
-    # contiguous node-segment ranges per block, balanced by pair rows
+    # contiguous node ranges per block, balanced by pair rows
     row_bounds = np.append(H.pair_starts, len(pair_edge))
-    cuts = np.searchsorted(row_bounds[seg_bounds], np.arange(T + 1) * len(pair_edge) // T)
-    cuts[-1] = len(seg_nodes)
+    cuts = np.searchsorted(row_bounds[offsets], np.arange(T + 1) * len(pair_edge) // T)
+    cuts[-1] = n
     blocks = []
     for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
         if a < b:
-            ga, gb = seg_bounds[a], seg_bounds[b]
+            ga, gb = offsets[a], offsets[b]
             pa, pb = row_bounds[ga], row_bounds[gb]
             base = seg_id[ga:gb] - a  # the sort key base of _segment_top_h
             base *= n + 1
             base += n
             blocks.append((pair_edge[pa:pb], row_bounds[ga:gb] - pa, base,
-                           rank[ga:gb], seg_bounds[a:b] - ga, seg_nodes[a:b]))
-    segments = len(seg_nodes)
+                           rank[ga:gb], offsets[a:b] - ga, np.arange(a, b)))
     # the blocks hold what the rounds read; free the whole-table arrays first
-    del seg_id, rank, row_bounds, seg_bounds, seg_nodes
+    del seg_id, rank, row_bounds
 
     emin = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
 
@@ -186,7 +178,7 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
                 break
             emin[:] = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
 
-    return _result(est.tolist(), history, h_evals=len(history) * segments)
+    return _result(est.tolist(), history, h_evals=len(history) * n)
 
 
 # -- uncorrected baseline and convergence hierarchy ------------------------

@@ -54,8 +54,10 @@ class Hypergraph:
     grouped by (v, u).  Group g is the pair of nbr_flat[g] and the node whose
     nbr_offsets range holds g.
 
-    Every node is a member of some hyperedge: a label in none is an
-    InputError (`build` strips such labels and reports them as isolated).
+    Every hyperedge is a strictly ascending tuple of at least 2 node ids in
+    [0, n), and every node is a member of some hyperedge: any other edge, or
+    a label in none, is an InputError (`build` strips such labels and
+    reports them as isolated).
 
     Attributes:
         n: number of retained nodes.
@@ -94,6 +96,14 @@ class Hypergraph:
         cards = np.fromiter(map(len, self.edges), dtype=np.int64, count=m)
         self.edge_flat = edge_flat = np.fromiter(
             chain.from_iterable(self.edges), dtype=np.int64, count=int(cards.sum()))
+        edge_of = np.repeat(np.arange(m), cards)
+        bad = cards < 2
+        bad[edge_of[(edge_flat < 0) | (edge_flat >= n)]] = True
+        bad[edge_of[1:][(np.diff(edge_flat) <= 0) & (edge_of[1:] == edge_of[:-1])]] = True
+        if bad.any():
+            e = int(bad.argmax())
+            raise InputError(f"hyperedge {e} {self.edges[e]!r} is not a strictly "
+                             f"ascending tuple of at least 2 node ids in [0, {n})")
         isolated = np.flatnonzero(np.bincount(edge_flat, minlength=n) == 0)
         if isolated.size:
             raise InputError(f"label {self.labels[isolated[0]]!r} is in no hyperedge")
@@ -303,8 +313,13 @@ def parse_hg(text: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tup
 
 
 def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hg(fh.read(), policy)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+    return parse_hg(text, policy)
 
 
 def serialize_hg(H: Hypergraph) -> str:

@@ -31,38 +31,48 @@ class CoreAssignment:
 
 
 class BucketQueue:
-    """Vector of cells B[i]; each node sits in the cell of its current key.
+    """Vector of cells B[i]; each queued node sits in the cell of its key.
 
-    Cells pop the lowest node id first.  Implemented as lazy heaps: a move
-    to a new key pushes a fresh entry and stale entries are skipped on pop.
-    """
+    Cells are lazy heaps: `put` pushes a fresh entry, and `pop_min` skips
+    stale ones and takes the lowest id of the lowest non-empty cell.  Its
+    search starts at the low-water mark `low`, which `put` lowers, and stops
+    when no node is queued, leaving the stale entries behind."""
 
     def __init__(self, n: int):
         self.cells: list[list[int]] = []
-        self.key = [-1] * n
+        self.key = [-1] * n  # -1: not queued
+        self.low = 0
+        self.size = 0
 
-    def _cell(self, k: int) -> list[int]:
+    def put(self, v: int, k: int) -> None:
+        """Key v at k, queueing it if it is not queued (popped ones included)."""
+        old = self.key[v]
+        if old == k:
+            return
+        if old < 0:
+            self.size += 1
+        self.key[v] = k
         while len(self.cells) <= k:
             self.cells.append([])
-        return self.cells[k]
+        heapq.heappush(self.cells[k], v)
+        if k < self.low:
+            self.low = k
 
-    def insert(self, v: int, k: int) -> None:
-        self.key[v] = k
-        heapq.heappush(self._cell(k), v)
-
-    def move(self, v: int, k: int) -> None:
-        if self.key[v] != k:
-            self.insert(v, k)
-
-    def pop(self, k: int) -> int | None:
-        """Pop the lowest node currently keyed k, or None if the cell is empty."""
-        cell = self._cell(k)
-        while cell:
-            v = heapq.heappop(cell)
-            if self.key[v] == k:
-                self.key[v] = -1
-                return v
-        return None
+    def pop_min(self) -> tuple[int, int] | None:
+        """Dequeue and return the least (key, node), or None if none is queued."""
+        if not self.size:
+            return None
+        cells, key, k = self.cells, self.key, self.low
+        while True:
+            cell = cells[k]
+            while cell:
+                v = heapq.heappop(cell)
+                if key[v] == k:
+                    key[v] = -1
+                    self.size -= 1
+                    self.low = k
+                    return k, v
+            k += 1
 
 
 def local_lower_bound(H: Hypergraph, v: int) -> int:
@@ -94,10 +104,10 @@ def e_peel(H: Hypergraph) -> CoreAssignment:
 
 
 def _peel(H: Hypergraph, keys: list[int], bounded: bool) -> CoreAssignment:
-    """Bucket-peel the residual from the initial cell keys.  A popped node is
-    assigned the current level and deleted, and each neighbor it had is
-    recounted and moved to max(count, level).  With `bounded`, every key is
-    only a lower bound: a node popped on its bound is recounted and requeued
+    """Bucket-peel the residual from the initial cell keys.  A node popped at
+    key k is assigned core k and deleted, and each neighbor it had is
+    recounted and moved to max(count, k).  With `bounded`, every key is only
+    a lower bound: a node popped on its bound is recounted and requeued
     instead, and is not recounted as a neighbor until then."""
     n = H.n
     core = [0] * n
@@ -106,23 +116,19 @@ def _peel(H: Hypergraph, keys: list[int], bounded: bool) -> CoreAssignment:
     on_bound = [bounded] * n
     B = BucketQueue(n)
     for v, key in enumerate(keys):
-        B.insert(v, key)
+        B.put(v, key)
     R = Residual(H)
-    assigned = 0
-    for k in range(1, n + 1):
-        while (v := B.pop(k)) is not None:
-            if on_bound[v]:
-                on_bound[v] = False
-                recount = [v]
-            else:
-                core[v] = k
-                assigned += 1
-                recount = [u for u in R.delete(v) if not on_bound[u]]
-                counters["neighborhood_recomputations"] += 1
-            for u in recount:
-                B.move(u, max(len(R.neighbors(u)), k))
-            counters["neighborhood_recomputations"] += len(recount)
-            counters["cell_updates"] += len(recount)
-        if assigned == n:
-            break
+    while (popped := B.pop_min()) is not None:
+        k, v = popped
+        if on_bound[v]:
+            on_bound[v] = False
+            recount = [v]
+        else:
+            core[v] = k
+            recount = [u for u in R.delete(v) if not on_bound[u]]
+            counters["neighborhood_recomputations"] += 1
+        for u in recount:
+            B.put(u, max(len(R.neighbors(u)), k))
+        counters["neighborhood_recomputations"] += len(recount)
+        counters["cell_updates"] += len(recount)
     return CoreAssignment(core, counters)

@@ -132,6 +132,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    p = tmp_path / "bad.hg"
+    p.write_bytes(b"a b\nc \xff d\n")
+    code, out, err = run(capsys, "decompose", str(p))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {p}: not UTF-8 text at byte offset 6"]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "decompose", "/nonexistent/x.hg")
     assert code == 2

@@ -139,6 +139,18 @@ def test_greedy_matches_reference_order():
         assert (res.nodes, res.density, res.factor) == reference_greedy(H), seed
 
 
+def test_greedy_computes_no_core_numbers(monkeypatch):
+    # the (count, id) order already visits the core groups in ascending order
+    def refuse(H):
+        raise AssertionError("greedy_densest called peel")
+
+    monkeypatch.setattr(densest, "peel", refuse)
+    for seed in range(10):
+        H = with_wide_edge(random_hypergraph(10, 14, 2, 4, seed), seed)
+        res = greedy_densest(H)
+        assert (res.nodes, res.density, res.factor) == reference_greedy(H), seed
+
+
 def test_two_uniform_factor_is_two():
     H = random_hypergraph(10, 15, 2, 2, 4)
     assert greedy_densest(H).factor == 2

@@ -151,6 +151,19 @@ def test_label_in_no_hyperedge_rejected():
     assert Hypergraph([], []).n == 0
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 0, 1)],  # a repeated member, on which peel and e_peel would disagree
+    [(0,)],  # a node with no neighbor
+    [(-1, 0)],
+    [(0, 5)],  # out of range, not label 'b' in no hyperedge
+    [(1, 0)],
+    [(0, 1), ()],
+])
+def test_malformed_edge_rejected(edges):
+    with pytest.raises(InputError, match="strictly ascending tuple of at least 2 node ids"):
+        Hypergraph(edges, ["a", "b"])
+
+
 def ids_of(H, labels):
     return [H.label_to_id[ch] for ch in labels]
 

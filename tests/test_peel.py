@@ -1,4 +1,5 @@
 from hypercore import e_peel, local_lower_bound, naive_core_oracle, peel, random_hypergraph
+from hypercore.peel import BucketQueue
 from conftest import by_label, hg
 
 
@@ -90,3 +91,64 @@ def test_peel_deterministic(fig_five):
 
 def test_core_by_label(fig_five):
     assert by_label(fig_five, peel(fig_five).core) == dict.fromkeys("abcde", 2)
+
+
+def drain(B):
+    out = []
+    while (popped := B.pop_min()) is not None:
+        out.append(popped)
+    return out
+
+
+def test_bucket_queue_pops_in_key_then_id_order():
+    B = BucketQueue(6)
+    for v, k in [(4, 2), (0, 3), (5, 1), (2, 2), (1, 1), (3, 3)]:
+        B.put(v, k)
+    assert drain(B) == [(1, 1), (1, 5), (2, 2), (2, 4), (3, 0), (3, 3)]
+    assert B.pop_min() is None
+
+
+def test_bucket_queue_put_below_low_pops_next():
+    # greedy's case: a deletion drops a neighbor's count below the last key
+    B = BucketQueue(3)
+    for v, k in [(0, 3), (1, 4), (2, 5)]:
+        B.put(v, k)
+    assert B.pop_min() == (3, 0)
+    B.put(2, 1)
+    assert B.pop_min() == (1, 2)
+    assert drain(B) == [(4, 1)]
+
+
+def test_bucket_queue_popped_node_put_again():
+    # e-peel's case: a node popped on its bound is requeued at its count
+    B = BucketQueue(2)
+    B.put(0, 1)
+    B.put(1, 2)
+    assert B.pop_min() == (1, 0)
+    B.put(0, 1)
+    assert B.pop_min() == (1, 0)
+    B.put(0, 3)
+    assert drain(B) == [(2, 1), (3, 0)]
+
+
+def test_bucket_queue_skips_stale_entries():
+    B = BucketQueue(3)
+    B.put(0, 1)
+    B.put(1, 2)
+    B.put(0, 4)  # leaves a stale entry of 0 in cell 1
+    B.put(2, 4)
+    B.put(2, 2)  # and of 2 in cell 4
+    B.put(1, 2)  # same key: no new entry
+    assert drain(B) == [(2, 1), (2, 2), (4, 0)]
+
+
+def test_bucket_queue_empty_after_last_pop():
+    B = BucketQueue(2)
+    assert B.pop_min() is None
+    B.put(0, 2)
+    B.put(0, 5)
+    B.put(0, 1)
+    assert B.pop_min() == (1, 0)
+    # stale entries of 0 remain in cells 2 and 5, but nothing is queued
+    assert B.pop_min() is None
+    assert [len(cell) for cell in B.cells] == [0, 0, 1, 0, 0, 1]
