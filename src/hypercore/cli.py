@@ -114,18 +114,20 @@ def cmd_sir(args) -> int:
             raise InputError(f"--{flag.replace('_', '-')} must be >= 0")
     diffusion.check_beta(args.beta)
     H, _ = _load(args.input, args.lenient)
+    if args.seed_node is not None and args.seed_node not in H.label_to_id:
+        raise InputError(f"unknown seed node {args.seed_node!r}")
     if args.delete_top_k:
         cores = local_core(H).core
         ranked = sorted(range(H.n), key=lambda v: (-cores[v], v))
         H = diffusion.intervention_delete(H, ranked, args.delete_top_k)
+        if args.seed_node is not None and args.seed_node not in H.label_to_id:
+            raise InputError(f"seed node {args.seed_node!r} was deleted by --delete-top-k")
         if H.n == 0:
             print("hypergraph is empty after deletion", file=sys.stderr)
             return 0
     cores = local_core(H).core
 
     if args.seed_node is not None:
-        if args.seed_node not in H.label_to_id:
-            raise InputError(f"unknown seed node {args.seed_node!r}")
         seeds = [H.label_to_id[args.seed_node]] * args.runs
     else:
         rng = random.Random(args.rng_seed)

@@ -2,15 +2,26 @@
 
 Every infectious node makes one Bernoulli(beta) attempt per susceptible
 neighbor, then immunizes; newly infected nodes become infectious the
-following step.  The uniform draw for an attempt is derived
-deterministically from (rng_seed, attacker, target), so runs are
-reproducible and, for a fixed rng_seed, the infected set grows
-monotonically with beta (an attempt fires iff its uniform < beta).
+following step.  The draw for an attempt is a counter-based hash of
+(rng_seed, attacker, target), in the style of Random123 (Salmon et al.,
+SC'11) and SplitMix (Steele, Lea & Flood, OOPSLA 2014):
+
+    run_key = blake2b(str(rng_seed), 8-byte digest), read little-endian
+    k_u     = splitmix64(run_key + (u + 1) * GAMMA mod 2**64)
+    draw    = splitmix64(k_u + (v + 1) * GAMMA mod 2**64)
+
+where GAMMA = 0x9E3779B97F4A7C15 and splitmix64 is the standard finalizer.
+The attempt u -> v fires iff draw < int(beta * 2**53) << 11, an integer
+threshold that grows with beta, so beta = 1 always fires, beta = 0 never
+does, and for a fixed rng_seed the infected set grows monotonically with
+beta.  Each draw depends on its own (u, v) only, so a run is a BFS from the
+seed over the edges whose draw fires, cut at max_steps, whatever the order
+in which attackers are visited.
 """
 
 from __future__ import annotations
 
-import random
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,9 +43,29 @@ def check_beta(beta) -> None:
         raise InputError(f"beta must be in [0, 1], got {beta}")
 
 
-def _attempt_uniform(rng_seed: int, u: int, v: int) -> float:
-    # random.Random seeds strings via SHA-512: stable across runs and platforms
-    return random.Random(f"{rng_seed}:{u}:{v}").random()
+_GAMMA = 0x9E3779B97F4A7C15  # the splitmix64 increment, 2**64 / golden ratio
+_MASK = 2**64 - 1
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+
+
+def _splitmix64(z: int) -> int:
+    """The splitmix64 finalizer of a 64-bit word."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _run_key(rng_seed: int) -> int:
+    # any int, negative or >= 2**64, maps to one 64-bit key on every platform
+    digest = hashlib.blake2b(str(rng_seed).encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _attempt_draw(rng_seed: int, u: int, v: int) -> int:
+    """The 64-bit draw of the attempt u -> v; `sir_run` inlines it."""
+    k_u = _splitmix64((_run_key(rng_seed) + (u + 1) * _GAMMA) & _MASK)
+    return _splitmix64((k_u + (v + 1) * _GAMMA) & _MASK)
 
 
 def sir_run(
@@ -49,23 +80,30 @@ def sir_run(
         raise InputError(f"max_steps must be >= 0, got {max_steps}")
     H._check_node(seed)
 
+    run_key = _run_key(rng_seed)
+    # an attempt fires iff its draw is below this; 2**64 at beta = 1
+    threshold = int(beta * 2**53) << 11
+    offsets, flat = H.nbr_offsets, H.nbr_flat
     infection_time = {seed: 0}
-    infected = {seed}
     frontier = [seed]
     step = 0
     while frontier and step < max_steps:
         step += 1
         newly: list[int] = []
-        for u in sorted(frontier):
-            for v in H.neighbors(u):
-                if v in infected:
+        for u in frontier:
+            k_u = _splitmix64((run_key + (u + 1) * _GAMMA) & _MASK)
+            for v in flat[offsets[u] : offsets[u + 1]]:
+                if v in infection_time:
                     continue
-                if _attempt_uniform(rng_seed, u, v) < beta:
-                    infected.add(v)
+                # _attempt_draw(rng_seed, u, v), inlined
+                z = (k_u + (v + 1) * _GAMMA) & _MASK
+                z = ((z ^ (z >> 30)) * _M1) & _MASK
+                z = ((z ^ (z >> 27)) * _M2) & _MASK
+                if z ^ (z >> 31) < threshold:
                     infection_time[v] = step
                     newly.append(v)
         frontier = newly
-    return SirOutcome(infected, infection_time, len(infected))
+    return SirOutcome(set(infection_time), infection_time, len(infection_time))
 
 
 def sir_expected_spread(H: Hypergraph, seed: int, beta: Fraction) -> Fraction:

@@ -71,7 +71,7 @@ def _degree_peel_level(R: Residual, vk: Iterable[int], k: int) -> dict[int, int]
         dvals[v] = d
         for u in R.delete(v):
             # a degree at or below d moves u to d whatever its neighbor count
-            up = R.degree[u] > d and len(R.neighbors(u)) >= k
+            up = R.degree[u] > d and R.has_neighbors(u, k)
             B.put(u, R.degree[u] if up else d)
     return dvals
 

@@ -231,6 +231,19 @@ class Residual:
         out.discard(v)
         return out
 
+    def has_neighbors(self, v: int, k: int) -> bool:
+        """Whether v has at least k residual neighbors.  The union stops
+        growing once it holds more than k nodes, v among them."""
+        H, live = self.H, self.live
+        out: set[int] = set()
+        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
+            if live[ei]:
+                out.update(H.edges[ei])
+                if len(out) > k:
+                    return True
+        out.discard(v)
+        return len(out) >= k
+
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""

@@ -193,6 +193,21 @@ def test_sir_intervention(fig_file, capsys):
     assert code == 2  # seed no longer present
 
 
+def test_sir_unknown_seed_refused_before_deletion(fig_file, capsys):
+    # deleting 9 of 5 nodes empties the hypergraph, which alone exits 0
+    code, out, err = run(capsys, "sir", fig_file, "--seed-node", "zz",
+                         "--beta", "0.5", "--delete-top-k", "9")
+    assert code == 2 and out == ""
+    assert err == "error: unknown seed node 'zz'\n"
+
+
+def test_sir_deleted_seed_reported(fig_file, capsys):
+    code, out, err = run(capsys, "sir", fig_file, "--seed-node", "a",
+                         "--beta", "0.5", "--delete-top-k", "1")
+    assert code == 2 and out == ""
+    assert err == "error: seed node 'a' was deleted by --delete-top-k\n"
+
+
 def test_sir_negative_counts_refused(fig_file, capsys):
     for flag, value in (("--delete-top-k", "-1"), ("--delete-top-k", "-3"),
                         ("--runs", "-2"), ("--max-steps", "-1")):

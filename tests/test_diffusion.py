@@ -1,7 +1,9 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercore import (
     GuardError,
@@ -11,6 +13,7 @@ from hypercore import (
     sir_expected_spread,
     sir_run,
 )
+from hypercore.diffusion import _GAMMA, _MASK, _attempt_draw, _splitmix64
 from conftest import hg
 
 
@@ -55,6 +58,65 @@ def test_monotone_in_beta(path3):
             cur = sir_run(path3, 0, beta=beta, rng_seed=rs).infected
             assert prev <= cur, (rs, beta)
             prev = cur
+    rng = random.Random(0)
+    for i in range(200):
+        H = random_hypergraph(rng.randint(5, 15), rng.randint(1, 20), 2, 4, i)
+        seed, rs = rng.randrange(H.n), rng.randint(-10**20, 10**20)
+        prev = set()
+        for beta in sorted(rng.random() for _ in range(5)) + [1.0]:
+            cur = sir_run(H, seed, beta=beta, rng_seed=rs).infected
+            assert prev <= cur, (i, beta)
+            prev = cur
+        assert prev == _reachable(H, seed)
+
+
+def _reachable(H, seed):
+    seen, todo = {seed}, [seed]
+    while todo:
+        for v in H.neighbors(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def test_pinned_draws():
+    """The draw is fixed: a change to the hash or the run key fails here."""
+    assert _attempt_draw(0, 0, 1) == 0x27BE7357AB630850
+    assert _attempt_draw(-7, 3, 2) == 0x384C2942999EEA3B
+    assert _attempt_draw(2**64 + 5, 1, 0) == 0xAB39DBFE801E35AC
+
+
+def test_splitmix64_reference_outputs():
+    # the first three outputs of the reference splitmix64 generator from state 0
+    outs = [_splitmix64(i * _GAMMA & _MASK) for i in (1, 2, 3)]
+    assert outs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(5, 14), st.integers(1, 18), st.integers(0, 10**6),
+    st.floats(0, 1), st.integers(-2**70, 2**70), st.integers(0, 6), st.data(),
+)
+def test_run_is_bfs_on_the_percolated_graph(n, m, gseed, beta, rs, max_steps, data):
+    """Infection times are the hop distances from the seed over the directed
+    contacts whose draw fires, cut at max_steps; visiting order plays no part."""
+    H = random_hypergraph(n, m, 2, 4, gseed)
+    seed = data.draw(st.integers(0, H.n - 1))
+    threshold = int(beta * 2**53) << 11
+    dist = {seed: 0}
+    queue = deque([seed])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == max_steps:
+            continue
+        for v in H.neighbors(u):
+            if v not in dist and _attempt_draw(rs, u, v) < threshold:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    out = sir_run(H, seed, beta, max_steps=max_steps, rng_seed=rs)
+    assert out.infection_time == dist
+    assert out.infected == set(dist) and out.spread == len(dist)
 
 
 def test_expected_spread_endpoints(path3):

@@ -284,6 +284,9 @@ def _assert_residual_is_definitional(H, R, alive):
     assert R.live == [all(alive[u] for u in e) for e in H.edges]
     for v in range(H.n):
         assert R.neighbors(v) == H.residual_neighbors(v, alive)
+        c = len(R.neighbors(v))
+        for k in {0, max(c - 1, 0), c, c + 1}:
+            assert R.has_neighbors(v, k) == (c >= k), (v, k)
         assert R.degree[v] == sum(all(alive[u] for u in e) for e in H.edges if v in e)
 
 
@@ -310,3 +313,16 @@ def test_residual_matches_definition_under_deletion(raw, data):
         assert R.delete(v) == H.residual_neighbors(v, alive)
         alive[v] = False
     _assert_residual_is_definitional(H, R, alive)
+
+
+def test_has_neighbors_at_the_boundary():
+    """a has exactly 3 residual neighbors, then exactly 2; the early stop
+    must not count a itself as a neighbor."""
+    H = build([["a", "b", "c"], ["a", "d"], ["b", "d"]])[0]
+    a, d = H.label_to_id["a"], H.label_to_id["d"]
+    R = Residual(H)
+    assert R.has_neighbors(a, 3) and not R.has_neighbors(a, 4)
+    R.delete(d)
+    assert R.has_neighbors(a, 2) and not R.has_neighbors(a, 3)
+    assert R.has_neighbors(a, 0) and R.has_neighbors(d, 0)
+    assert not R.has_neighbors(d, 1)
