@@ -1,15 +1,15 @@
 """Volume-densest subhypergraph discovery.
 
 Three routes: a greedy peel by least residual neighbor count, which is core
-order, with a provable approximation factor, an exact method (binary search
-on the density with an integer max-flow feasibility probe, whose negative answers are confirmed by
-enumeration whenever hyperedges share node pairs), and a subset-enumeration
-oracle for testing.
+order, with a provable approximation factor, an exact method (Dinkelbach
+iteration on the density with an integer max-flow feasibility probe, whose
+negative answer is confirmed by enumeration whenever hyperedges share node
+pairs), and a subset-enumeration oracle for testing.
 
 All densities are exact rationals.  The flow probe scales every capacity by
 the denominator of the probed density so the network stays pure-integer;
-the density gap 1/(2 n^2) between distinct densities makes floating point
-unsafe here.
+two distinct subset densities can lie within 1/n^2 of each other, which
+makes floating point unsafe here.
 """
 
 from __future__ import annotations
@@ -32,8 +32,11 @@ class DensestResult:
     density: Fraction
     method: str  # "greedy" | "exact" | "brute"
     factor: Fraction
-    # final (lower, upper) bracket of the exact method's binary search
+    # (lower, upper) bounds on the optimum; the exact method closes it to
+    # (density, density)
     bracket: tuple[Fraction, Fraction] | None = None
+    # max-flow probes the exact method solved
+    probes: int = 0
 
 
 def volume_density(H: Hypergraph, nodes: Iterable[int]) -> Fraction:
@@ -132,7 +135,7 @@ def brute_force_densest(H: Hypergraph) -> DensestResult:
     return DensestResult(nodes, best_density, "brute", Fraction(1))
 
 
-# -- exact algorithm: binary search over an integer max-flow ---------------
+# -- exact algorithm: Dinkelbach iteration over an integer max-flow --------
 
 
 class _Dinic:
@@ -252,39 +255,34 @@ def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[bool, set[int]]:
 
 
 def exact_densest(H: Hypergraph) -> DensestResult:
-    """Binary search on the density value; each probe answers "does a denser
-    subset exist", and the witness set becomes the candidate.  Distinct
-    densities differ by at least 1/(2 n^2), so once the bracket is narrower
-    than that the last feasible candidate is optimal.
+    """Dinkelbach iteration on the density: start from all nodes, probe at
+    the current density eta, and take the probe's min-cut witness, which is
+    strictly denser, as the next candidate.  The first negative probe ends
+    the loop.  eta only rises and there are finitely many subsets, so the
+    loop ends.
 
-    Each probe asks the max-flow network first.  A positive flow answer is
-    always trustworthy and supplies the min cut's node side as the witness.
-    A negative answer is only conclusive when no node pair is shared by two
-    hyperedges; otherwise it is confirmed against the subset-enumeration
-    optimum, because the flow network overcharges neighbors reachable
-    through several hyperedges and can miss denser subsets.  The bracket
-    cannot close without a negative answer, so with shared pairs that
-    optimum is computed, or refused by the brute-force oracle's node guard,
-    before the first probe."""
+    A positive flow answer is always trustworthy.  A negative answer proves
+    eta optimal when no node pair is shared by two hyperedges, so the result
+    carries the closed bracket (eta, eta).  Otherwise the flow network
+    overcharges neighbors reachable through several hyperedges and can miss
+    denser subsets, so the negative answer is checked against the
+    subset-enumeration optimum.  That optimum is computed, or refused by the
+    brute-force oracle's node guard, before the first probe."""
     n = _node_count(H)
-    total_nbrs = sum(H.neighbor_count(v) for v in range(n))
-    lower = Fraction(total_nbrs, n)
-    upper = Fraction(total_nbrs)
-    delta = Fraction(1, 2 * n * n)
-    best = set(range(n))
-    fallback: tuple[Fraction, set[int]] | None = None
+    enumerated: tuple[Fraction, set[int]] | None = None
     if H.d_pair > 1:
         density, mask = _enumerate_optimum(H)
-        fallback = (density, {v for v in range(n) if mask >> v & 1})
-    while upper - lower >= delta:
-        eta = (lower + upper) / 2
+        enumerated = (density, {v for v in range(n) if mask >> v & 1})
+    best = set(range(n))
+    eta = volume_density(H, best)
+    probes = 0
+    while True:
         denser, nodes = _flow_probe(H, eta)
-        if not denser and fallback is not None and fallback[0] > eta:
-            denser, nodes = True, fallback[1]
-        if denser:
-            lower = eta
-            best = nodes
-        else:
-            upper = eta
-    return DensestResult(best, volume_density(H, best), "exact", Fraction(1),
-                         bracket=(lower, upper))
+        probes += 1
+        if not denser:
+            break
+        best = nodes
+        eta = volume_density(H, best)
+    if enumerated is not None and enumerated[0] > eta:
+        eta, best = enumerated
+    return DensestResult(best, eta, "exact", Fraction(1), bracket=(eta, eta), probes=probes)

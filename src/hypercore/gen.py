@@ -35,20 +35,36 @@ def random_hypergraph(
     else:
         raise InputError(f"m={m} exceeds the {distinct} distinct edges possible")
     # every edge has at least card_min members: refuse before any draw
-    if (rows := m * card_min * (card_min - 1)) > model.PAIR_ROW_GUARD:
-        raise GuardError(f"pair-table guard: at least {rows} pair rows > {model.PAIR_ROW_GUARD}")
+    floor = card_min * (card_min - 1)
+    if m * floor > model.PAIR_ROW_GUARD:
+        raise _pair_row_error(m * floor)
 
     rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
     edges: list[list[str]] = []
+    kept_rows, kept_cards = 0, set()
     while len(edges) < m:
         card = rng.randint(card_min, card_max)
+        # the edges still to draw after this one have at least card_min members
+        rows = kept_rows + card * (card - 1) + (m - len(edges) - 1) * floor
+        # only a kept cardinality can repeat a kept edge and be redrawn; its
+        # rows already fit in the guard, so its members are cheap to draw
+        if rows > model.PAIR_ROW_GUARD and card not in kept_cards:
+            raise _pair_row_error(rows)
         e = tuple(sorted(rng.sample(range(n), card)))
         if e in seen:
             continue
+        if rows > model.PAIR_ROW_GUARD:
+            raise _pair_row_error(rows)
         seen.add(e)
+        kept_rows += card * (card - 1)
+        kept_cards.add(card)
         edges.append([str(v) for v in e])
     return build(edges)[0]
+
+
+def _pair_row_error(rows: int) -> GuardError:
+    return GuardError(f"pair-table guard: at least {rows} pair rows > {model.PAIR_ROW_GUARD}")
 
 
 def naive_core_oracle(H: Hypergraph) -> CoreAssignment:

@@ -47,3 +47,16 @@ def with_wide_edge(H, seed):
     rng = random.Random(seed)
     wide = rng.sample(H.labels, rng.randint(8, min(12, H.n)))
     return build([[H.labels[v] for v in e] for e in H.edges] + [wide])[0]
+
+
+def refuse_large_samples(monkeypatch):
+    """Make random.Random.sample fail on more than 10,000 members, so a test
+    shows a guard refused before an unbounded draw."""
+    sample = random.Random.sample
+
+    def guarded(rng, population, k, **kwargs):
+        if k > 10_000:
+            raise AssertionError(f"sampled {k} members")
+        return sample(rng, population, k, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", guarded)

@@ -10,6 +10,7 @@ import pytest
 import hypercore
 from hypercore import densest, model
 from hypercore.cli import main
+from conftest import refuse_large_samples
 
 FIG5 = "a b e\na c d\nc d e\n"
 
@@ -268,6 +269,13 @@ def test_densest_exact_refused_before_any_probe(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(densest, "_flow_probe", no_probe)
     code, out, err = run(capsys, "densest", str(p), "--method", "exact")
     assert code == 3 and out == "" and "enumeration guard: 25 nodes > 20" in err
+
+
+def test_gen_wide_cardinality_range_exit_code(capsys, monkeypatch):
+    refuse_large_samples(monkeypatch)
+    code, out, err = run(capsys, "gen", "--n", "100000000", "--m", "1", "--card-max", "99999999")
+    assert code == 3 and out == ""
+    assert err.startswith("error: pair-table guard: at least") and err.count("\n") == 1
 
 
 def test_gen_deterministic(tmp_path, capsys):

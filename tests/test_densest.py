@@ -1,14 +1,17 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hypercore import (
     GuardError,
     Hypergraph,
     InputError,
     brute_force_densest,
+    build,
     exact_densest,
     greedy_densest,
     guarantee_factor,
@@ -199,3 +202,97 @@ def test_min_cut_edge_layer_is_strongly_induced(fig_five, monkeypatch):
     edges = {ei for ei in range(len(fig_five.edges)) if n + 2 + ei in sides[0]}
     inside = {ei for ei, e in enumerate(fig_five.edges) if all(v in nodes for v in e)}
     assert edges == inside
+
+
+def pair_disjoint(rng, n, m, card_min, card_max):
+    """Up to m hyperedges on n nodes, no two sharing a node pair (d_pair = 1),
+    by rejection: a draw that shares a pair with a kept hyperedge is skipped."""
+    used, edges = set(), []
+    for _ in range(20 * m):
+        e = sorted(rng.sample(range(n), rng.randint(card_min, card_max)))
+        pairs = set(combinations(e, 2))
+        if not pairs & used:
+            used |= pairs
+            edges.append([f"v{v}" for v in e])
+            if len(edges) == m:
+                break
+    return build(edges)[0]
+
+
+def test_exact_path_takes_one_probe():
+    # the whole path is already densest, so the first probe is negative
+    H = hg("".join(f"p{i} p{i + 1}\n" for i in range(199)))
+    res = exact_densest(H)
+    assert (res.probes, res.density, len(res.nodes)) == (1, Fraction(199, 100), 200)
+
+
+def test_exact_probes_on_pair_disjoint_inputs():
+    # the benchmark's linear shape: 5n/2 hyperedges of 2 to 4 members
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = 40 + 3 * seed
+        H = pair_disjoint(rng, n, 5 * n // 2, 2, 4)
+        assert 1 <= exact_densest(H).probes <= 3, seed
+
+
+def test_exact_result_certified_by_a_negative_probe():
+    # with d_pair = 1 the flow probe is exact both ways, so a negative probe
+    # at the returned density proves it optimal on inputs too large to
+    # enumerate; sparse draws make the iteration take several steps
+    probes = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(10, 80)
+        H = pair_disjoint(rng, n, rng.randint(5, 2 * n), 2, 4)
+        res = exact_densest(H)
+        probes.append(res.probes)
+        assert not _flow_probe(H, res.density)[0], seed
+        assert res.bracket == (res.density, res.density)
+        assert volume_density(H, res.nodes) == res.density
+    assert max(probes) >= 3  # some input took two denser witnesses
+
+
+def test_other_routes_report_no_probes(fig_five):
+    assert greedy_densest(fig_five).probes == brute_force_densest(fig_five).probes == 0
+
+
+@st.composite
+def small_hypergraphs(draw, shared_pair):
+    """At most 12 nodes.  With shared_pair, one more hyperedge repeats a node
+    pair of the first; without, every draw that shares a node pair with an
+    earlier hyperedge is skipped, so d_pair = 1."""
+    n = draw(st.integers(3, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.sets(node, min_size=2, max_size=4), min_size=1, max_size=12))
+    if shared_pair:
+        a, b = sorted(edges[0])[:2]
+        edges.append({a, b, draw(node.filter(lambda x: x not in (a, b)))})
+    else:
+        used, kept = set(), []
+        for e in edges:
+            pairs = set(combinations(sorted(e), 2))
+            if not pairs & used:
+                used |= pairs
+                kept.append(e)
+        edges = kept
+    return build([[str(v) for v in sorted(e)] for e in edges])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs(shared_pair=False))
+def test_exact_matches_brute_without_shared_pairs(H):
+    assert H.d_pair == 1
+    res = exact_densest(H)
+    assert res.density == brute_force_densest(H).density
+    assert res.bracket == (res.density, res.density)
+    assert volume_density(H, res.nodes) == res.density
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hypergraphs(shared_pair=True))
+def test_exact_matches_brute_with_shared_pairs(H):
+    assume(H.d_pair > 1)  # not when the extra hyperedge repeats the first
+    res = exact_densest(H)
+    assert res.density == brute_force_densest(H).density
+    assert res.bracket == (res.density, res.density)
+    assert volume_density(H, res.nodes) == res.density

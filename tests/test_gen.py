@@ -14,7 +14,7 @@ from hypercore import (
     random_hypergraph,
 )
 from hypercore.gen import oracle_k_core_sets
-from conftest import by_label, hg, with_wide_edge
+from conftest import by_label, hg, refuse_large_samples, with_wide_edge
 
 
 def test_forced_single_edge():
@@ -67,6 +67,37 @@ def test_pair_table_guard_before_any_draw(monkeypatch):
     # at the bound the request goes through (all edges have card_min members)
     monkeypatch.setattr(model, "PAIR_ROW_GUARD", 120)
     assert len(random_hypergraph(10, 20, 3, 3, 0).edges) == 20
+
+
+def test_drawn_cardinality_guarded_before_sampling(monkeypatch):
+    # card_min passes the guard; a drawn cardinality near 10**8 must not
+    refuse_large_samples(monkeypatch)
+    with pytest.raises(GuardError, match="pair-table guard: at least"):
+        random_hypergraph(10**8, 1, 2, 10**8 - 1, 0)
+    with pytest.raises(GuardError, match="pair-table guard: at least"):
+        random_hypergraph(10**6, 50, 2, 10**6, 3)
+
+
+def test_pair_row_guard_refuses_what_build_would(monkeypatch):
+    # under a tight guard a request is refused exactly when the unguarded
+    # draw has too many pair rows, and is otherwise drawn unchanged; a
+    # redrawn duplicate is not counted
+    rng = random.Random(0)
+    for seed in range(400):
+        n = rng.randint(3, 8)
+        card_min = rng.randint(2, n)
+        card_max = rng.randint(card_min, n)
+        m = rng.randint(1, min(6, math.comb(n, card_max)))
+        H = random_hypergraph(n, m, card_min, card_max, seed)
+        rows = sum(len(e) * (len(e) - 1) for e in H.edges)
+        for guard in (rows - 1, rows):
+            monkeypatch.setattr(model, "PAIR_ROW_GUARD", guard)
+            if guard < rows:
+                with pytest.raises(GuardError):
+                    random_hypergraph(n, m, card_min, card_max, seed)
+            else:
+                assert random_hypergraph(n, m, card_min, card_max, seed).edges == H.edges
+        monkeypatch.undo()
 
 
 def test_bad_cardinality_range():
