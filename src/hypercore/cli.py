@@ -122,9 +122,9 @@ def cmd_sir(args) -> int:
         H = diffusion.intervention_delete(H, ranked, args.delete_top_k)
         if args.seed_node is not None and args.seed_node not in H.label_to_id:
             raise InputError(f"seed node {args.seed_node!r} was deleted by --delete-top-k")
-        if H.n == 0:
-            print("hypergraph is empty after deletion", file=sys.stderr)
-            return 0
+    if H.n == 0:
+        print("hypergraph is empty: no node to seed", file=sys.stderr)
+        return 0
     cores = local_core(H).core
 
     if args.seed_node is not None:
@@ -158,7 +158,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _mean_sd(values: list[int]) -> tuple[float, float]:
+def _mean_sd(values: list[int]) -> tuple[float | None, float | None]:
+    """Mean and population sd; None for both when there is nothing to average."""
+    if not values:
+        return None, None
     mean = sum(values) / len(values)
     var = sum((x - mean) ** 2 for x in values) / len(values)
     return mean, math.sqrt(var)

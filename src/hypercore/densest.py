@@ -1,10 +1,11 @@
 """Volume-densest subhypergraph discovery.
 
 Three routes: a greedy peel by least residual neighbor count, which is core
-order, with a provable approximation factor, an exact method (Dinkelbach
-iteration on the density with an integer max-flow feasibility probe, whose
-negative answer is confirmed by enumeration whenever hyperedges share node
-pairs), and a subset-enumeration oracle for testing.
+order, with a provable approximation factor; an exact method; and a
+subset-enumeration oracle for testing.  The exact method runs Dinkelbach
+iteration over an integer max-flow probe on Goldberg's closure network when
+no node pair is shared by two hyperedges (d_pair = 1), reading each witness
+off the last BFS of the flow; with shared pairs it is the enumeration.
 
 All densities are exact rationals.  The flow probe scales every capacity by
 the denominator of the probed density so the network stays pure-integer;
@@ -15,7 +16,7 @@ makes floating point unsafe here.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -100,8 +101,9 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
                          "greedy", guarantee_factor(H))
 
 
-def _enumerate_optimum(H: Hypergraph) -> tuple[Fraction, int]:
-    """(max density, witness bitmask) over every non-empty node subset."""
+def brute_force_densest(H: Hypergraph) -> DensestResult:
+    """Exact optimum by enumerating every non-empty node subset (guarded);
+    ties go to the first optimal bitmask."""
     n = _node_count(H)
     if n > BRUTE_FORCE_NODE_GUARD:
         raise GuardError(f"enumeration guard: {n} nodes > {BRUTE_FORCE_NODE_GUARD}")
@@ -125,13 +127,7 @@ def _enumerate_optimum(H: Hypergraph) -> tuple[Fraction, int]:
         if density > best_density:
             best_density = density
             best_mask = mask
-    return best_density, best_mask
-
-
-def brute_force_densest(H: Hypergraph) -> DensestResult:
-    """Exact optimum by enumerating every non-empty node subset (guarded)."""
-    best_density, best_mask = _enumerate_optimum(H)
-    nodes = {v for v in range(H.n) if best_mask >> v & 1}
+    nodes = {v for v in range(n) if best_mask >> v & 1}
     return DensestResult(nodes, best_density, "brute", Fraction(1))
 
 
@@ -189,6 +185,9 @@ class _Dinic:
         return f
 
     def max_flow(self, s: int, t: int) -> int:
+        """The max-flow value.  The last, failed BFS leaves level[x] >= 0 on
+        exactly the nodes still reachable from s in the residual network:
+        the source side of the minimum cut, the smallest one there is."""
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
@@ -199,80 +198,52 @@ class _Dinic:
                 flow += f
         return flow
 
-    def min_cut_source_side(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
 
 def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[bool, set[int]]:
-    """Build the density-feasibility network at eta and solve it exactly.
+    """Solve Goldberg's closure network at eta = p/q exactly.
 
-    Returns (denser_exists, source_side_nodes).
-    The probe is one-sided in general: max-flow < sum of all neighbor counts
-    certifies that some subset beats density eta (the cut identity counts
-    each lost neighbor at least once, so the cut objective never exceeds the
-    true one).  The converse holds exactly when no node pair is shared by
-    two hyperedges; with shared pairs the edge-layer capacities charge a
-    lost neighbor once per shared hyperedge and the probe can miss denser
-    subsets, so callers must confirm negative answers independently.
+    Returns (denser_exists, witness).  The arcs are source -> hyperedge e at
+    |e|(|e|-1) q, e -> each member at total + 1 (more than the cut around the
+    source alone), and node -> sink at p, where total = sum |e|(|e|-1) q.
+    The max-flow is below total exactly when some S has
+    g(S) = sum over e inside S of |e|(|e|-1) > eta |S|; the witness is the
+    node part of the min cut's source side, read off the last BFS, and its g
+    exceeds eta times its size.  g counts each neighbor pair of the strongly
+    induced H[S] once per hyperedge that holds it, so when no node pair is
+    shared (d_pair = 1) g is the volume objective and the probe is exact both
+    ways.
     """
     n = H.n
-    m = len(H.edges)
     q = eta.denominator
     p = eta.numerator
-    # vertex ids: 0 = source, 1 = sink, 2..n+1 nodes, n+2..n+m+1 edge layer
-    net = _Dinic(n + m + 2)
-    s, t = 0, 1
-    total = 0
-    finite = 0
+    # vertex ids: 0 = source, 1 = sink, 2..n+1 nodes, n+2..n+m+1 hyperedges
+    net = _Dinic(n + len(H.edges) + 2)
+    weights = [len(e) * (len(e) - 1) * q for e in H.edges]
+    total = sum(weights)
+    for ei, e in enumerate(H.edges):
+        net.add_edge(0, n + 2 + ei, weights[ei])
+        for v in e:
+            net.add_edge(n + 2 + ei, 2 + v, total + 1)
     for v in range(n):
-        cap = H.neighbor_count(v) * q
-        net.add_edge(s, 2 + v, cap)
-        total += cap
-        finite += cap
-        net.add_edge(2 + v, t, p)
-        finite += p
-    for ei, e in enumerate(H.edges):
-        cap = (len(e) - 1) * q
-        for v in e:
-            net.add_edge(2 + v, n + 2 + ei, cap)
-            finite += cap
-    inf = finite + 1
-    for ei, e in enumerate(H.edges):
-        for v in e:
-            net.add_edge(n + 2 + ei, 2 + v, inf)
-    flow = net.max_flow(s, t)
-    side = net.min_cut_source_side(s)
-    nodes = {v for v in range(n) if 2 + v in side}
-    return flow < total, nodes
+        net.add_edge(2 + v, 1, p)
+    flow = net.max_flow(0, 1)
+    return flow < total, {v for v in range(n) if net.level[2 + v] >= 0}
 
 
 def exact_densest(H: Hypergraph) -> DensestResult:
     """Dinkelbach iteration on the density: start from all nodes, probe at
     the current density eta, and take the probe's min-cut witness, which is
-    strictly denser, as the next candidate.  The first negative probe ends
-    the loop.  eta only rises and there are finitely many subsets, so the
-    loop ends.
+    strictly denser, as the next candidate.  The first negative probe proves
+    eta optimal, so the result carries the closed bracket (eta, eta).  eta
+    only rises and there are finitely many subsets, so the loop ends.
 
-    A positive flow answer is always trustworthy.  A negative answer proves
-    eta optimal when no node pair is shared by two hyperedges, so the result
-    carries the closed bracket (eta, eta).  Otherwise the flow network
-    overcharges neighbors reachable through several hyperedges and can miss
-    denser subsets, so the negative answer is checked against the
-    subset-enumeration optimum.  That optimum is computed, or refused by the
-    brute-force oracle's node guard, before the first probe."""
+    The probe is exact only when no node pair is shared by two hyperedges.
+    Otherwise the answer is the subset-enumeration optimum, with no probe,
+    and an input of more than 20 nodes is refused by its guard."""
     n = _node_count(H)
-    enumerated: tuple[Fraction, set[int]] | None = None
     if H.d_pair > 1:
-        density, mask = _enumerate_optimum(H)
-        enumerated = (density, {v for v in range(n) if mask >> v & 1})
+        res = brute_force_densest(H)
+        return replace(res, method="exact", bracket=(res.density, res.density))
     best = set(range(n))
     eta = volume_density(H, best)
     probes = 0
@@ -283,6 +254,4 @@ def exact_densest(H: Hypergraph) -> DensestResult:
             break
         best = nodes
         eta = volume_density(H, best)
-    if enumerated is not None and enumerated[0] > eta:
-        eta, best = enumerated
     return DensestResult(best, eta, "exact", Fraction(1), bracket=(eta, eta), probes=probes)

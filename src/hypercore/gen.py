@@ -9,8 +9,8 @@ from itertools import accumulate
 
 from . import model
 from .model import GuardError, Hypergraph, InputError, build
-from .kdcore import kd_fixpoint_oracle
-from .peel import CoreAssignment, peel
+from .kdcore import degree_core, kd_fixpoint_oracle
+from .peel import CoreAssignment
 
 ORACLE_NODE_GUARD = 200
 
@@ -101,5 +101,6 @@ def clique_graph_core(H: Hypergraph) -> CoreAssignment:
     """Classical graph core numbers of the clique expansion (comparison baseline).
 
     With two-member edges strong induction is ordinary induction and a
-    node's neighbor count is its degree, so `peel` runs the graph core peel."""
-    return peel(clique_expansion(H))
+    node's neighbor count is its degree, so `degree_core` runs the graph core
+    peel, decrementing degrees instead of rebuilding neighbor sets."""
+    return degree_core(clique_expansion(H))

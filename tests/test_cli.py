@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypercore
 from hypercore import densest, model
 from hypercore.cli import main
+from hypercore.localcore import MAX_THREADS
 from conftest import refuse_large_samples
 
 FIG5 = "a b e\na c d\nc d e\n"
@@ -93,9 +98,8 @@ def test_decompose_clique(tmp_path, capsys):
                        "--stats", str(stats))
     assert code == 0
     assert out == "x\t2\na\t3\nb\t3\nc\t3\nd\t3\n"
-    # peel's counters on the expansion
-    counters = json.loads(stats.read_text())["counters"]
-    assert set(counters) == {"neighborhood_recomputations", "cell_updates"}
+    # degree_core on the expansion, which keeps no counters
+    assert json.loads(stats.read_text()) == {"algorithm": "clique", "counters": {}}
     lenient = tmp_path / "iso.hg"
     lenient.write_text("a b c\nz\n")
     code, out, _ = run(capsys, "decompose", str(lenient), "--algorithm", "clique", "--lenient")
@@ -298,3 +302,113 @@ def test_stats_json(fig_file, capsys):
     payload = json.loads(out)
     assert payload["nodes"] == 5 and payload["edges"] == 3
     assert payload["cardinality"]["mean"] == 3.0
+
+
+def test_sir_on_lenient_emptied_input(tmp_path, capsys):
+    # the only line is a dropped singleton, so no node is left to seed
+    p = tmp_path / "z.hg"
+    p.write_text("z\n")
+    code, out, err = run(capsys, "sir", str(p), "--lenient", "--beta", "0.5")
+    assert code == 0 and out == ""
+    assert err.count("\n") == 1 and "empty" in err
+
+
+def test_stats_on_lenient_emptied_input(tmp_path, capsys):
+    p = tmp_path / "z.hg"
+    p.write_text("z\n")
+    code, out, _ = run(capsys, "stats", str(p), "--lenient")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["nodes"], payload["edges"], payload["isolated_dropped"]) == (0, 0, 1)
+    for key in ("degree", "cardinality", "neighbors"):
+        assert payload[key] == {"mean": None, "sd": None}
+
+
+LABELS = [f"n{i}" for i in range(12)]
+
+
+@st.composite
+def hg_bytes(draw):
+    """Small .hg files: hyperedges on at most 12 labels, split by spaces or
+    tabs, among comments, blank lines, singletons and duplicates; half of
+    them hold only singletons, which --lenient leaves empty, and some hold a
+    byte that is not UTF-8."""
+    label = st.sampled_from(LABELS)
+    max_size = draw(st.sampled_from([1, 5]))
+    lines = []
+    for members in draw(st.lists(st.lists(label, min_size=1, max_size=max_size), max_size=8)):
+        kind = draw(st.sampled_from(["edge", "edge", "comment", "blank", "duplicate"]))
+        sep = draw(st.sampled_from([" ", "\t", " \t "]))
+        if kind == "comment":
+            lines.append("# " + sep.join(members))
+        elif kind == "blank":
+            lines.append(sep)
+        else:
+            lines.append(sep.join(members))
+            if kind == "duplicate":
+                lines.append(sep.join(reversed(members)))
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+# mostly values a run accepts, sometimes one it must refuse
+COUNT = st.one_of(st.integers(0, 5), st.sampled_from([-(2**70), -1, 2**70]))
+THREADS = st.one_of(st.integers(1, 4), st.integers(MAX_THREADS + 1, 2**70))
+BETA = st.one_of(st.sampled_from(["0", "0.25", "1"]),
+                 st.sampled_from(["nan", "inf", "-inf", "-0.5", "1e300"]))
+
+
+def optional(draw, **values):
+    """Each flag given a drawn value or left at its default, at random."""
+    argv = []
+    for name, strategy in values.items():
+        if draw(st.booleans()):
+            argv.append(f"--{name.replace('_', '-')}={draw(strategy)}")
+    return argv
+
+
+@st.composite
+def cli_argv(draw, path, out_path):
+    """A subcommand with well-typed, often extreme, flag values."""
+    command = draw(st.sampled_from(["decompose", "kdcore", "densest", "sir", "gen", "stats"]))
+    out = st.just(out_path)
+    if command == "gen":
+        size = st.integers(-3, 50)
+        return (["gen", f"--n={draw(size)}", f"--m={draw(size)}"]
+                + optional(draw, card_min=size, card_max=size, rng_seed=COUNT, out=out))
+    argv = [command, path] + optional(draw, out=out)
+    if draw(st.booleans()):
+        argv.append("--lenient")
+    if command == "decompose":
+        argv += ["--algorithm", draw(st.sampled_from(
+            ["peel", "epeel", "local", "naive-h", "degree", "clique"]))]
+        argv += optional(draw, threads=THREADS, stats=st.just(out_path + ".json"))
+    elif command == "densest":
+        argv += ["--method", draw(st.sampled_from(["greedy", "exact", "brute"]))]
+    elif command == "sir":
+        argv += [f"--beta={draw(BETA)}"] + optional(
+            draw, runs=COUNT.map(lambda r: min(r, 5)), rng_seed=COUNT, max_steps=COUNT,
+            delete_top_k=COUNT, seed_node=st.sampled_from(["n0", "n5", "absent"]),
+            aggregate_out=st.just(out_path + ".csv"))
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract(data):
+    # exit 0, 2 or 3 on any input and flags; a refusal is one error: line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.hg")
+        with open(path, "wb") as fh:
+            fh.write(data.draw(hg_bytes(), label="file"))
+        argv = data.draw(cli_argv(path, os.path.join(tmp, "out")), label="argv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

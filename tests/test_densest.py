@@ -159,18 +159,6 @@ def test_two_uniform_factor_is_two():
     assert greedy_densest(H).factor == 2
 
 
-def test_flow_probe_positive_answers_are_sound():
-    for seed in range(8):
-        H = random_hypergraph(6 + seed % 4, 9 + seed, 2, 4, seed)
-        opt = brute_force_densest(H).density
-        for eta in (opt - Fraction(1, 7), opt, opt + Fraction(1, 7)):
-            if eta <= 0:
-                continue
-            denser, nodes = _flow_probe(H, eta)
-            if denser:
-                assert volume_density(H, nodes) > eta, (seed, eta)
-
-
 def test_flow_probe_exact_without_shared_pairs():
     # pairwise-disjoint hyperedges: the flow answer is conclusive both ways
     H = hg("a b c\nd e\nf g h\n")
@@ -181,25 +169,37 @@ def test_flow_probe_exact_without_shared_pairs():
 
 
 def test_exact_handles_shared_pairs():
-    # two hyperedges sharing the pair {a, b}: the plain flow probe misses
-    # the optimum here, the exact search must not
+    # two hyperedges sharing the pair {a, b}: the closure network overcounts
+    # the pair, so the exact route answers by enumeration
     H = hg("a b c\na b d\na b e\nf g\n")
     assert exact_densest(H).density == brute_force_densest(H).density
 
 
+def test_exact_enumerates_shared_pairs_without_a_probe(fig_five, monkeypatch):
+    def refuse(H, eta):
+        raise AssertionError("exact_densest probed an input with shared pairs")
+
+    monkeypatch.setattr(densest, "_flow_probe", refuse)
+    assert fig_five.d_pair == 2
+    res = exact_densest(fig_five)
+    assert (res.density, res.probes, res.method) == (Fraction(16, 5), 0, "exact")
+    assert res.bracket == (res.density, res.density)
+
+
 def test_min_cut_edge_layer_is_strongly_induced(fig_five, monkeypatch):
-    # read the edge layer (network vertices n + 2 + ei) off the min cut itself
-    sides = []
-    source_side = densest._Dinic.min_cut_source_side
+    # read the edge layer (network vertices n + 2 + ei) off the min cut
+    # itself: the level the last BFS of max_flow left on each vertex
+    nets = []
+    max_flow = densest._Dinic.max_flow
 
-    def record(net, s):
-        sides.append(source_side(net, s))
-        return sides[-1]
+    def record(net, s, t):
+        nets.append(net)
+        return max_flow(net, s, t)
 
-    monkeypatch.setattr(densest._Dinic, "min_cut_source_side", record)
+    monkeypatch.setattr(densest._Dinic, "max_flow", record)
     _, nodes = _flow_probe(fig_five, Fraction(3))
     n = fig_five.n
-    edges = {ei for ei in range(len(fig_five.edges)) if n + 2 + ei in sides[0]}
+    edges = {ei for ei in range(len(fig_five.edges)) if nets[0].level[n + 2 + ei] >= 0}
     inside = {ei for ei, e in enumerate(fig_five.edges) if all(v in nodes for v in e)}
     assert edges == inside
 
@@ -286,6 +286,21 @@ def test_exact_matches_brute_without_shared_pairs(H):
     assert res.density == brute_force_densest(H).density
     assert res.bracket == (res.density, res.density)
     assert volume_density(H, res.nodes) == res.density
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs(shared_pair=False))
+def test_flow_probe_exact_on_pair_disjoint_inputs(H):
+    # d_pair = 1: the probe answers both ways, and a positive answer's
+    # witness is denser than eta
+    opt = brute_force_densest(H).density
+    for eta in (opt - Fraction(1, 7), opt, opt + Fraction(1, 7)):
+        if eta <= 0:
+            continue
+        denser, nodes = _flow_probe(H, eta)
+        assert denser == (opt > eta), eta
+        if denser:
+            assert volume_density(H, nodes) > eta, eta
 
 
 @settings(max_examples=100, deadline=None)

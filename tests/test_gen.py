@@ -171,10 +171,11 @@ def test_clique_core_differs_from_neighborhood_core():
 
 
 def test_clique_core_matches_oracle_on_expansion():
-    # graph cores straight from the definition, on the 2-uniform expansion
+    # graph cores straight from the definition, on the 2-uniform expansion;
+    # every other input adds a hyperedge of 8 to 12 members, a large clique
     for seed in range(40):
         H = random_hypergraph(10 + seed % 8, 12 + seed % 10, 2, 4, seed)
-        if seed % 3 == 0:
+        if seed % 2 == 0:
             H = with_wide_edge(H, seed)
         G = clique_expansion(H)
         assert clique_graph_core(H).core == naive_core_oracle(G).core, seed
