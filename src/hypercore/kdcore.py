@@ -58,29 +58,40 @@ def _descending_prefixes(values: np.ndarray, kmax: int) -> tuple[list[int], list
     return order.tolist(), ends.tolist()
 
 
-def _degree_peel_level(R: Residual, vk: Iterable[int], k: int) -> dict[int, int]:
+def _degree_peel_level(R: Residual, vk: Iterable[int], k: int,
+                       counters: dict[str, int] | None = None) -> dict[int, int]:
     """Degree-peel the residual R on its nodes vk; a neighbor that would drop
     below k residual neighbors is kept at the current level instead of
-    moving up."""
+    moving up.  `counters`, if given, receives the level's work: one
+    `cell_updates` per recounted neighbor, as in `peel`, and one
+    `neighborhood_recomputations` per early-stopping `has_neighbors` check."""
     B = BucketQueue(R.H.n)
     for v in vk:
         B.put(v, R.degree[v])
     dvals: dict[int, int] = {}
+    updates = checks = 0
     while (popped := B.pop_min()) is not None:
         d, v = popped
         dvals[v] = d
         for u in R.delete(v):
+            updates += 1
             # a degree at or below d moves u to d whatever its neighbor count
-            up = R.degree[u] > d and R.has_neighbors(u, k)
-            B.put(u, R.degree[u] if up else d)
+            if R.degree[u] > d:
+                checks += 1
+                B.put(u, R.degree[u] if R.has_neighbors(u, k) else d)
+            else:
+                B.put(u, d)
+    if counters is not None:
+        counters.update(neighborhood_recomputations=checks, cell_updates=updates)
     return dvals
 
 
 def degree_core(H: Hypergraph) -> CoreAssignment:
     """Exact degree-based core numbers: level 1 of the (k,d)-decomposition,
     where every node with a live hyperedge has a residual neighbor."""
-    dvals = _degree_peel_level(Residual(H), range(H.n), 1)
-    return CoreAssignment([dvals[v] for v in range(H.n)], {})
+    counters: dict[str, int] = {}
+    dvals = _degree_peel_level(Residual(H), range(H.n), 1, counters)
+    return CoreAssignment([dvals[v] for v in range(H.n)], counters)
 
 
 def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
