@@ -80,8 +80,8 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     n = _node_count(H)
     R = Residual(H)
     B = BucketQueue(n)
-    for v in range(n):
-        B.put(v, H.neighbor_count(v))
+    for v, count in enumerate(R.count):
+        B.put(v, count)
     total = H.nbr_offsets[-1]  # sum of the residual neighbor counts
     best_total, best_alive = total, n
     deleted: list[int] = []  # deletion order
@@ -91,7 +91,7 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
         deleted.append(v)
         total -= key
         for u in R.delete(v):
-            count = len(R.neighbors(u))
+            count = R.count[u]
             total += count - B.key[u]
             B.put(u, count)
         alive = n - len(deleted)

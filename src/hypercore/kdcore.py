@@ -88,9 +88,11 @@ def _degree_peel_level(R: Residual, vk: Iterable[int], k: int,
 
 def degree_core(H: Hypergraph) -> CoreAssignment:
     """Exact degree-based core numbers: level 1 of the (k,d)-decomposition,
-    where every node with a live hyperedge has a residual neighbor."""
+    where every node with a live hyperedge has a residual neighbor.  Like
+    every level, it peels a residual built from its hyperedges, which keeps
+    no live pair counts: the degree peel never reads them."""
     counters: dict[str, int] = {}
-    dvals = _degree_peel_level(Residual(H), range(H.n), 1, counters)
+    dvals = _degree_peel_level(Residual(H, range(len(H.edges))), range(H.n), 1, counters)
     return CoreAssignment([dvals[v] for v in range(H.n)], counters)
 
 

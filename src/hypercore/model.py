@@ -9,6 +9,7 @@ table maps them back to the input tokens in first-seen order.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
@@ -196,13 +197,23 @@ class Residual:
     liveness is decided once per hyperedge instead of by a member scan per
     query, and building the residual costs the members of `edges` alone.
 
+    Over all of H it also keeps live pair counts, bucket-style as in
+    Batagelj and Zaversnik (2003): a dying hyperedge decrements each of its
+    ordered member pairs' groups, and a group that reaches 0 decrements its
+    node's neighbor count, so a recount is one read.  A residual from
+    `edges` keeps none (both are None): kd builds one per level, and the
+    upkeep there would cost the pair rows of every level.
+
     Attributes:
         alive: node -> still in the residual.
         live: hyperedge -> every member still alive.
         degree: node -> number of live hyperedges containing it.
+        count: node -> number of residual neighbors (over all of H only).
+        gcount: pair group g (a position in H.nbr_flat) -> number of live
+            hyperedges holding the pair (over all of H only).
     """
 
-    __slots__ = ("H", "alive", "live", "degree")
+    __slots__ = ("H", "alive", "live", "degree", "count", "gcount")
 
     def __init__(self, H: Hypergraph, edges: Iterable[int] | None = None):
         self.H = H
@@ -211,25 +222,18 @@ class Residual:
             self.alive = [True] * H.n
             self.live = [True] * len(H.edges)
             self.degree = np.diff(H.inc_offsets).tolist()
+            self.count = np.diff(H.nbr_offsets).tolist()
+            self.gcount = np.diff(H.pair_starts, append=len(H.pair_edge)).tolist()
             return
         self.alive = alive = [False] * H.n
         self.live = live = [False] * len(H.edges)
         self.degree = degree = [0] * H.n
+        self.count = self.gcount = None
         for ei in edges:
             live[ei] = True
             for u in H.edges[ei]:
                 alive[u] = True
                 degree[u] += 1
-
-    def neighbors(self, v: int) -> set[int]:
-        """Union of v's live hyperedges, without v."""
-        H, live = self.H, self.live
-        out: set[int] = set()
-        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
-            if live[ei]:
-                out.update(H.edges[ei])
-        out.discard(v)
-        return out
 
     def has_neighbors(self, v: int, k: int) -> bool:
         """Whether v has at least k residual neighbors.  The union stops
@@ -247,7 +251,8 @@ class Residual:
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""
-        H, live, degree = self.H, self.live, self.degree
+        H, live, degree, count, gcount = self.H, self.live, self.degree, self.count, self.gcount
+        flat, offsets = H.nbr_flat, H.nbr_offsets
         out: set[int] = set()
         for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
             if live[ei]:
@@ -256,6 +261,17 @@ class Residual:
                 out.update(e)
                 for u in e:
                     degree[u] -= 1
+                if count is None:
+                    continue
+                for u in e:
+                    # u's neighbor range is sorted, and so is e
+                    lo, hi = offsets[u], offsets[u + 1]
+                    for w in e:
+                        if w != u:
+                            lo = bisect_left(flat, w, lo, hi)
+                            gcount[lo] -= 1
+                            if not gcount[lo]:
+                                count[u] -= 1
         out.discard(v)
         self.alive[v] = False
         return out

@@ -2,11 +2,12 @@
 
 Both run one loop, `_peel`, over a `model.Residual`: Peel starts every node
 at its exact neighbor count, E-Peel at the local lower bound and defers the
-recount until the node is popped.  Counts are recomputed against the
-surviving hypergraph (deleting a node can drop a neighbor's count by more
-than one, so decrement-by-one graph peeling does not apply).  The
-`neighborhood_recomputations` counter tracks exactly those residual
-recomputations, which is what makes E-Peel's work ratio measurable.
+recount until the node is popped.  A recount reads the residual's live
+neighbor count, which `Residual.delete` keeps per node pair: deleting a node
+can drop a neighbor's count by more than one, or by none while another live
+hyperedge still holds the pair, so decrement-by-one graph peeling does not
+apply.  The `neighborhood_recomputations` counter tracks exactly those
+residual recounts, which is what makes E-Peel's work ratio measurable.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from .model import Hypergraph, Residual
 
@@ -77,30 +80,31 @@ class BucketQueue:
 
 def local_lower_bound(H: Hypergraph, v: int) -> int:
     """max(|e_m(v)| - 1, min_u |N(u)|): guaranteed <= c(v)."""
-    return max(_max_incident_card(H, v) - 1, _min_neighbor_count(H))
+    H._check_node(v)
+    return int(_lower_bounds(H)[v])
 
 
-def _max_incident_card(H: Hypergraph, v: int) -> int:
-    return max(len(H.edges[ei]) for ei in H.incident_edges(v))
-
-
-def _min_neighbor_count(H: Hypergraph) -> int:
-    return min((H.neighbor_count(u) for u in range(H.n)), default=0)
+def _lower_bounds(H: Hypergraph) -> np.ndarray:
+    """The local lower bound of every node: its largest incident
+    cardinality less one, or the least neighbor count if that is larger."""
+    if not H.n:
+        return np.zeros(0, dtype=np.int64)
+    cards = np.diff(H.edge_starts, append=len(H.edge_flat))
+    largest = np.maximum.reduceat(cards[H.inc_flat], H.inc_offsets[:-1])
+    return np.maximum(largest - 1, np.diff(H.nbr_offsets).min())
 
 
 def peel(H: Hypergraph) -> CoreAssignment:
     """Exact neighborhood core numbers by processing nodes in increasing
     residual neighborhood size."""
-    return _peel(H, [H.neighbor_count(v) for v in range(H.n)], bounded=False)
+    return _peel(H, np.diff(H.nbr_offsets).tolist(), bounded=False)
 
 
 def e_peel(H: Hypergraph) -> CoreAssignment:
     """Peel with the local lower bound: neighbors still sitting on their bound
     are not recomputed or moved, so the recomputation counter never exceeds
     peel's on the same input."""
-    min_nbr = _min_neighbor_count(H)
-    keys = [max(_max_incident_card(H, v) - 1, min_nbr) for v in range(H.n)]
-    return _peel(H, keys, bounded=True)
+    return _peel(H, _lower_bounds(H).tolist(), bounded=True)
 
 
 def _peel(H: Hypergraph, keys: list[int], bounded: bool) -> CoreAssignment:
@@ -128,7 +132,7 @@ def _peel(H: Hypergraph, keys: list[int], bounded: bool) -> CoreAssignment:
             recount = [u for u in R.delete(v) if not on_bound[u]]
             counters["neighborhood_recomputations"] += 1
         for u in recount:
-            B.put(u, max(len(R.neighbors(u)), k))
+            B.put(u, max(R.count[u], k))
         counters["neighborhood_recomputations"] += len(recount)
         counters["cell_updates"] += len(recount)
     return CoreAssignment(core, counters)

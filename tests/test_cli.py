@@ -297,6 +297,26 @@ def test_gen_pair_table_guard_exit_code(capsys, monkeypatch):
     assert err == "error: pair-table guard: at least 120 pair rows > 100\n"
 
 
+@pytest.mark.parametrize("algorithm, counter_keys", [
+    ("peel", {"neighborhood_recomputations", "cell_updates"}),
+    ("epeel", {"neighborhood_recomputations", "cell_updates"}),
+    ("local", {"h_operator_evals"}),
+    ("naive-h", {"rounds"}),
+    ("degree", {"neighborhood_recomputations", "cell_updates"}),
+    ("clique", {"neighborhood_recomputations", "cell_updates"}),
+])
+def test_decompose_on_lenient_emptied_input(tmp_path, capsys, algorithm, counter_keys):
+    # the only line is a dropped singleton, so every route sees no node at all
+    p = tmp_path / "z.hg"
+    p.write_text("z\n")
+    stats = tmp_path / "stats.json"
+    code, out, _ = run(capsys, "decompose", str(p), "--algorithm", algorithm, "--lenient",
+                       "--stats", str(stats))
+    assert code == 0 and out == "z\t0\n"
+    payload = json.loads(stats.read_text())
+    assert payload["algorithm"] == algorithm and set(payload["counters"]) == counter_keys
+
+
 def test_stats_json(fig_file, capsys):
     code, out, _ = run(capsys, "stats", fig_file)
     assert code == 0

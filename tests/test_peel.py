@@ -1,6 +1,18 @@
-from hypercore import e_peel, local_lower_bound, naive_core_oracle, peel, random_hypergraph
+from fractions import Fraction
+
+import pytest
+
+from hypercore import (
+    Hypergraph,
+    e_peel,
+    greedy_densest,
+    local_lower_bound,
+    naive_core_oracle,
+    peel,
+    random_hypergraph,
+)
 from hypercore.peel import BucketQueue
-from conftest import by_label, hg
+from conftest import by_label, hg, with_wide_edge
 
 
 def test_single_pair_edge():
@@ -72,6 +84,38 @@ def test_counters_on_deferring_fixture():
     H = hg("x a\na b c\na b d\na c d\nb c d\n")
     assert peel(H).counters == {"neighborhood_recomputations": 16, "cell_updates": 6}
     assert e_peel(H).counters == {"neighborhood_recomputations": 15, "cell_updates": 10}
+
+
+# Larger inputs with shared node pairs (d_pair > 1), one with a wide edge:
+# (peel counters, e-peel counters, labels greedy drops or keeps, its density).
+PINNED_WORK = [
+    (lambda: random_hypergraph(80, 110, 2, 4, 21), (361, 201), (353, 273),
+     ("drops", {"11", "15", "23", "26", "29", "32", "42", "72"}), Fraction(307, 36)),
+    (lambda: random_hypergraph(100, 140, 2, 4, 23), (471, 273), (466, 367),
+     ("drops", {"19", "24", "31", "51", "59", "64", "99"}), Fraction(212, 23)),
+    (lambda: with_wide_edge(random_hypergraph(50, 60, 2, 4, 25), 25), (230, 130), (183, 133),
+     ("keeps", {"0", "1", "3", "5", "17", "20", "33", "42", "43", "48", "49"}), Fraction(10)),
+]
+
+
+@pytest.mark.parametrize("make, peel_work, epeel_work, greedy_nodes, greedy_density",
+                         PINNED_WORK, ids=["shared-pairs-a", "shared-pairs-b", "wide-edge"])
+def test_work_pinned_on_larger_inputs(make, peel_work, epeel_work, greedy_nodes, greedy_density):
+    H = make()
+    assert H.d_pair > 1
+    for route, (recomputations, updates) in ((peel, peel_work), (e_peel, epeel_work)):
+        assert route(H).counters == {"neighborhood_recomputations": recomputations,
+                                     "cell_updates": updates}
+    g = greedy_densest(H)
+    kept = {H.labels[v] for v in g.nodes}
+    side, labels = greedy_nodes
+    assert (kept if side == "keeps" else set(H.labels) - kept) == labels
+    assert g.density == greedy_density
+
+
+def test_empty_hypergraph():
+    H = Hypergraph([], [])
+    assert peel(H).core == [] and e_peel(H).core == []
 
 
 def test_core_containment(fig_five):
