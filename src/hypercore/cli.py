@@ -15,6 +15,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 
 from . import diffusion, gen, kdcore, densest as densest_mod
 from .localcore import MAX_THREADS, LocalCoreOptions, local_core, naive_graph_h_index
@@ -127,27 +128,26 @@ def cmd_sir(args) -> int:
         return 0
     cores = local_core(H).core
 
-    if args.seed_node is not None:
-        seeds = [H.label_to_id[args.seed_node]] * args.runs
-    else:
-        rng = random.Random(args.rng_seed)
-        seeds = [rng.randrange(H.n) for _ in range(args.runs)]
-
-    per_core: dict[int, list[int]] = {}
+    rng = random.Random(args.rng_seed)
+    fixed = None if args.seed_node is None else H.label_to_id[args.seed_node]
+    runs: Counter[int] = Counter()  # seed core -> runs
+    spread: Counter[int] = Counter()  # seed core -> summed spread
     with _output(args.out) as out:
         out.write("run\tseed\tcore\tspread\n")
-        for i, s in enumerate(seeds):
+        for i in range(args.runs):
+            # each run draws its seed as it starts, so --runs allocates nothing
+            s = rng.randrange(H.n) if fixed is None else fixed
             outcome = diffusion.sir_run(
                 H, s, args.beta, max_steps=args.max_steps, rng_seed=args.rng_seed + i)
             out.write(f"{i}\t{H.labels[s]}\t{cores[s]}\t{outcome.spread}\n")
-            per_core.setdefault(cores[s], []).append(outcome.spread)
+            runs[cores[s]] += 1
+            spread[cores[s]] += outcome.spread
     if args.aggregate_out:
         with open(args.aggregate_out, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["core", "runs", "mean_spread"])
-            for c in sorted(per_core):
-                vals = per_core[c]
-                w.writerow([c, len(vals), sum(vals) / len(vals)])
+            for c in sorted(runs):
+                w.writerow([c, runs[c], spread[c] / runs[c]])
     return 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import accumulate
 
 from . import model
@@ -28,6 +29,8 @@ def random_hypergraph(
         raise InputError(f"need 2 <= card_min <= card_max <= n, got ({card_min},{card_max},{n})")
     if m < 1:
         raise InputError("m must be >= 1")
+    if n > sys.maxsize:  # random.sample cannot draw from a longer range
+        raise InputError(f"n must be <= {sys.maxsize}, got {n}")
     # stop at m: the whole sum for a wide cardinality range takes minutes
     for distinct in accumulate(math.comb(n, c) for c in range(card_min, card_max + 1)):
         if distinct >= m:

@@ -1,16 +1,19 @@
 """(neighborhood, degree)-core decomposition and the degree-core baseline.
 
 The hybrid algorithm first computes neighborhood core numbers c, then for
-each level k degree-peels the strong k-core on a `model.Residual`: a popped
-node's secondary value d_k is the level at which it leaves the bucket queue.
-The membership rule C(k,d) = {v : d_k(v) >= d} reproduces the definitional
-fixpoint.  Degree-core numbers are level 1 of the same peel.
+each level k degree-peels the strong k-core: a popped node's secondary value
+d_k is the level at which it leaves the bucket queue.  The membership rule
+C(k,d) = {v : d_k(v) >= d} reproduces the definitional fixpoint.
+Degree-core numbers are level 1 of the same peel.
 
-Level k starts from its own hyperedges only.  E_k, the hyperedges whose
-members all have c >= k, is a prefix of the hyperedges sorted once by
-descending minimum member core, and for k >= 1 its members are exactly
-V_k = {v : c(v) >= k}, a prefix of the nodes sorted by descending core.  A
-level therefore costs its own hyperedges, not all of H's.
+A level keeps its own live-edge and degree lists, and no pair counts: the
+degree peel reads a node's neighbor count only to compare it with k, which
+`_has_neighbors` answers with a union that stops growing early.  Level k
+starts from its own hyperedges only.  E_k, the hyperedges whose members all
+have c >= k, is a prefix of the hyperedges sorted once by descending minimum
+member core, and for k >= 1 its members are exactly V_k = {v : c(v) >= k},
+a prefix of the nodes sorted by descending core.  A level therefore costs
+its own hyperedges, not all of H's.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Hypergraph, Residual
+from .model import Hypergraph
 from .peel import BucketQueue, CoreAssignment
 from .localcore import local_core
 
@@ -30,6 +33,8 @@ class KDCoreResult:
     kmax: int
     # levels[k] maps surviving node -> d_k(v), for k in [1, kmax]
     levels: dict[int, dict[int, int]] = field(default_factory=dict)
+    # the levels' work, summed: see _degree_peel_level
+    counters: dict[str, int] = field(default_factory=dict)
 
     def core_members(self, k: int, d: int) -> set[int]:
         return {v for v, dv in self.levels.get(k, {}).items() if dv >= d}
@@ -38,15 +43,17 @@ class KDCoreResult:
 def kd_decompose(H: Hypergraph) -> KDCoreResult:
     cores = local_core(H).core
     kmax = max(cores, default=0)
-    result = KDCoreResult(kmax=kmax)
+    result = KDCoreResult(kmax, counters={"neighborhood_recomputations": 0, "cell_updates": 0})
     core = np.array(cores, dtype=np.int64)
     # the least member core of each hyperedge: e is in E_k iff it is >= k
     low = np.minimum.reduceat(core[H.edge_flat], H.edge_starts) if H.edges else core[:0]
     nodes, node_ends = _descending_prefixes(core, kmax)
     edges, edge_ends = _descending_prefixes(low, kmax)
     for k in range(1, kmax + 1):
-        R = Residual(H, edges[: edge_ends[k]])
-        result.levels[k] = _degree_peel_level(R, nodes[: node_ends[k]], k)
+        result.levels[k], counters = _degree_peel_level(
+            H, edges[: edge_ends[k]], nodes[: node_ends[k]], k)
+        for key, value in counters.items():
+            result.counters[key] += value
     return result
 
 
@@ -58,41 +65,67 @@ def _descending_prefixes(values: np.ndarray, kmax: int) -> tuple[list[int], list
     return order.tolist(), ends.tolist()
 
 
-def _degree_peel_level(R: Residual, vk: Iterable[int], k: int,
-                       counters: dict[str, int] | None = None) -> dict[int, int]:
-    """Degree-peel the residual R on its nodes vk; a neighbor that would drop
-    below k residual neighbors is kept at the current level instead of
-    moving up.  `counters`, if given, receives the level's work: one
-    `cell_updates` per recounted neighbor, as in `peel`, and one
-    `neighborhood_recomputations` per early-stopping `has_neighbors` check."""
-    B = BucketQueue(R.H.n)
+def _degree_peel_level(H: Hypergraph, edges: Iterable[int], vk: Iterable[int],
+                       k: int) -> tuple[dict[int, int], dict[str, int]]:
+    """Degree-peel the hyperedges `edges`, strongly induced on their members,
+    on the nodes vk; a neighbor that would drop below k residual neighbors
+    is kept at the current level instead of moving up.  Returns d_k per
+    node and the level's work: one `cell_updates` per recounted neighbor,
+    as in `peel`, and one `neighborhood_recomputations` per early-stopping
+    `_has_neighbors` check."""
+    live = [False] * len(H.edges)
+    degree = [0] * H.n
+    for ei in edges:
+        live[ei] = True
+        for u in H.edges[ei]:
+            degree[u] += 1
+    B = BucketQueue(H.n)
     for v in vk:
-        B.put(v, R.degree[v])
+        B.put(v, degree[v])
     dvals: dict[int, int] = {}
     updates = checks = 0
     while (popped := B.pop_min()) is not None:
         d, v = popped
         dvals[v] = d
-        for u in R.delete(v):
+        # kill v's live hyperedges; their members are the nodes to recount
+        changed: set[int] = set()
+        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
+            if live[ei]:
+                live[ei] = False
+                e = H.edges[ei]
+                changed.update(e)
+                for u in e:
+                    degree[u] -= 1
+        changed.discard(v)
+        for u in changed:
             updates += 1
             # a degree at or below d moves u to d whatever its neighbor count
-            if R.degree[u] > d:
+            if degree[u] > d:
                 checks += 1
-                B.put(u, R.degree[u] if R.has_neighbors(u, k) else d)
+                B.put(u, degree[u] if _has_neighbors(H, live, u, k) else d)
             else:
                 B.put(u, d)
-    if counters is not None:
-        counters.update(neighborhood_recomputations=checks, cell_updates=updates)
-    return dvals
+    return dvals, {"neighborhood_recomputations": checks, "cell_updates": updates}
+
+
+def _has_neighbors(H: Hypergraph, live: list[bool], v: int, k: int) -> bool:
+    """Whether v has at least k neighbors through its live hyperedges.  The
+    union stops growing once it holds more than k nodes, v among them."""
+    out: set[int] = set()
+    for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
+        if live[ei]:
+            out.update(H.edges[ei])
+            if len(out) > k:
+                return True
+    out.discard(v)
+    return len(out) >= k
 
 
 def degree_core(H: Hypergraph) -> CoreAssignment:
     """Exact degree-based core numbers: level 1 of the (k,d)-decomposition,
-    where every node with a live hyperedge has a residual neighbor.  Like
-    every level, it peels a residual built from its hyperedges, which keeps
-    no live pair counts: the degree peel never reads them."""
-    counters: dict[str, int] = {}
-    dvals = _degree_peel_level(Residual(H, range(len(H.edges))), range(H.n), 1, counters)
+    where every node with a live hyperedge has a residual neighbor, so the
+    peel runs over all of H's hyperedges."""
+    dvals, counters = _degree_peel_level(H, range(len(H.edges)), range(H.n), 1)
     return CoreAssignment([dvals[v] for v in range(H.n)], counters)
 
 

@@ -12,7 +12,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,8 +168,9 @@ class Hypergraph:
     def residual_neighbors(self, v: int, alive: Sequence[bool]) -> set[int]:
         """Neighbors of v among edges whose members are all alive.
 
-        The definitional member scan, kept for the oracles and checks; the
-        peeling loops track liveness incrementally in `Residual`.
+        The definitional member scan, kept for the oracles and checks.  Peel,
+        e-peel and greedy track liveness incrementally in `Residual`, and
+        the (k,d) degree peel in its own live-edge list.
         """
         out: set[int] = set()
         inc = self.inc_flat
@@ -188,70 +189,34 @@ class Hypergraph:
 
 
 class Residual:
-    """A residual subhypergraph of H, as peeling shrinks it.
+    """The residual of H as peeling deletes its nodes, with live pair counts.
 
-    It starts from `edges` (default: every hyperedge of H), all live, on the
-    nodes that are their members.  Callers pass a set that is strongly
-    induced on its members, such as the hyperedges whose members all have
-    core number >= k.  A hyperedge dies with its first deleted member, so
-    liveness is decided once per hyperedge instead of by a member scan per
-    query, and building the residual costs the members of `edges` alone.
-
-    Over all of H it also keeps live pair counts, bucket-style as in
-    Batagelj and Zaversnik (2003): a dying hyperedge decrements each of its
-    ordered member pairs' groups, and a group that reaches 0 decrements its
-    node's neighbor count, so a recount is one read.  A residual from
-    `edges` keeps none (both are None): kd builds one per level, and the
-    upkeep there would cost the pair rows of every level.
+    It starts as all of H.  A hyperedge dies with its first deleted member,
+    so liveness is decided once per hyperedge instead of by a member scan
+    per query.  Live pair counts are kept bucket-style, as in Batagelj and
+    Zaversnik (2003): a dying hyperedge decrements each of its ordered
+    member pairs' groups, and a group that reaches 0 decrements its node's
+    neighbor count, so a recount is one read.
 
     Attributes:
-        alive: node -> still in the residual.
         live: hyperedge -> every member still alive.
-        degree: node -> number of live hyperedges containing it.
-        count: node -> number of residual neighbors (over all of H only).
+        count: node -> number of residual neighbors.
         gcount: pair group g (a position in H.nbr_flat) -> number of live
-            hyperedges holding the pair (over all of H only).
+            hyperedges holding the pair.
     """
 
-    __slots__ = ("H", "alive", "live", "degree", "count", "gcount")
+    __slots__ = ("H", "live", "count", "gcount")
 
-    def __init__(self, H: Hypergraph, edges: Iterable[int] | None = None):
+    def __init__(self, H: Hypergraph):
         self.H = H
-        if edges is None:
-            # a Hypergraph has no isolated node, so every node is alive
-            self.alive = [True] * H.n
-            self.live = [True] * len(H.edges)
-            self.degree = np.diff(H.inc_offsets).tolist()
-            self.count = np.diff(H.nbr_offsets).tolist()
-            self.gcount = np.diff(H.pair_starts, append=len(H.pair_edge)).tolist()
-            return
-        self.alive = alive = [False] * H.n
-        self.live = live = [False] * len(H.edges)
-        self.degree = degree = [0] * H.n
-        self.count = self.gcount = None
-        for ei in edges:
-            live[ei] = True
-            for u in H.edges[ei]:
-                alive[u] = True
-                degree[u] += 1
-
-    def has_neighbors(self, v: int, k: int) -> bool:
-        """Whether v has at least k residual neighbors.  The union stops
-        growing once it holds more than k nodes, v among them."""
-        H, live = self.H, self.live
-        out: set[int] = set()
-        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
-            if live[ei]:
-                out.update(H.edges[ei])
-                if len(out) > k:
-                    return True
-        out.discard(v)
-        return len(out) >= k
+        self.live = [True] * len(H.edges)
+        self.count = np.diff(H.nbr_offsets).tolist()
+        self.gcount = np.diff(H.pair_starts, append=len(H.pair_edge)).tolist()
 
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""
-        H, live, degree, count, gcount = self.H, self.live, self.degree, self.count, self.gcount
+        H, live, count, gcount = self.H, self.live, self.count, self.gcount
         flat, offsets = H.nbr_flat, H.nbr_offsets
         out: set[int] = set()
         for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
@@ -259,10 +224,6 @@ class Residual:
                 live[ei] = False
                 e = H.edges[ei]
                 out.update(e)
-                for u in e:
-                    degree[u] -= 1
-                if count is None:
-                    continue
                 for u in e:
                     # u's neighbor range is sorted, and so is e
                     lo, hi = offsets[u], offsets[u + 1]
@@ -273,7 +234,6 @@ class Residual:
                             if not gcount[lo]:
                                 count[u] -= 1
         out.discard(v)
-        self.alive[v] = False
         return out
 
 

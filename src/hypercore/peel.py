@@ -1,13 +1,14 @@
 """Bucket-based peeling decomposition: Peel and the bounded variant E-Peel.
 
-Both run one loop, `_peel`, over a `model.Residual`: Peel starts every node
-at its exact neighbor count, E-Peel at the local lower bound and defers the
-recount until the node is popped.  A recount reads the residual's live
-neighbor count, which `Residual.delete` keeps per node pair: deleting a node
-can drop a neighbor's count by more than one, or by none while another live
-hyperedge still holds the pair, so decrement-by-one graph peeling does not
-apply.  The `neighborhood_recomputations` counter tracks exactly those
-residual recounts, which is what makes E-Peel's work ratio measurable.
+Both run one loop, `_peel`, over `model.Residual(H)`, the residual of all
+of H with live pair counts: Peel starts every node at its exact neighbor
+count, E-Peel at the local lower bound and defers the recount until the
+node is popped.  A recount reads the residual's live neighbor count, which
+`Residual.delete` keeps per node pair: deleting a node can drop a
+neighbor's count by more than one, or by none while another live hyperedge
+still holds the pair, so decrement-by-one graph peeling does not apply.
+The `neighborhood_recomputations` counter tracks exactly those residual
+recounts, which is what makes E-Peel's work ratio measurable.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypercore
-from hypercore import densest, model
+from hypercore import densest, diffusion, model
 from hypercore.cli import main
 from hypercore.localcore import MAX_THREADS
 from conftest import refuse_large_samples
@@ -187,6 +188,47 @@ def test_sir_runs_and_aggregate(fig_file, tmp_path, capsys):
     assert agg.read_text().splitlines()[0] == "core,runs,mean_spread"
 
 
+def test_sir_random_seeds_pinned(fig_file, tmp_path, capsys):
+    # without --seed-node each run draws its seed from random.Random(3)
+    agg = tmp_path / "agg.csv"
+    code, out, _ = run(capsys, "sir", fig_file, "--beta", "0.5", "--runs", "5",
+                       "--rng-seed", "3", "--aggregate-out", str(agg))
+    assert code == 0
+    assert out == ("run\tseed\tcore\tspread\n0\tb\t2\t5\n1\td\t2\t5\n2\td\t2\t5\n"
+                   "3\tb\t2\t2\n4\te\t2\t1\n")
+    assert agg.read_bytes() == b"core,runs,mean_spread\r\n2,5,3.6\r\n"
+
+
+class _ThirdRun(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed_flags", [(), ("--seed-node", "a")])
+def test_sir_runs_start_before_all_seeds_are_drawn(fig_file, capsys, monkeypatch, seed_flags):
+    # a run starts without a seed list of --runs entries: the third run is
+    # reached, and at most a few seeds are drawn before it
+    sir_run, calls = diffusion.sir_run, []
+
+    def third_raises(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise _ThirdRun
+        return sir_run(*args, **kwargs)
+
+    randrange, draws = random.Random.randrange, []
+
+    def bounded(rng, *args, **kwargs):
+        draws.append(args)
+        if len(draws) > 1000:
+            raise AssertionError("drew more than 1000 seeds")
+        return randrange(rng, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "sir_run", third_raises)
+    monkeypatch.setattr(random.Random, "randrange", bounded)
+    with pytest.raises(_ThirdRun):
+        main(["sir", fig_file, "--beta", "0.5", "--runs", str(10**15), *seed_flags])
+
+
 def test_sir_unknown_seed(fig_file, capsys):
     code, _, err = run(capsys, "sir", fig_file, "--seed-node", "zz", "--beta", "0.5")
     assert code == 2
@@ -281,6 +323,12 @@ def test_gen_wide_cardinality_range_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "gen", "--n", "100000000", "--m", "1", "--card-max", "99999999")
     assert code == 3 and out == ""
     assert err.startswith("error: pair-table guard: at least") and err.count("\n") == 1
+
+
+def test_gen_node_count_beyond_maxsize_refused(capsys):
+    code, out, err = run(capsys, "gen", "--n", str(2**70), "--m", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: n must be <= {sys.maxsize}, got {2**70}\n"
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -397,7 +445,7 @@ def cli_argv(draw, path, out_path):
     command = draw(st.sampled_from(["decompose", "kdcore", "densest", "sir", "gen", "stats"]))
     out = st.just(out_path)
     if command == "gen":
-        size = st.integers(-3, 50)
+        size = st.one_of(st.integers(-3, 50), st.just(2**70))
         return (["gen", f"--n={draw(size)}", f"--m={draw(size)}"]
                 + optional(draw, card_min=size, card_max=size, rng_seed=COUNT, out=out))
     argv = [command, path] + optional(draw, out=out)

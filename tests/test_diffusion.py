@@ -134,13 +134,21 @@ def test_expected_spread_guard():
         sir_expected_spread(H, 0, Fraction(1, 2))
 
 
+# a 4-cycle: a b, a c, b d, c d.  From a at beta 1/2, b and c are each
+# infected with probability 1/2; if both are, both attack d in the same
+# step, and d falls with probability 3/4.  The expected spread is 41/16.
+CYCLE4 = "a b\na c\nb d\nc d\n"
+
+
 def test_monte_carlo_matches_enumeration(path3):
     runs = 20000
-    mean = sum(
-        sir_run(path3, 0, beta=0.5, rng_seed=i).spread for i in range(runs)
-    ) / runs
-    # sd of the spread distribution is sqrt(11/16); allow 4 standard errors
-    assert abs(mean - 1.75) < 4 * (11 / 16) ** 0.5 / runs**0.5
+    # (input, expected spread, variance of the spread) from seed a at beta 1/2
+    for H, expected, var in ((path3, Fraction(7, 4), Fraction(11, 16)),
+                             (hg(CYCLE4), Fraction(41, 16), Fraction(351, 256))):
+        assert sir_expected_spread(H, 0, Fraction(1, 2)) == expected
+        mean = sum(sir_run(H, 0, beta=0.5, rng_seed=i).spread for i in range(runs)) / runs
+        # allow 4 standard errors
+        assert abs(mean - expected) < 4 * (var / runs) ** 0.5, H.edges
 
 
 def test_intervention_none(fig_five):

@@ -1,10 +1,14 @@
+from hypothesis import given, settings, strategies as st
+
 from hypercore import (
+    build,
     degree_core,
     kd_decompose,
     kd_fixpoint_oracle,
     peel,
     random_hypergraph,
 )
+from hypercore.kdcore import _has_neighbors
 from conftest import by_label, hg, with_wide_edge
 
 
@@ -109,3 +113,54 @@ def test_kd_degrades_to_degree_core_at_k1():
     H = hg("a b\nb c\na c\n")  # nbr-1-core is all of V
     res = kd_decompose(H)
     assert res.levels[1] == dict(enumerate(degree_core(H).core))
+
+
+def test_has_neighbors_at_the_boundary():
+    """a has exactly 3 neighbors through live hyperedges, then exactly 2;
+    the early stop must not count a itself as a neighbor."""
+    H = build([["a", "b", "c"], ["a", "d"], ["b", "d"]])[0]
+    a, d = H.label_to_id["a"], H.label_to_id["d"]
+    live = [True] * len(H.edges)
+    assert _has_neighbors(H, live, a, 3) and not _has_neighbors(H, live, a, 4)
+    live = [all(u != d for u in e) for e in H.edges]  # d deleted
+    assert _has_neighbors(H, live, a, 2) and not _has_neighbors(H, live, a, 3)
+    assert _has_neighbors(H, live, a, 0) and _has_neighbors(H, live, d, 0)
+    assert not _has_neighbors(H, live, d, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.data())
+def test_has_neighbors_matches_live_union(seed, wide, data):
+    # 16 hyperedges on at most 14 nodes share many node pairs
+    H = random_hypergraph(14 if wide else 10, 16, 2, 4, seed)
+    if wide:
+        H = with_wide_edge(H, seed)
+    live = data.draw(st.lists(st.booleans(), min_size=len(H.edges), max_size=len(H.edges)))
+    for v in range(H.n):
+        union = set().union(*(H.edges[ei] for ei in H.incident_edges(v) if live[ei]))
+        c = len(union - {v})
+        for k in {0, max(c - 1, 0), c, c + 1}:
+            assert _has_neighbors(H, live, v, k) == (c >= k), (v, k)
+
+
+def test_kd_counters_cover_level_one():
+    # level 1 is degree_core's peel, and the only level when kmax = 1
+    for seed in range(10):
+        H = with_wide_edge(random_hypergraph(12, 16, 2, 4, seed), seed)
+        kd, degree = kd_decompose(H).counters, degree_core(H).counters
+        assert kd.keys() == degree.keys()
+        assert all(kd[key] >= degree[key] for key in kd), seed
+    for H in (hg("a b\nb c\n"), hg("a b\na c\na d\nd e\n")):
+        res = kd_decompose(H)
+        assert res.kmax == 1 and res.counters == degree_core(H).counters
+
+
+def test_kd_counters_pinned(fig_five):
+    # two levels of 6 recounts each; every recounted node sits at or below
+    # the popped degree, so no neighbor check runs
+    assert kd_decompose(fig_five).counters == {"cell_updates": 12,
+                                               "neighborhood_recomputations": 0}
+    # two triangles sharing c, one of them doubled by a triple
+    H = hg("a b c\na b\nb c\na c\nc d\nd e\nc e\n")
+    assert kd_decompose(H).counters == {"cell_updates": 12,
+                                        "neighborhood_recomputations": 4}

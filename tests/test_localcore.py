@@ -7,6 +7,7 @@ import pytest
 from hypercore import (
     InputError,
     LocalCoreOptions,
+    clique_graph_core,
     core_correction,
     h_operator,
     local_core,
@@ -16,7 +17,7 @@ from hypercore import (
     peel,
     random_hypergraph,
 )
-from conftest import by_label, hg
+from conftest import by_label, hg, with_wide_edge
 
 
 def test_h_operator_values():
@@ -103,6 +104,20 @@ def test_naive_h_index_pointwise_upper_bound_random():
         naive = naive_graph_h_index(H).core
         true = peel(H).core
         assert all(nv >= tv for nv, tv in zip(naive, true))
+
+
+def test_naive_h_index_is_clique_graph_coreness():
+    # the h-index iterated from degrees converges to graph coreness (Lu, Zhou,
+    # Zhang and Stanley 2016), here the clique expansion's: two independent
+    # engines must agree
+    d_pairs = set()
+    for seed in range(40):
+        H = random_hypergraph(10 + seed % 8, 12 + seed, 2, 4, seed)
+        if seed % 2:
+            H = with_wide_edge(H, seed)
+        d_pairs.add(H.d_pair)
+        assert naive_graph_h_index(H).core == clique_graph_core(H).core, seed
+    assert max(d_pairs) > 1  # node pairs shared by several hyperedges
 
 
 def test_naive_agrees_on_clean_instance(single_triple):
