@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -35,14 +36,26 @@ def _load(path: str, lenient: bool):
     return load_hg(path, policy)
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout closed it before the output was complete."""
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The file at `path`, closed on exit, or stdout when no path is given."""
-    if not path:
-        yield sys.stdout
+    """The file at `path`, closed on exit, or stdout when no path is given.
+
+    Stdout is flushed on exit, so a reader that leaves early (`| head`) is
+    seen here, as `_StdoutClosed`, and not at interpreter exit; a failing
+    write to `path` stays an OSError."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        yield fh
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def cmd_decompose(args) -> int:
@@ -180,8 +193,9 @@ def cmd_stats(args) -> int:
         "cardinality": dict(zip(("mean", "sd"), _mean_sd(cards))),
         "neighbors": dict(zip(("mean", "sd"), _mean_sd(nbrs))),
     }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    with _output(args.out) as out:
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
     return 0
 
 
@@ -252,6 +266,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _StdoutClosed:
+        # nobody reads the rest: end quietly, with the unflushed remainder
+        # sent to /dev/null so the exit-time flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Sequence
+from itertools import chain, count, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,7 +90,7 @@ class Hypergraph:
         self.n = len(labels)
         self.edges = edges
         self.labels = labels
-        self.label_to_id = {lab: i for i, lab in enumerate(labels)}
+        self.label_to_id = dict(zip(labels, range(self.n)))
         self._build_csr()
 
     def _build_csr(self) -> None:
@@ -114,13 +115,20 @@ class Hypergraph:
         self.edge_starts = np.zeros(m, dtype=np.int64)
         np.cumsum(cards[:-1], out=self.edge_starts[1:])
 
-        # one row per ordered member pair, built per cardinality: key v * n + u
+        # Keys pack two ids by shift: (v << b) | u.  Validation ran first, so
+        # n <= incidences <= pair rows <= PAIR_ROW_GUARD = 2**25 (every node is
+        # in a hyperedge, and c <= c(c - 1) for c >= 2), and likewise m; hence
+        # b <= 26 and every key is below 2**52, well inside int64.
+        b = max(n, m).bit_length()
+        mask = (1 << b) - 1
+
+        # one row per ordered member pair, built per cardinality: key (v, u)
         keys = [np.empty(0, dtype=np.int64)]
         edge_ids = [np.empty(0, dtype=np.int64)]
         for c in np.flatnonzero(np.bincount(cards)).tolist():
             idx = np.flatnonzero(cards == c)
             members = edge_flat[self.edge_starts[idx, None] + np.arange(c)]
-            grid = members[:, :, None] * n + members[:, None, :]
+            grid = (members[:, :, None] << b) | members[:, None, :]
             keys.append(grid[:, ~np.eye(c, dtype=bool)].ravel())
             edge_ids.append(np.repeat(idx, c * (c - 1)))
             del grid
@@ -132,15 +140,16 @@ class Hypergraph:
         del order, pair_edge
         self.pair_starts = np.flatnonzero(np.diff(key, prepend=-1))
         self.d_pair = int(np.diff(self.pair_starts, append=rows).max(initial=0))
-        group_v, group_u = np.divmod(key[self.pair_starts], n)
+        group_key = key[self.pair_starts]
         del key
 
-        # the lists share one int object per node id and per edge id
-        inc_order = np.argsort(edge_flat, kind="stable")
-        self.inc_flat = np.repeat(np.arange(m, dtype=object), cards)[inc_order].tolist()
-        self.inc_offsets = np.searchsorted(edge_flat[inc_order], np.arange(n + 1)).tolist()
-        self.nbr_flat = np.arange(n, dtype=object)[group_u].tolist()
-        self.nbr_offsets = np.searchsorted(group_v, np.arange(n + 1)).tolist()
+        # incidences sorted by (node, edge); the lists share one int object
+        # per node id and per edge id
+        incidence = np.sort((edge_flat << b) | edge_of)
+        self.inc_flat = np.arange(m, dtype=object)[incidence & mask].tolist()
+        self.inc_offsets = np.searchsorted(incidence >> b, np.arange(n + 1)).tolist()
+        self.nbr_flat = np.arange(n, dtype=object)[group_key & mask].tolist()
+        self.nbr_offsets = np.searchsorted(group_key >> b, np.arange(n + 1)).tolist()
 
     # -- queries -----------------------------------------------------------
 
@@ -238,34 +247,61 @@ class Residual:
 
 
 def build(
-    edge_lists: Sequence[Sequence[str]],
+    edge_lists: Iterable[Sequence[str]],
     policy: SingletonPolicy = SingletonPolicy.REJECT,
 ) -> tuple[Hypergraph, BuildReport]:
     """Build a canonical hypergraph from raw label lists.
 
-    Duplicate member sets are dropped (reported), singletons are rejected or
-    dropped per `policy`, and nodes left with no retained edge are stripped as
-    isolated.  Labels are interned in first-seen order.
+    `edge_lists` is read once, so it may be a generator.  Labels are interned
+    in first-seen order as each list is read; the id rows are then sorted
+    per cardinality, and only a row that repeats a label is deduplicated
+    member by member.  Errors, duplicates and singletons are decided in input
+    order: duplicate member sets are dropped (reported), singletons are
+    rejected or dropped per `policy`, and nodes left with no retained edge
+    are stripped as isolated.
     """
-    if not edge_lists:
+    intern: defaultdict[str, int] = defaultdict(count().__next__)
+    flat: list[int] = []
+    sizes: list[int] = []
+    for members in edge_lists:
+        flat.extend(map(intern.__getitem__, members))
+        sizes.append(len(members))
+    if not sizes:
         raise InputError("no hyperedges given")
+    labels = list(intern)
 
-    intern: dict[str, int] = {}
+    # each row's ids sorted, in input order; a repeated label leaves a
+    # shorter row, one distinct label a singleton and no label an empty row
+    cards = np.array(sizes, dtype=np.int64)
+    ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    del flat
+    starts = np.cumsum(cards) - cards
+    rows: list[tuple[int, ...]] = [()] * len(sizes)
+    for c in np.flatnonzero(np.bincount(cards)).tolist():
+        idx = np.flatnonzero(cards == c)
+        block = np.sort(ids[starts[idx, None] + np.arange(c)], axis=1)
+        for i, row in zip(idx.tolist(), zip(*block.T.tolist())):
+            rows[i] = row
+        for i in idx[(block[:, 1:] == block[:, :-1]).any(axis=1)].tolist():
+            rows[i] = tuple(dict.fromkeys(rows[i]))
+    del ids, starts
+
     kept: dict[tuple[int, ...], None] = {}
     report = BuildReport()
-    for idx, members in enumerate(edge_lists):
-        if len(members) == 0:
-            raise InputError(f"edge {idx}: empty hyperedge")
-        ids = tuple(sorted({intern.setdefault(t, len(intern)) for t in members}))
-        if len(ids) < 2:
+    for idx, row in enumerate(rows):
+        if len(row) < 2:
+            if not row:
+                raise InputError(f"edge {idx}: empty hyperedge")
             if policy is SingletonPolicy.REJECT:
-                raise InputError(f"edge {idx}: singleton hyperedge {list(members)!r}")
+                tokens = [labels[row[0]]] * sizes[idx]
+                raise InputError(f"edge {idx}: singleton hyperedge {tokens!r}")
             report.singleton_edges.append(idx)
-        elif ids in kept:
+        elif row in kept:
             report.duplicate_edges.append(idx)
         else:
-            kept[ids] = None
-    labels, edges = list(intern), list(kept)
+            kept[row] = None
+    edges = list(kept)
+    del rows, kept
 
     # only a dropped singleton can leave a label in no kept edge (a duplicate's
     # labels are in its kept copy); the remap keeps id order, so edges stay sorted
@@ -278,26 +314,35 @@ def build(
     return Hypergraph(edges, labels), report
 
 
+def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
+    """Each hyperedge line's tokens; a blank line, or one whose first token
+    starts with '#', is skipped."""
+    for tokens in map(str.split, lines):
+        if tokens and tokens[0][0] != "#":
+            yield tokens
+
+
 def parse_hg(text: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:
     """Parse the .hg text format: one edge per line, whitespace-separated.  A
     line whose first non-blank character is '#' is a comment; elsewhere '#' is
-    part of a label.  Blank lines are ignored."""
-    edge_lists: list[list[str]] = []
-    line_nos: list[int] = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if tokens and not tokens[0].startswith("#"):
-            edge_lists.append(tokens)
-            line_nos.append(ln)
-    if not edge_lists:
+    part of a label.  Blank lines are ignored.
+
+    `build` reads each line's tokens as the line is split, so no list of every
+    line's tokens is held."""
+    edges = _edge_tokens(text.splitlines())
+    first = next(edges, None)
+    if first is None:
         raise InputError("no hyperedges in input")
     try:
-        return build(edge_lists, policy)
+        return build(chain((first,), edges), policy)
     except InputError as exc:
-        # rewrite edge indices into file line numbers
+        # rewrite the edge index into the line number of that hyperedge line
         head, _, rest = str(exc).partition(": ")
         if head.startswith("edge "):
-            raise InputError(f"line {line_nos[int(head[5:])]}: {rest}") from None
+            line_nos = (ln for ln, line in enumerate(text.splitlines(), start=1)
+                        if any(_edge_tokens((line,))))
+            ln = next(islice(line_nos, int(head[5:]), None))
+            raise InputError(f"line {ln}: {rest}") from None
         raise
 
 

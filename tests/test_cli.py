@@ -382,6 +382,32 @@ def test_sir_on_lenient_emptied_input(tmp_path, capsys):
     assert err.count("\n") == 1 and "empty" in err
 
 
+def test_stats_out_file(fig_file, tmp_path, capsys):
+    out_path = tmp_path / "stats.json"
+    code, out, _ = run(capsys, "stats", fig_file, "--out", str(out_path))
+    assert (code, out) == (0, "")
+    assert json.loads(out_path.read_text())["nodes"] == 5
+
+
+def test_closed_stdout_ends_the_run_quietly(fig_file):
+    # `| head -3`: the reader leaves after three lines of a run that would
+    # never end; the run stops at once, exit 0, nothing on stderr
+    src = os.path.dirname(os.path.dirname(hypercore.__file__))
+    argv = [sys.executable, "-m", "hypercore.cli", "sir", fig_file, "--beta", "0.5",
+            "--runs", str(10**15), "--seed-node", "a"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        try:
+            head = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert head[0] == b"run\tseed\tcore\tspread\n"
+    assert [line.split(b"\t")[:3] for line in head[1:]] == [[b"0", b"a", b"2"], [b"1", b"a", b"2"]]
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_stats_on_lenient_emptied_input(tmp_path, capsys):
     p = tmp_path / "z.hg"
     p.write_text("z\n")

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, permutations
 
@@ -277,6 +277,109 @@ def test_build_matches_reference(raw, policy):
         return H.labels, H.edges, report
 
     assert _outcome(built, raw, policy) == _outcome(_reference_build, raw, policy)
+
+
+def _reference_parse(text, policy):
+    """The parser written out plainly: str.splitlines, str.split, a line whose
+    first token starts with '#' is a comment, then _reference_build with each
+    edge index rewritten into its line number."""
+    edge_lists, line_nos = [], []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            edge_lists.append(tokens)
+            line_nos.append(ln)
+    if not edge_lists:
+        raise InputError("no hyperedges in input")
+    try:
+        return _reference_build(edge_lists, policy)
+    except InputError as exc:
+        head, _, rest = str(exc).partition(": ")
+        if head.startswith("edge "):
+            raise InputError(f"line {line_nos[int(head[5:])]}: {rest}") from None
+        raise
+
+
+# line ends of str.splitlines (\x0b, \x0c and \x1c are also whitespace to
+# str.split), and blanks that end no line; \x85, \u2028, \u00a0 and \u3000
+# are not ASCII
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+BLANKS = [" ", "\t", "\u00a0", "\u3000"]
+
+
+@st.composite
+def hg_texts(draw):
+    """.hg text with every kind of line end and blank, blank and indented
+    comment lines, '#' inside labels, labels repeated within a line,
+    duplicates in other orders and singletons."""
+    token = st.sampled_from(["a", "b", "c", "d", "a#", "#b", "é"])
+    blank = st.text(st.sampled_from(BLANKS), min_size=1, max_size=2)
+    lines, edges = [], []
+    for kind in draw(st.lists(st.sampled_from(
+            ["edge", "edge", "edge", "comment", "blank", "duplicate", "singleton"]), max_size=8)):
+        if kind == "duplicate" and edges:
+            members = draw(st.permutations(draw(st.sampled_from(edges))))
+        elif kind == "singleton":
+            members = [draw(token)] * draw(st.integers(1, 2))
+        elif kind == "comment":
+            members = ["#" + draw(token), draw(token)]
+        elif kind == "blank":
+            members = []
+        else:
+            members = draw(st.lists(token, min_size=1, max_size=4))
+            edges.append(members)
+        line = draw(st.sampled_from(["", draw(blank)])) + "".join(
+            m + draw(blank) for m in members)
+        lines.append(line + draw(st.sampled_from(LINE_ENDS)))
+    return "".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hg_texts(), st.sampled_from(SingletonPolicy))
+# \x85 ends a line and \u00a0 separates two labels: the tokenizer splits
+# the way str does, not the way bytes do
+@example("a\u00a0b\x85c d\n", SingletonPolicy.REJECT)
+@example("# c\r\n\r\n  # a b\rb a\x0ba\u3000a\u2028a b\n", SingletonPolicy.DROP)
+@example("a b\x1cc\u2028", SingletonPolicy.REJECT)
+@example(" \t\n# only a comment\n", SingletonPolicy.DROP)
+def test_parse_matches_reference(text, policy):
+    def parsed(text, policy):
+        H, report = parse_hg(text, policy)
+        return H.labels, H.edges, report
+
+    assert _outcome(parsed, text, policy) == _outcome(_reference_parse, text, policy)
+
+
+def test_packed_keys_on_wide_ids():
+    """A matching on 2**16 + 10 nodes plus 4-edges that share its pairs: keys
+    need 17 bits per id and ids reach n - 1.  The pair groups and CSR lists
+    equal dicts built in one pass over the edges."""
+    n = 2**16 + 10
+    edges = [(v, v + 1) for v in range(0, n, 2)]
+    edges += [(0, 1, n - 2, n - 1), (0, 2, 2**16, n - 1), (n - 4, n - 3, n - 2, n - 1)]
+    H = Hypergraph(edges, [str(v) for v in range(n)])
+    inc, pairs = defaultdict(list), defaultdict(list)
+    for ei, e in enumerate(edges):
+        for v in e:
+            inc[v].append(ei)
+        for pair in permutations(e, 2):
+            pairs[pair].append(ei)
+    nbrs = defaultdict(list)
+    for v, u in sorted(pairs):
+        nbrs[v].append(u)
+    assert H.inc_flat == [ei for v in range(n) for ei in inc[v]]
+    assert H.inc_offsets == list(accumulate((len(inc[v]) for v in range(n)), initial=0))
+    assert H.nbr_flat == [u for v in range(n) for u in nbrs[v]]
+    assert H.nbr_offsets == list(accumulate((len(nbrs[v]) for v in range(n)), initial=0))
+    bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
+    pair_edge = H.pair_edge.tolist()
+    groups = {
+        (v, H.nbr_flat[g]): sorted(pair_edge[bounds[g]:bounds[g + 1]])
+        for v in range(n)
+        for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1])
+    }
+    assert groups == pairs
+    assert H.d_pair == 3
 
 
 def _assert_residual_is_definitional(H, R, alive):
