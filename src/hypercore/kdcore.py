@@ -1,31 +1,34 @@
 """(neighborhood, degree)-core decomposition and the degree-core baseline.
 
-The hybrid algorithm first computes neighborhood core numbers c, then for
-each level k degree-peels the strong k-core: a popped node's secondary value
-d_k is the level at which it leaves the bucket queue.  The membership rule
-C(k,d) = {v : d_k(v) >= d} reproduces the definitional fixpoint.
-Degree-core numbers are level 1 of the same peel.
+Neighborhood core numbers c come first.  Level k then degree-peels V_k =
+{v : c(v) >= k} on E_k, the hyperedges whose members all have c >= k.
+Degree-core numbers are level 1 of the same peel, on all of H.
 
-A level keeps its own live-edge and degree lists, and no pair counts: the
-degree peel reads a node's neighbor count only to compare it with k, which
-`_has_neighbors` answers with a union that stops growing early.  Level k
-starts from its own hyperedges only.  E_k, the hyperedges whose members all
-have c >= k, is a prefix of the hyperedges sorted once by descending minimum
-member core, and for k >= 1 its members are exactly V_k = {v : c(v) >= k},
-a prefix of the nodes sorted by descending core.  A level therefore costs
-its own hyperedges, not all of H's.
+A level peels level-synchronously in numpy, like Batagelj and Zaversnik's
+bucket peel on graphs: at threshold d a sub-round removes every node of
+live degree <= d and every touched node (a member of a hyperedge the last
+sub-round killed) with fewer than k live neighbors, and gives each d_k = d;
+when none qualifies, d rises to the least live degree.  That is the
+definitional fixpoint, so C(k,d) = {v : d_k(v) >= d} has no tie order.
+No pair counts are kept: V_k is the neighborhood k-core of E_k, so only a
+touched node can lack k neighbors, and only one without a live hyperedge
+of more than k members is counted.  At k = 1 none is: a node without a
+neighbor has degree 0, and the degree rule removes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .model import Hypergraph
-from .peel import BucketQueue, CoreAssignment
+from .model import GuardError, Hypergraph
+from .peel import CoreAssignment
 from .localcore import local_core
+
+# Largest lattice (sum of c(v), one entry per level a node survives) that
+# kd_decompose builds; the levels hold about 70 bytes per entry.
+LATTICE_GUARD = 2**22
 
 
 @dataclass
@@ -33,7 +36,7 @@ class KDCoreResult:
     kmax: int
     # levels[k] maps surviving node -> d_k(v), for k in [1, kmax]
     levels: dict[int, dict[int, int]] = field(default_factory=dict)
-    # the levels' work, summed: see _degree_peel_level
+    # the levels' work, summed: removal sub-rounds and exact neighbor counts
     counters: dict[str, int] = field(default_factory=dict)
 
     def core_members(self, k: int, d: int) -> set[int]:
@@ -42,91 +45,115 @@ class KDCoreResult:
 
 def kd_decompose(H: Hypergraph) -> KDCoreResult:
     cores = local_core(H).core
-    kmax = max(cores, default=0)
-    result = KDCoreResult(kmax, counters={"neighborhood_recomputations": 0, "cell_updates": 0})
-    core = np.array(cores, dtype=np.int64)
-    # the least member core of each hyperedge: e is in E_k iff it is >= k
-    low = np.minimum.reduceat(core[H.edge_flat], H.edge_starts) if H.edges else core[:0]
-    nodes, node_ends = _descending_prefixes(core, kmax)
-    edges, edge_ends = _descending_prefixes(low, kmax)
-    for k in range(1, kmax + 1):
-        result.levels[k], counters = _degree_peel_level(
-            H, edges[: edge_ends[k]], nodes[: node_ends[k]], k)
-        for key, value in counters.items():
-            result.counters[key] += value
-    return result
-
-
-def _descending_prefixes(values: np.ndarray, kmax: int) -> tuple[list[int], list[int]]:
-    """Indices sorted by descending value, and for each k in [0, kmax] the
-    length of the prefix whose values are >= k."""
-    order = np.argsort(-values, kind="stable")
-    ends = np.searchsorted(-values[order], -np.arange(kmax + 1), side="right")
-    return order.tolist(), ends.tolist()
-
-
-def _degree_peel_level(H: Hypergraph, edges: Iterable[int], vk: Iterable[int],
-                       k: int) -> tuple[dict[int, int], dict[str, int]]:
-    """Degree-peel the hyperedges `edges`, strongly induced on their members,
-    on the nodes vk; a neighbor that would drop below k residual neighbors
-    is kept at the current level instead of moving up.  Returns d_k per
-    node and the level's work: one `cell_updates` per recounted neighbor,
-    as in `peel`, and one `neighborhood_recomputations` per early-stopping
-    `_has_neighbors` check."""
-    live = [False] * len(H.edges)
-    degree = [0] * H.n
-    for ei in edges:
-        live[ei] = True
-        for u in H.edges[ei]:
-            degree[u] += 1
-    B = BucketQueue(H.n)
-    for v in vk:
-        B.put(v, degree[v])
-    dvals: dict[int, int] = {}
-    updates = checks = 0
-    while (popped := B.pop_min()) is not None:
-        d, v = popped
-        dvals[v] = d
-        # kill v's live hyperedges; their members are the nodes to recount
-        changed: set[int] = set()
-        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
-            if live[ei]:
-                live[ei] = False
-                e = H.edges[ei]
-                changed.update(e)
-                for u in e:
-                    degree[u] -= 1
-        changed.discard(v)
-        for u in changed:
-            updates += 1
-            # a degree at or below d moves u to d whatever its neighbor count
-            if degree[u] > d:
-                checks += 1
-                B.put(u, degree[u] if _has_neighbors(H, live, u, k) else d)
-            else:
-                B.put(u, d)
-    return dvals, {"neighborhood_recomputations": checks, "cell_updates": updates}
-
-
-def _has_neighbors(H: Hypergraph, live: list[bool], v: int, k: int) -> bool:
-    """Whether v has at least k neighbors through its live hyperedges.  The
-    union stops growing once it holds more than k nodes, v among them."""
-    out: set[int] = set()
-    for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
-        if live[ei]:
-            out.update(H.edges[ei])
-            if len(out) > k:
-                return True
-    out.discard(v)
-    return len(out) >= k
+    entries = sum(cores)
+    if entries > LATTICE_GUARD:
+        raise GuardError(f"lattice guard: {entries} (k,d) entries > {LATTICE_GUARD}")
+    ranked = _Ranked(H, np.array(cores, dtype=np.int64))
+    levels = {k: ranked.peel(k) for k in range(1, ranked.kmax + 1)}
+    return KDCoreResult(ranked.kmax, levels, ranked.work)
 
 
 def degree_core(H: Hypergraph) -> CoreAssignment:
     """Exact degree-based core numbers: level 1 of the (k,d)-decomposition,
     where every node with a live hyperedge has a residual neighbor, so the
-    peel runs over all of H's hyperedges."""
-    dvals, counters = _degree_peel_level(H, range(len(H.edges)), range(H.n), 1)
-    return CoreAssignment([dvals[v] for v in range(H.n)], counters)
+    peel runs over all of H's nodes and hyperedges."""
+    ranked = _Ranked(H, np.ones(H.n, dtype=np.int64))
+    dvals = ranked.peel(1) if H.n else {}
+    return CoreAssignment([dvals[v] for v in range(H.n)], ranked.work)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _distinct(x: np.ndarray, size: int) -> np.ndarray:
+    """x's distinct values (all below size): one position per value reads back its own mark."""
+    mark = np.empty(size, dtype=np.int64)
+    at = np.arange(x.size)
+    mark[x] = at
+    return x[mark[x] == at]
+
+
+class _Ranked:
+    """H in rank ids, nodes by descending core and hyperedges by descending
+    least member core: V_k and E_k are the prefixes [0, node_ends[k]) and
+    [0, edge_ends[k]).  `work` sums the levels' sub-rounds and recounts."""
+
+    def __init__(self, H: Hypergraph, core: np.ndarray):
+        n, m = H.n, len(H.edges)
+        self.kmax = int(core.max(initial=0))
+        low = np.minimum.reduceat(core[H.edge_flat], H.edge_starts) if m else core
+        self.nodes, edges = np.argsort(-core, kind="stable"), np.argsort(-low, kind="stable")
+        minus_k = -np.arange(self.kmax + 1)
+        self.node_ends = np.searchsorted(-core[self.nodes], minus_k, side="right").tolist()
+        self.edge_ends = np.searchsorted(-low[edges], minus_k, side="right").tolist()
+        rank = np.argsort(self.nodes)
+        # one int object per node id, shared by every level's dict
+        self.ids = self.nodes.tolist()
+        # members of each ranked hyperedge, and incidences sorted by (node, edge)
+        self.card = card = np.diff(H.edge_starts, append=H.edge_flat.size)[edges]
+        self.starts = np.concatenate(([0], np.cumsum(card)))
+        self.flat = rank[H.edge_flat[_ranges(H.edge_starts[edges], card)]]
+        self.b = b = max(n, m).bit_length()
+        inc = np.sort((self.flat << b) | np.repeat(np.arange(m), card))
+        self.inc_starts = np.searchsorted(inc >> b, np.arange(n + 1))
+        self.inc = inc & ((1 << b) - 1)
+        self.work = {"rounds": 0, "neighbor_recounts": 0}
+
+    def incident(self, us: np.ndarray, deg0: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The live hyperedges of us, with the position in us they were read
+        for; sorted by edge rank, a node's deg0[u] in E_k come first."""
+        count = deg0[us]
+        e = self.inc[_ranges(self.inc_starts[us], count)]
+        owner = np.repeat(np.arange(us.size), count)
+        keep = live[e]
+        return e[keep], owner[keep]
+
+    def members(self, e: np.ndarray) -> np.ndarray:
+        return self.flat[_ranges(self.starts[e], self.card[e])]
+
+    def has_neighbors(self, us: np.ndarray, k: int, deg0: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Whether each node of us has k neighbors through live hyperedges;
+        a node with a live one of more than k members is not counted."""
+        e, owner = self.incident(us, deg0, live)
+        passed = np.zeros(us.size, dtype=bool)
+        passed[owner[self.card[e] > k]] = True
+        keep = ~passed[owner]
+        e, owner = e[keep], owner[keep]
+        self.work["neighbor_recounts"] += us.size - int(passed.sum())
+        member, owner = self.members(e), np.repeat(owner, self.card[e])
+        keys = np.sort(((owner << self.b) | member)[member != us[owner]])
+        distinct = keys[np.diff(keys, prepend=-1) != 0]
+        return passed | (np.bincount(distinct >> self.b, minlength=us.size) >= k)
+
+    def peel(self, k: int) -> dict[int, int]:
+        """d_k(v) for every node v of V_k."""
+        nk, mk = self.node_ends[k], self.edge_ends[k]
+        deg0 = np.bincount(self.flat[: self.starts[mk]], minlength=nk)
+        deg, alive, live = deg0.copy(), np.ones(nk, dtype=bool), np.ones(mk, dtype=bool)
+        dk = np.empty(nk, dtype=np.int64)
+        d, left, touched = 0, nk, np.empty(0, dtype=np.int64)
+        while left:
+            at_d = deg[touched] <= d
+            out = touched[at_d]
+            if k > 1 and not at_d.all():
+                checked = touched[~at_d]
+                out = np.concatenate([out, checked[~self.has_neighbors(checked, k, deg0, live)]])
+            if not out.size:
+                # nothing left at d: rise to the least live degree
+                d = int(deg[alive].min())
+                out = np.flatnonzero(alive & (deg == d))
+            self.work["rounds"] += 1
+            dk[out], alive[out] = d, False
+            left -= out.size
+            e = _distinct(self.incident(out, deg0, live)[0], mk)
+            live[e] = False
+            member = self.members(e)
+            np.subtract.at(deg, member, 1)
+            touched = _distinct(member[alive[member]], nk)
+        return dict(zip(self.ids[:nk], dk.tolist()))
 
 
 def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:

@@ -8,12 +8,13 @@ import sys
 import tempfile
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypercore
-from hypercore import densest, diffusion, model
+from hypercore import densest, diffusion, kdcore, model
 from hypercore.cli import main
 from hypercore.localcore import MAX_THREADS
 from conftest import refuse_large_samples
@@ -99,9 +100,9 @@ def test_decompose_clique(tmp_path, capsys):
                        "--stats", str(stats))
     assert code == 0
     assert out == "x\t2\na\t3\nb\t3\nc\t3\nd\t3\n"
-    # the degree peel's counters on the expansion, under peel's names
+    # the degree peel's counters on the expansion
     counters = json.loads(stats.read_text())["counters"]
-    assert set(counters) == {"neighborhood_recomputations", "cell_updates"}
+    assert set(counters) == {"rounds", "neighbor_recounts"}
     lenient = tmp_path / "iso.hg"
     lenient.write_text("a b c\nz\n")
     code, out, _ = run(capsys, "decompose", str(lenient), "--algorithm", "clique", "--lenient")
@@ -337,6 +338,19 @@ def test_gen_deterministic(tmp_path, capsys):
     assert out1 == out2 and len(out1.strip().splitlines()) == 8
 
 
+def test_kdcore_lattice_guard_exit_code(tmp_path, capsys, monkeypatch):
+    # one 12-member hyperedge: 12 nodes of core 11, 132 lattice entries
+    p = tmp_path / "wide.hg"
+    p.write_text(" ".join(f"w{i}" for i in range(12)) + "\n")
+    monkeypatch.setattr(kdcore, "LATTICE_GUARD", 131)
+    code, out, err = run(capsys, "kdcore", str(p))
+    assert code == 3 and out == ""
+    assert err == "error: lattice guard: 132 (k,d) entries > 131\n"
+    monkeypatch.setattr(kdcore, "LATTICE_GUARD", 132)
+    code, out, _ = run(capsys, "kdcore", str(p))
+    assert code == 0 and out.count("\n") == 132
+
+
 def test_gen_pair_table_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(model, "PAIR_ROW_GUARD", 100)
     code, out, err = run(capsys, "gen", "--n", "10", "--m", "20",
@@ -350,8 +364,8 @@ def test_gen_pair_table_guard_exit_code(capsys, monkeypatch):
     ("epeel", {"neighborhood_recomputations", "cell_updates"}),
     ("local", {"h_operator_evals"}),
     ("naive-h", {"rounds"}),
-    ("degree", {"neighborhood_recomputations", "cell_updates"}),
-    ("clique", {"neighborhood_recomputations", "cell_updates"}),
+    ("degree", {"rounds", "neighbor_recounts"}),
+    ("clique", {"rounds", "neighbor_recounts"}),
 ])
 def test_decompose_on_lenient_emptied_input(tmp_path, capsys, algorithm, counter_keys):
     # the only line is a dropped singleton, so every route sees no node at all
@@ -426,8 +440,9 @@ LABELS = [f"n{i}" for i in range(12)]
 def hg_bytes(draw):
     """Small .hg files: hyperedges on at most 12 labels, split by spaces or
     tabs, among comments, blank lines, singletons and duplicates; half of
-    them hold only singletons, which --lenient leaves empty, and some hold a
-    byte that is not UTF-8."""
+    them hold only singletons, which --lenient leaves empty, some hold one
+    wide hyperedge of 13 to 40 more labels, and some hold a byte that is not
+    UTF-8."""
     label = st.sampled_from(LABELS)
     max_size = draw(st.sampled_from([1, 5]))
     lines = []
@@ -442,6 +457,9 @@ def hg_bytes(draw):
             lines.append(sep.join(members))
             if kind == "duplicate":
                 lines.append(sep.join(reversed(members)))
+    if draw(st.integers(0, 4)) == 0:
+        wide = [f"w{i}" for i in range(draw(st.integers(13, 40)))]
+        lines.append(" ".join(wide + draw(st.lists(label, max_size=4))))
     data = "".join(line + "\n" for line in lines).encode("utf-8")
     if draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(data)))
@@ -500,8 +518,11 @@ def test_cli_exit_code_contract(data):
         with open(path, "wb") as fh:
             fh.write(data.draw(hg_bytes(), label="file"))
         argv = data.draw(cli_argv(path, os.path.join(tmp, "out")), label="argv")
+        # a lowered lattice guard refuses kdcore on the wide hyperedge
+        guard = data.draw(st.sampled_from([kdcore.LATTICE_GUARD, 100]), label="lattice guard")
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with (mock.patch.object(kdcore, "LATTICE_GUARD", guard),
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
             code = main(argv)
     assert code in (0, 2, 3)
     if code:

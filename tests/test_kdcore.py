@@ -1,14 +1,17 @@
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercore import (
+    GuardError,
     build,
     degree_core,
     kd_decompose,
     kd_fixpoint_oracle,
+    kdcore,
     peel,
     random_hypergraph,
 )
-from hypercore.kdcore import _has_neighbors
 from conftest import by_label, hg, with_wide_edge
 
 
@@ -115,32 +118,69 @@ def test_kd_degrades_to_degree_core_at_k1():
     assert res.levels[1] == dict(enumerate(degree_core(H).core))
 
 
-def test_has_neighbors_at_the_boundary():
+def neighbor_check(H, live, us, k):
+    """The level peel's neighbor check for the nodes us, with the hyperedges
+    in live (a flag per hyperedge of H), and how many it counted exactly.
+    All cores equal leaves H's own ids as ranks and E_1 = all hyperedges."""
+    ranked = kdcore._Ranked(H, np.ones(H.n, dtype=np.int64))
+    assert ranked.nodes.tolist() == list(range(H.n))
+    deg0 = np.bincount(ranked.flat, minlength=H.n)
+    passed = ranked.has_neighbors(np.array(us, dtype=np.int64), k, deg0,
+                                  np.array(live, dtype=bool))
+    return passed.tolist(), ranked.work["neighbor_recounts"]
+
+
+def test_neighbor_check_at_the_boundary():
     """a has exactly 3 neighbors through live hyperedges, then exactly 2;
-    the early stop must not count a itself as a neighbor."""
+    the count must not include a itself."""
     H = build([["a", "b", "c"], ["a", "d"], ["b", "d"]])[0]
     a, d = H.label_to_id["a"], H.label_to_id["d"]
     live = [True] * len(H.edges)
-    assert _has_neighbors(H, live, a, 3) and not _has_neighbors(H, live, a, 4)
+    assert neighbor_check(H, live, [a, a], 3)[0] == [True, True]
+    assert neighbor_check(H, live, [a], 4) == ([False], 1)
     live = [all(u != d for u in e) for e in H.edges]  # d deleted
-    assert _has_neighbors(H, live, a, 2) and not _has_neighbors(H, live, a, 3)
-    assert _has_neighbors(H, live, a, 0) and _has_neighbors(H, live, d, 0)
-    assert not _has_neighbors(H, live, d, 1)
+    assert neighbor_check(H, live, [a], 2) == ([True], 0)  # {a, b, c} has 3 > 2 members
+    assert neighbor_check(H, live, [a], 3) == ([False], 1)
+    assert neighbor_check(H, live, [a, d], 0)[0] == [True, True]
+    assert neighbor_check(H, live, [d], 1) == ([False], 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32), st.booleans(), st.data())
-def test_has_neighbors_matches_live_union(seed, wide, data):
+def test_neighbor_check_matches_live_union(seed, wide, data):
     # 16 hyperedges on at most 14 nodes share many node pairs
     H = random_hypergraph(14 if wide else 10, 16, 2, 4, seed)
     if wide:
         H = with_wide_edge(H, seed)
     live = data.draw(st.lists(st.booleans(), min_size=len(H.edges), max_size=len(H.edges)))
-    for v in range(H.n):
-        union = set().union(*(H.edges[ei] for ei in H.incident_edges(v) if live[ei]))
-        c = len(union - {v})
+    unions = [set().union(*(H.edges[ei] for ei in H.incident_edges(v) if live[ei])) - {v}
+              for v in range(H.n)]
+    for v, union in enumerate(unions):
+        c = len(union)
         for k in {0, max(c - 1, 0), c, c + 1}:
-            assert _has_neighbors(H, live, v, k) == (c >= k), (v, k)
+            assert neighbor_check(H, live, [v], k)[0] == [c >= k], (v, k)
+    # all nodes in one batch: only those without a live hyperedge of more
+    # than k members are counted
+    for k in range(max(map(len, unions)) + 2):
+        wide_live = [any(live[ei] and len(H.edges[ei]) > k for ei in H.incident_edges(v))
+                     for v in range(H.n)]
+        assert neighbor_check(H, live, range(H.n), k) == (
+            [len(union) >= k for union in unions], wide_live.count(False)), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+@example(seed=0)
+def test_kd_matches_fixpoint_oracle_property(seed):
+    # shared node pairs, and a wide hyperedge that makes E_k differ by level
+    H = with_wide_edge(random_hypergraph(14, 16, 2, 4, seed), seed)
+    res, degree = kd_decompose(H), degree_core(H).core
+    dmax = max(H.degree(v) for v in range(H.n))
+    for d in range(1, dmax + 2):
+        assert {v for v in range(H.n) if degree[v] >= d} == kd_fixpoint_oracle(H, 0, d), d
+    for k in range(1, res.kmax + 2):
+        for d in range(1, dmax + 2):
+            assert res.core_members(k, d) == kd_fixpoint_oracle(H, k, d), (k, d)
 
 
 def test_kd_counters_cover_level_one():
@@ -156,11 +196,29 @@ def test_kd_counters_cover_level_one():
 
 
 def test_kd_counters_pinned(fig_five):
-    # two levels of 6 recounts each; every recounted node sits at or below
-    # the popped degree, so no neighbor check runs
-    assert kd_decompose(fig_five).counters == {"cell_updates": 12,
-                                               "neighborhood_recomputations": 0}
-    # two triangles sharing c, one of them doubled by a triple
-    H = hg("a b c\na b\nb c\na c\nc d\nd e\nc e\n")
-    assert kd_decompose(H).counters == {"cell_updates": 12,
-                                        "neighborhood_recomputations": 4}
+    # per level: b falls on degree 1, then a and e, then c and d; no touched
+    # node keeps a degree above d, so none is counted
+    assert kd_decompose(fig_five).counters == {"rounds": 6, "neighbor_recounts": 0}
+    # every core is 3.  Levels 1 and 2: b at d = 1, then a and d at 2, then
+    # c; at level 2 the touched a, c and d keep {a, c, d}, of more than 2
+    # members, so none is counted.  Level 3: b at d = 1, then a, c and d in
+    # one sub-round, each counted and left with 2 < 3 neighbors
+    H = hg("a b c d\na c\na c d\nc d\n")
+    res = kd_decompose(H)
+    assert res.counters == {"rounds": 8, "neighbor_recounts": 3}
+    assert by_label(H, res.levels[2]) == {"a": 2, "b": 1, "c": 2, "d": 2}
+    assert by_label(H, res.levels[3]) == {"a": 1, "b": 1, "c": 1, "d": 1}
+
+
+def test_lattice_guard(monkeypatch, fig_five):
+    # fig_five's lattice holds 5 nodes at each of 2 levels: 10 entries
+    def no_level(*args):
+        raise AssertionError("a level was peeled")
+
+    monkeypatch.setattr(kdcore, "LATTICE_GUARD", 9)
+    monkeypatch.setattr(kdcore._Ranked, "peel", no_level)
+    with pytest.raises(GuardError, match=r"^lattice guard: 10 \(k,d\) entries > 9$"):
+        kd_decompose(fig_five)
+    monkeypatch.undo()
+    monkeypatch.setattr(kdcore, "LATTICE_GUARD", 10)
+    assert sum(map(len, kd_decompose(fig_five).levels.values())) == 10
