@@ -127,6 +127,10 @@ def cmd_sir(args) -> int:
         if getattr(args, flag) < 0:
             raise InputError(f"--{flag.replace('_', '-')} must be >= 0")
     diffusion.check_beta(args.beta)
+    if args.runs:
+        # run i hashes rng_seed + i as a string; the longest is at an end
+        diffusion.check_rng_seed(args.rng_seed)
+        diffusion.check_rng_seed(args.rng_seed + args.runs - 1)
     H, _ = _load(args.input, args.lenient)
     if args.seed_node is not None and args.seed_node not in H.label_to_id:
         raise InputError(f"unknown seed node {args.seed_node!r}")

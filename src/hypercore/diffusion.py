@@ -17,18 +17,43 @@ does, and for a fixed rng_seed the infected set grows monotonically with
 beta.  Each draw depends on its own (u, v) only, so a run is a BFS from the
 seed over the edges whose draw fires, cut at max_steps, whatever the order
 in which attackers are visited.
+
+A step takes one of two forms, which make the same draws and infect the
+same targets in the same order:
+
+- A frontier of fewer than BULK_FRONTIER nodes runs a scalar loop over
+  Python ints.
+- A wider frontier draws all of its attempts at once in numpy, in uint64
+  words whose products wrap mod 2**64.  It drops targets already infected
+  before drawing and marks each target whose draw fires once.  Its contacts
+  are taken BULK_SLICE at a time, so its temporaries stay bounded.  It reads
+  the neighbor lists as int64 arrays, built on the first such step and kept
+  on the hypergraph (`Hypergraph.nbr_arrays`) for every later run.
+
+The cutoff exists because a numpy step costs some tens of microseconds
+whatever its size.  Many tiny runs, such as 100,000 runs on a 3-node path
+(frontiers of at most 2 nodes), took about 14 times as long with every step
+in numpy (Python 3.11, numpy 2.4, one x86 core).  On runs with wide
+frontiers the scalar loop's bigint arithmetic per contact dominates instead.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import model
 from .model import GuardError, Hypergraph, InputError
 
 ENUMERATION_ATTEMPT_GUARD = 20
+# A step whose frontier has at least BULK_FRONTIER nodes draws its attempts in
+# numpy, BULK_SLICE contacts at a time; a smaller frontier runs the scalar loop.
+BULK_FRONTIER = 4
+BULK_SLICE = 2**16
 
 
 @dataclass
@@ -47,6 +72,8 @@ _GAMMA = 0x9E3779B97F4A7C15  # the splitmix64 increment, 2**64 / golden ratio
 _MASK = 2**64 - 1
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_U_GAMMA, _U_M1, _U_M2 = np.uint64(_GAMMA), np.uint64(_M1), np.uint64(_M2)
 
 
 def _splitmix64(z: int) -> int:
@@ -58,14 +85,88 @@ def _splitmix64(z: int) -> int:
 
 def _run_key(rng_seed: int) -> int:
     # any int, negative or >= 2**64, maps to one 64-bit key on every platform
-    digest = hashlib.blake2b(str(rng_seed).encode(), digest_size=8).digest()
+    try:
+        text = str(rng_seed)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise InputError(
+            f"rng_seed has more than {sys.get_int_max_str_digits()} digits") from None
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def check_rng_seed(rng_seed: int) -> None:
+    """Refuse an rng_seed that `str` cannot render (see `_run_key`)."""
+    _run_key(rng_seed)
 
 
 def _attempt_draw(rng_seed: int, u: int, v: int) -> int:
     """The 64-bit draw of the attempt u -> v; `sir_run` inlines it."""
     k_u = _splitmix64((_run_key(rng_seed) + (u + 1) * _GAMMA) & _MASK)
     return _splitmix64((k_u + (v + 1) * _GAMMA) & _MASK)
+
+
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """`_splitmix64` of every word of a uint64 array, in place; the products
+    wrap mod 2**64, as `& _MASK` does."""
+    z ^= z >> _U30
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
+    return z
+
+
+def _bulk_step(
+    H: Hypergraph,
+    frontier: list[int],
+    step: int,
+    run_key: int,
+    threshold: int,
+    infection_time: dict[int, int],
+    infected: np.ndarray,
+) -> list[int]:
+    """One step of `sir_run` with every attempt drawn in numpy.
+
+    The frontier's contacts are taken in slices of at most BULK_SLICE, in
+    the scalar loop's order; a target marked by one slice is dropped from the
+    next.  Marks both `infection_time` and `infected`; returns the targets
+    newly infected, in the order the scalar loop would have infected them."""
+    newly: list[int] = []
+    if not threshold:  # nothing fires, and threshold - 1 is no uint64
+        return newly
+    if H.nbr_arrays is None:  # built once per hypergraph
+        H.nbr_arrays = (np.array(H.nbr_offsets, dtype=np.int64),
+                        np.array(H.nbr_flat, dtype=np.int64))
+    offsets, flat = H.nbr_arrays
+    f = np.array(frontier, dtype=np.int64)
+    starts = offsets[f]
+    counts = offsets[f + 1] - starts
+    # the step's contacts are numbered in the scalar loop's order: node u's
+    # are [begins[u], ends[u]), and contact p of u is flat[p + shift[u]]
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    shift = starts - begins
+    k = _splitmix64_array((f + 1).astype(np.uint64) * _U_GAMMA + np.uint64(run_key))
+    # an attempt fires iff its draw is <= last; last = 2**64 - 1 at beta = 1
+    last = np.uint64(threshold - 1)
+    total = int(ends[-1])
+    for lo in range(0, total, BULK_SLICE):
+        hi = min(lo + BULK_SLICE, total)
+        # each frontier node's contacts in [lo, hi)
+        c = np.maximum(np.minimum(ends, hi) - np.maximum(begins, lo), 0)
+        v = flat[np.arange(lo, hi) + np.repeat(shift, c)]
+        open_ = ~infected[v]
+        v = v[open_]
+        z = np.repeat(k, c)[open_]
+        z += (v + 1).astype(np.uint64) * _U_GAMMA
+        fresh: list[int] = []
+        for x in v[_splitmix64_array(z) <= last].tolist():
+            if x not in infection_time:
+                infection_time[x] = step
+                fresh.append(x)
+        infected[fresh] = True
+        newly += fresh
+    return newly
 
 
 def sir_run(
@@ -85,13 +186,26 @@ def sir_run(
     threshold = int(beta * 2**53) << 11
     offsets, flat = H.nbr_offsets, H.nbr_flat
     infection_time = {seed: 0}
+    bulk = BULK_FRONTIER
+    infected = None  # infection_time's keys as a mask, from the first bulk step on
     frontier = [seed]
     step = 0
     while frontier and step < max_steps:
         step += 1
+        if len(frontier) >= bulk:
+            if infected is None:
+                infected = np.zeros(H.n, dtype=bool)
+                infected[list(infection_time)] = True
+            frontier = _bulk_step(
+                H, frontier, step, run_key, threshold, infection_time, infected)
+            continue
         newly: list[int] = []
         for u in frontier:
-            k_u = _splitmix64((run_key + (u + 1) * _GAMMA) & _MASK)
+            # k_u = _splitmix64(run_key + (u + 1) * _GAMMA mod 2**64), inlined
+            k_u = (run_key + (u + 1) * _GAMMA) & _MASK
+            k_u = ((k_u ^ (k_u >> 30)) * _M1) & _MASK
+            k_u = ((k_u ^ (k_u >> 27)) * _M2) & _MASK
+            k_u ^= k_u >> 31
             for v in flat[offsets[u] : offsets[u + 1]]:
                 if v in infection_time:
                     continue
@@ -102,6 +216,8 @@ def sir_run(
                 if z ^ (z >> 31) < threshold:
                     infection_time[v] = step
                     newly.append(v)
+        if infected is not None:
+            infected[newly] = True
         frontier = newly
     return SirOutcome(set(infection_time), infection_time, len(infection_time))
 

@@ -68,6 +68,9 @@ class Hypergraph:
         edge_flat, edge_starts: concatenated members, and each edge's offset.
         pair_edge, pair_starts: hyperedge of each row, first row of each group.
         d_pair: largest group size, i.e. most hyperedges sharing a node pair.
+        nbr_arrays: None, or (nbr_offsets, nbr_flat) as int64 arrays; only
+            `diffusion.sir_run` fills it, on its first wide frontier, and every
+            later run on this hypergraph shares it.
     """
 
     __slots__ = (
@@ -84,6 +87,7 @@ class Hypergraph:
         "pair_edge",
         "pair_starts",
         "d_pair",
+        "nbr_arrays",
     )
 
     def __init__(self, edges: list[tuple[int, ...]], labels: list[str]):
@@ -91,6 +95,7 @@ class Hypergraph:
         self.edges = edges
         self.labels = labels
         self.label_to_id = dict(zip(labels, range(self.n)))
+        self.nbr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._build_csr()
 
     def _build_csr(self) -> None:

@@ -200,6 +200,21 @@ def test_sir_random_seeds_pinned(fig_file, tmp_path, capsys):
     assert agg.read_bytes() == b"core,runs,mean_spread\r\n2,5,3.6\r\n"
 
 
+def test_sir_rng_seed_past_the_digit_limit_refused_up_front(fig_file, capsys):
+    # run i hashes str(rng_seed + i): a seed with as many digits as str()
+    # renders runs, and a run seed one digit longer is refused before the
+    # header is written
+    widest = "9" * sys.get_int_max_str_digits()
+    for seed in (widest, "-" + widest):
+        code, out, _ = run(capsys, "sir", fig_file, "--beta", "0.5", "--rng-seed", seed)
+        assert code == 0 and len(out.splitlines()) == 2
+    code, out, err = run(capsys, "sir", fig_file, "--beta", "0.5", "--runs", "2",
+                         "--rng-seed", widest)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: rng_seed has more than {sys.get_int_max_str_digits()} digits"]
+
+
 class _ThirdRun(Exception):
     pass
 

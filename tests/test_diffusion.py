@@ -1,14 +1,21 @@
 import random
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercore import (
     GuardError,
     InputError,
+    diffusion,
+    greedy_densest,
     intervention_delete,
+    kd_decompose,
+    local_core,
+    peel,
     random_hypergraph,
     sir_expected_spread,
     sir_run,
@@ -95,13 +102,18 @@ def test_splitmix64_reference_outputs():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(5, 14), st.integers(1, 18), st.integers(0, 10**6),
-    st.floats(0, 1), st.integers(-2**70, 2**70), st.integers(0, 6), st.data(),
+    st.integers(5, 40), st.integers(0, 10**6),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+    st.integers(-2**70, 2**70), st.integers(0, 6), st.data(),
 )
-def test_run_is_bfs_on_the_percolated_graph(n, m, gseed, beta, rs, max_steps, data):
+def test_run_is_bfs_on_the_percolated_graph(n, gseed, beta, rs, max_steps, data):
     """Infection times are the hop distances from the seed over the directed
-    contacts whose draw fires, cut at max_steps; visiting order plays no part."""
-    H = random_hypergraph(n, m, 2, 4, gseed)
+    contacts whose draw fires, cut at max_steps; visiting order plays no part.
+
+    The graphs reach frontiers of BULK_FRONTIER nodes, so a default run mixes
+    scalar and numpy steps; each run is repeated with every step in numpy,
+    and with every step in numpy in slices of 1 to 3 contacts."""
+    H = random_hypergraph(n, data.draw(st.integers(1, 3 * n)), 2, 4, gseed)
     seed = data.draw(st.integers(0, H.n - 1))
     threshold = int(beta * 2**53) << 11
     dist = {seed: 0}
@@ -114,9 +126,46 @@ def test_run_is_bfs_on_the_percolated_graph(n, m, gseed, beta, rs, max_steps, da
             if v not in dist and _attempt_draw(rs, u, v) < threshold:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    out = sir_run(H, seed, beta, max_steps=max_steps, rng_seed=rs)
-    assert out.infection_time == dist
-    assert out.infected == set(dist) and out.spread == len(dist)
+    forms = [(diffusion.BULK_FRONTIER, diffusion.BULK_SLICE),
+             (1, diffusion.BULK_SLICE), (1, data.draw(st.integers(1, 3)))]
+    for bulk_frontier, bulk_slice in forms:
+        with mock.patch.multiple(diffusion, BULK_FRONTIER=bulk_frontier, BULK_SLICE=bulk_slice):
+            out = sir_run(H, seed, beta, max_steps=max_steps, rng_seed=rs)
+        assert out.infection_time == dist, (bulk_frontier, bulk_slice)
+        assert out.infected == set(dist) and out.spread == len(dist)
+
+
+def test_bulk_and_scalar_steps_agree_in_infection_order():
+    # the numpy step marks targets in the scalar loop's order, so even the
+    # order of infection_time's keys is the same in both forms
+    rng = random.Random(3)
+    for i in range(40):
+        H = random_hypergraph(60, 120, 2, 4, i)
+        seed, rs, beta = rng.randrange(H.n), rng.randint(-2**70, 2**70), rng.random()
+        with mock.patch.object(diffusion, "BULK_FRONTIER", 10**9):
+            scalar = sir_run(H, seed, beta, rng_seed=rs).infection_time
+        with mock.patch.object(diffusion, "BULK_FRONTIER", 1):
+            bulk = sir_run(H, seed, beta, rng_seed=rs).infection_time
+        assert list(bulk.items()) == list(scalar.items())
+        assert sir_run(H, seed, beta, rng_seed=rs).infection_time == scalar
+
+
+def test_neighbor_arrays_built_by_sir_only_and_shared():
+    H = random_hypergraph(60, 120, 2, 4, 1)
+    peel(H)
+    local_core(H)
+    kd_decompose(H)
+    greedy_densest(H)
+    assert H.nbr_arrays is None
+    # a run whose frontiers all stay below the cutoff builds nothing either
+    sir_run(H, 0, 0.0)
+    assert H.nbr_arrays is None
+    sir_run(H, 0, 1.0, rng_seed=1)
+    offsets, flat = H.nbr_arrays
+    assert offsets.dtype == flat.dtype == np.int64
+    assert offsets.tolist() == H.nbr_offsets and flat.tolist() == H.nbr_flat
+    sir_run(H, 5, 1.0, rng_seed=2)
+    assert H.nbr_arrays[0] is offsets and H.nbr_arrays[1] is flat
 
 
 def test_expected_spread_endpoints(path3):
