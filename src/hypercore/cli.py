@@ -145,7 +145,9 @@ def cmd_sir(args) -> int:
         return 0
     cores = local_core(H).core
 
-    rng = random.Random(args.rng_seed)
+    # random.Random drops an int seed's sign, so a negative seed draws its
+    # seed nodes from its string form instead
+    rng = random.Random(args.rng_seed if args.rng_seed >= 0 else str(args.rng_seed))
     fixed = None if args.seed_node is None else H.label_to_id[args.seed_node]
     runs: Counter[int] = Counter()  # seed core -> runs
     spread: Counter[int] = Counter()  # seed core -> summed spread

@@ -15,6 +15,7 @@ makes floating point unsafe here.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -22,7 +23,7 @@ from typing import Iterable
 
 from .model import GuardError, Hypergraph, InputError, Residual
 # peel is unused here but stays bound: perfbench/tracing.py patches densest.peel
-from .peel import BucketQueue, peel
+from .peel import peel
 
 BRUTE_FORCE_NODE_GUARD = 20
 
@@ -70,7 +71,7 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     """Peel in (core number, residual neighbor count, node id) order and keep
     the densest prefix; density >= optimum / guarantee_factor(H).
 
-    A bucket queue keyed by residual neighbor count pops the least
+    A heap of packed (residual neighbor count, id) ints pops the least
     (count, id) until it is empty, which is core order.  Once every node of
     core below c is deleted and one of core c remains, the least count is at
     most c, or the residual would be a (c+1)-core; a node of core above c
@@ -79,21 +80,31 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     group, and ties go to the lowest id."""
     n = _node_count(H)
     R = Residual(H)
-    B = BucketQueue(n)
-    for v, count in enumerate(R.count):
-        B.put(v, count)
+    # as in peel._peel: key << b | id entries, stale when key is not key[id]
+    b = n.bit_length()
+    mask = (1 << b) - 1
+    key = list(R.count)
+    heap = [k << b | v for v, k in enumerate(key)]
+    heapq.heapify(heap)
     total = H.nbr_offsets[-1]  # sum of the residual neighbor counts
     best_total, best_alive = total, n
     deleted: list[int] = []  # deletion order
     best_deleted = 0
-    while (popped := B.pop_min()) is not None:
-        key, v = popped
+    count, pop, push = R.count, heapq.heappop, heapq.heappush
+    while len(deleted) < n:  # stale entries outlast the last node
+        entry = pop(heap)
+        k, v = entry >> b, entry & mask
+        if key[v] != k:
+            continue
+        key[v] = -1
         deleted.append(v)
-        total -= key
+        total -= k
         for u in R.delete(v):
-            count = R.count[u]
-            total += count - B.key[u]
-            B.put(u, count)
+            c = count[u]
+            if c != key[u]:
+                total += c - key[u]
+                key[u] = c
+                push(heap, c << b | u)
         alive = n - len(deleted)
         if alive and total * best_alive > best_total * alive:
             best_total, best_alive, best_deleted = total, alive, len(deleted)

@@ -1,4 +1,4 @@
-"""Bucket-based peeling decomposition: Peel and the bounded variant E-Peel.
+"""Heap-based peeling decomposition: Peel and the bounded variant E-Peel.
 
 Both run one loop, `_peel`, over `model.Residual(H)`, the residual of all
 of H with live pair counts: Peel starts every node at its exact neighbor
@@ -34,51 +34,6 @@ class CoreAssignment:
         return {v for v, c in enumerate(self.core) if c >= k}
 
 
-class BucketQueue:
-    """Vector of cells B[i]; each queued node sits in the cell of its key.
-
-    Cells are lazy heaps: `put` pushes a fresh entry, and `pop_min` skips
-    stale ones and takes the lowest id of the lowest non-empty cell.  Its
-    search starts at the low-water mark `low`, which `put` lowers, and stops
-    when no node is queued, leaving the stale entries behind."""
-
-    def __init__(self, n: int):
-        self.cells: list[list[int]] = []
-        self.key = [-1] * n  # -1: not queued
-        self.low = 0
-        self.size = 0
-
-    def put(self, v: int, k: int) -> None:
-        """Key v at k, queueing it if it is not queued (popped ones included)."""
-        old = self.key[v]
-        if old == k:
-            return
-        if old < 0:
-            self.size += 1
-        self.key[v] = k
-        while len(self.cells) <= k:
-            self.cells.append([])
-        heapq.heappush(self.cells[k], v)
-        if k < self.low:
-            self.low = k
-
-    def pop_min(self) -> tuple[int, int] | None:
-        """Dequeue and return the least (key, node), or None if none is queued."""
-        if not self.size:
-            return None
-        cells, key, k = self.cells, self.key, self.low
-        while True:
-            cell = cells[k]
-            while cell:
-                v = heapq.heappop(cell)
-                if key[v] == k:
-                    key[v] = -1
-                    self.size -= 1
-                    self.low = k
-                    return k, v
-            k += 1
-
-
 def local_lower_bound(H: Hypergraph, v: int) -> int:
     """max(|e_m(v)| - 1, min_u |N(u)|): guaranteed <= c(v)."""
     H._check_node(v)
@@ -108,32 +63,46 @@ def e_peel(H: Hypergraph) -> CoreAssignment:
     return _peel(H, _lower_bounds(H).tolist(), bounded=True)
 
 
-def _peel(H: Hypergraph, keys: list[int], bounded: bool) -> CoreAssignment:
-    """Bucket-peel the residual from the initial cell keys.  A node popped at
-    key k is assigned core k and deleted, and each neighbor it had is
-    recounted and moved to max(count, k).  With `bounded`, every key is only
-    a lower bound: a node popped on its bound is recounted and requeued
-    instead, and is not recounted as a neighbor until then."""
+def _peel(H: Hypergraph, key: list[int], bounded: bool) -> CoreAssignment:
+    """Peel the residual from the initial keys in `key`, which it rekeys in
+    place, popping the least (key, id).  A node popped at key k is assigned
+    core k and deleted, and each neighbor it had is recounted and rekeyed to
+    max(count, k).  With `bounded`, every key is only a lower bound: a node
+    popped on its bound is recounted and requeued instead, and is not
+    recounted as a neighbor until then."""
     n = H.n
     core = [0] * n
     # exact keys are one residual count per node
     counters = {"neighborhood_recomputations": 0 if bounded else n, "cell_updates": 0}
     on_bound = [bounded] * n
-    B = BucketQueue(n)
-    for v, key in enumerate(keys):
-        B.put(v, key)
+    # heap entries pack (key, id) as key << b | id; one whose key is not
+    # key[id] is stale, and a popped node's key is -1
+    b = n.bit_length()
+    mask = (1 << b) - 1
+    heap = [k << b | v for v, k in enumerate(key)]
+    heapq.heapify(heap)
     R = Residual(H)
-    while (popped := B.pop_min()) is not None:
-        k, v = popped
+    count, pop, push = R.count, heapq.heappop, heapq.heappush
+    left = n  # nodes without a core; stale entries outlast the last one
+    while left:
+        entry = pop(heap)
+        k, v = entry >> b, entry & mask
+        if key[v] != k:
+            continue
+        key[v] = -1
         if on_bound[v]:
             on_bound[v] = False
             recount = [v]
         else:
             core[v] = k
+            left -= 1
             recount = [u for u in R.delete(v) if not on_bound[u]]
             counters["neighborhood_recomputations"] += 1
         for u in recount:
-            B.put(u, max(R.count[u], k))
+            new = max(count[u], k)
+            if key[u] != new:
+                key[u] = new
+                push(heap, new << b | u)
         counters["neighborhood_recomputations"] += len(recount)
         counters["cell_updates"] += len(recount)
     return CoreAssignment(core, counters)

@@ -192,17 +192,22 @@ def test_criterion_10_sir():
 def test_criterion_11_directional_performance():
     H = random_hypergraph(100_000, 200_000, 4, 4, 1)
 
-    start = time.perf_counter()
-    res_seq = local_core(H)
-    t_local = time.perf_counter() - start
-    assert t_local < 300, f"local_core took {t_local:.1f}s"
+    # 1 and 4 threads alternate three times and the fastest of each is
+    # compared, so one slow sample cannot decide the inequality
+    t_seq, t_par = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        res_seq = local_core(H)
+        t_seq.append(time.perf_counter() - start)
+        assert t_seq[-1] < 300, f"local_core took {t_seq[-1]:.1f}s"
 
-    start = time.perf_counter()
-    res_par = local_core(H, LocalCoreOptions(threads=4))
-    t_par = time.perf_counter() - start
-    assert res_par.core == res_seq.core
-    assert t_par <= t_local, f"4 threads {t_par:.1f}s vs 1 thread {t_local:.1f}s"
+        start = time.perf_counter()
+        res_par = local_core(H, LocalCoreOptions(threads=4))
+        t_par.append(time.perf_counter() - start)
+        assert res_par.core == res_seq.core
+    assert min(t_par) <= min(t_seq), f"4 threads {min(t_par):.1f}s vs 1 thread {min(t_seq):.1f}s"
 
+    t_local = t_seq[0]
     start = time.perf_counter()
     res_peel = peel(H)
     t_peel = time.perf_counter() - start

@@ -200,6 +200,22 @@ def test_sir_random_seeds_pinned(fig_file, tmp_path, capsys):
     assert agg.read_bytes() == b"core,runs,mean_spread\r\n2,5,3.6\r\n"
 
 
+def test_sir_negative_rng_seed_draws_its_own_seed_nodes(tmp_path, capsys):
+    # random.Random(-k) and random.Random(k) are one stream; the seed nodes
+    # of --rng-seed -k must not repeat those of --rng-seed k
+    p = tmp_path / "path.hg"
+    p.write_text("".join(f"p{i} p{i + 1}\n" for i in range(40)))
+
+    def seed_column(k):
+        code, out, _ = run(capsys, "sir", str(p), "--beta", "0", "--runs", "10",
+                           "--rng-seed", str(k))
+        assert code == 0
+        return [line.split("\t")[1] for line in out.splitlines()[1:]]
+
+    for k in range(1, 21):
+        assert seed_column(-k) != seed_column(k), k
+
+
 def test_sir_rng_seed_past_the_digit_limit_refused_up_front(fig_file, capsys):
     # run i hashes str(rng_seed + i): a seed with as many digits as str()
     # renders runs, and a run seed one digit longer is refused before the

@@ -11,7 +11,6 @@ from hypercore import (
     peel,
     random_hypergraph,
 )
-from hypercore.peel import BucketQueue
 from conftest import by_label, hg, with_wide_edge
 
 
@@ -137,62 +136,42 @@ def test_core_by_label(fig_five):
     assert by_label(fig_five, peel(fig_five).core) == dict.fromkeys("abcde", 2)
 
 
-def drain(B):
-    out = []
-    while (popped := B.pop_min()) is not None:
-        out.append(popped)
-    return out
+def scan_peel(H, keys, bounded):
+    """`_peel`'s recount and requeue rules, with the least (key, id) found by
+    a linear scan and every count a member scan of the live hyperedges."""
+    n = H.n
+    core, key, on_bound = [0] * n, list(keys), [bounded] * n
+    queued, alive = [True] * n, [True] * n
+    counters = {"neighborhood_recomputations": 0 if bounded else n, "cell_updates": 0}
+    while any(queued):
+        k, v = min((key[u], u) for u in range(n) if queued[u])
+        queued[v] = False
+        if on_bound[v]:
+            on_bound[v] = False
+            recount = [v]
+        else:
+            core[v] = k
+            recount = [u for u in H.residual_neighbors(v, alive) if not on_bound[u]]
+            alive[v] = False
+            counters["neighborhood_recomputations"] += 1
+        for u in recount:
+            key[u], queued[u] = max(len(H.residual_neighbors(u, alive)), k), True
+        counters["neighborhood_recomputations"] += len(recount)
+        counters["cell_updates"] += len(recount)
+    return core, counters
 
 
-def test_bucket_queue_pops_in_key_then_id_order():
-    B = BucketQueue(6)
-    for v, k in [(4, 2), (0, 3), (5, 1), (2, 2), (1, 1), (3, 3)]:
-        B.put(v, k)
-    assert drain(B) == [(1, 1), (1, 5), (2, 2), (2, 4), (3, 0), (3, 3)]
-    assert B.pop_min() is None
-
-
-def test_bucket_queue_put_below_low_pops_next():
-    # greedy's case: a deletion drops a neighbor's count below the last key
-    B = BucketQueue(3)
-    for v, k in [(0, 3), (1, 4), (2, 5)]:
-        B.put(v, k)
-    assert B.pop_min() == (3, 0)
-    B.put(2, 1)
-    assert B.pop_min() == (1, 2)
-    assert drain(B) == [(4, 1)]
-
-
-def test_bucket_queue_popped_node_put_again():
-    # e-peel's case: a node popped on its bound is requeued at its count
-    B = BucketQueue(2)
-    B.put(0, 1)
-    B.put(1, 2)
-    assert B.pop_min() == (1, 0)
-    B.put(0, 1)
-    assert B.pop_min() == (1, 0)
-    B.put(0, 3)
-    assert drain(B) == [(2, 1), (3, 0)]
-
-
-def test_bucket_queue_skips_stale_entries():
-    B = BucketQueue(3)
-    B.put(0, 1)
-    B.put(1, 2)
-    B.put(0, 4)  # leaves a stale entry of 0 in cell 1
-    B.put(2, 4)
-    B.put(2, 2)  # and of 2 in cell 4
-    B.put(1, 2)  # same key: no new entry
-    assert drain(B) == [(2, 1), (2, 2), (4, 0)]
-
-
-def test_bucket_queue_empty_after_last_pop():
-    B = BucketQueue(2)
-    assert B.pop_min() is None
-    B.put(0, 2)
-    B.put(0, 5)
-    B.put(0, 1)
-    assert B.pop_min() == (1, 0)
-    # stale entries of 0 remain in cells 2 and 5, but nothing is queued
-    assert B.pop_min() is None
-    assert [len(cell) for cell in B.cells] == [0, 0, 1, 0, 0, 1]
+def test_peel_and_epeel_match_scan_reference():
+    shared = wide = 0
+    for seed in range(200):
+        H = random_hypergraph(10 + seed % 30, 5 + seed % 40, 2, 2 + seed % 3, seed)
+        if seed % 3 == 0 and H.n >= 8:
+            H = with_wide_edge(H, seed)
+            wide += 1
+        shared += H.d_pair > 1
+        exact = [H.neighbor_count(v) for v in range(H.n)]
+        bounds = [local_lower_bound(H, v) for v in range(H.n)]
+        for route, keys, bounded in ((peel, exact, False), (e_peel, bounds, True)):
+            res = route(H)
+            assert (res.core, res.counters) == scan_peel(H, keys, bounded), (seed, route)
+    assert shared > 100 and wide > 50
