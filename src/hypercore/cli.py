@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import os
-import random
 import sys
 from collections import Counter
 
@@ -93,10 +92,11 @@ def cmd_decompose(args) -> int:
 def cmd_kdcore(args) -> int:
     H, _ = _load(args.input, args.lenient)
     result = kdcore.kd_decompose(H)
+    labels = H.labels
     with _output(args.out) as out:
         for k in range(1, result.kmax + 1):
-            for v in sorted(result.levels[k]):
-                out.write(f"{H.labels[v]}\t{k}\t{result.levels[k][v]}\n")
+            level, tag = result.levels[k], f"\t{k}\t"
+            out.write("".join([f"{labels[v]}{tag}{level[v]}\n" for v in sorted(level)]))
     return 0
 
 
@@ -145,9 +145,7 @@ def cmd_sir(args) -> int:
         return 0
     cores = local_core(H).core
 
-    # random.Random drops an int seed's sign, so a negative seed draws its
-    # seed nodes from its string form instead
-    rng = random.Random(args.rng_seed if args.rng_seed >= 0 else str(args.rng_seed))
+    rng = gen.seeded_random(args.rng_seed)
     fixed = None if args.seed_node is None else H.label_to_id[args.seed_node]
     runs: Counter[int] = Counter()  # seed core -> runs
     spread: Counter[int] = Counter()  # seed core -> summed spread

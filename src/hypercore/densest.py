@@ -1,11 +1,12 @@
 """Volume-densest subhypergraph discovery.
 
-Three routes: a greedy peel by least residual neighbor count, which is core
-order, with a provable approximation factor; an exact method; and a
-subset-enumeration oracle for testing.  The exact method runs Dinkelbach
-iteration over an integer max-flow probe on Goldberg's closure network when
-no node pair is shared by two hyperedges (d_pair = 1), reading each witness
-off the last BFS of the flow; with shared pairs it is the enumeration.
+Three routes: a greedy peel by least residual neighbor count, which is
+Peel's deletion order, with a provable approximation factor; an exact
+method; and a subset-enumeration oracle for testing.  The exact method
+runs Dinkelbach iteration over an integer max-flow probe on Goldberg's
+closure network when no node pair is shared by two hyperedges
+(d_pair = 1), reading each witness off the last BFS of the flow; with
+shared pairs it is the enumeration.
 
 All densities are exact rationals.  The flow probe scales every capacity by
 the denominator of the probed density so the network stays pure-integer;
@@ -15,15 +16,16 @@ makes floating point unsafe here.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .model import GuardError, Hypergraph, InputError, Residual
+import numpy as np
+
+from .model import GuardError, Hypergraph, InputError
 # peel is unused here but stays bound: perfbench/tracing.py patches densest.peel
-from .peel import peel
+from .peel import _peel, peel
 
 BRUTE_FORCE_NODE_GUARD = 20
 
@@ -68,47 +70,27 @@ def guarantee_factor(H: Hypergraph) -> Fraction:
 
 
 def greedy_densest(H: Hypergraph) -> DensestResult:
-    """Peel in (core number, residual neighbor count, node id) order and keep
-    the densest prefix; density >= optimum / guarantee_factor(H).
+    """Delete the node of least (residual neighbor count, id) until none is
+    left, as Peel does, and keep the densest residual; density >= optimum /
+    guarantee_factor(H).
 
-    A heap of packed (residual neighbor count, id) ints pops the least
-    (count, id) until it is empty, which is core order.  Once every node of
-    core below c is deleted and one of core c remains, the least count is at
-    most c, or the residual would be a (c+1)-core; a node of core above c
-    still has at least c+1 residual neighbors, because every hyperedge of the
-    (c+1)-core is live.  So the least count lies in the lowest remaining core
-    group, and ties go to the lowest id."""
+    Each residual's volume is read off the pair table.  A hyperedge dies
+    with its first deleted member, and a pair group with the last live
+    hyperedge that holds it, so the residual after t deletions holds the
+    groups that die at position t or later.  The first densest residual
+    wins."""
     n = _node_count(H)
-    R = Residual(H)
-    # as in peel._peel: key << b | id entries, stale when key is not key[id]
-    b = n.bit_length()
-    mask = (1 << b) - 1
-    key = list(R.count)
-    heap = [k << b | v for v, k in enumerate(key)]
-    heapq.heapify(heap)
-    total = H.nbr_offsets[-1]  # sum of the residual neighbor counts
-    best_total, best_alive = total, n
-    deleted: list[int] = []  # deletion order
-    best_deleted = 0
-    count, pop, push = R.count, heapq.heappop, heapq.heappush
-    while len(deleted) < n:  # stale entries outlast the last node
-        entry = pop(heap)
-        k, v = entry >> b, entry & mask
-        if key[v] != k:
-            continue
-        key[v] = -1
-        deleted.append(v)
-        total -= k
-        for u in R.delete(v):
-            c = count[u]
-            if c != key[u]:
-                total += c - key[u]
-                key[u] = c
-                push(heap, c << b | u)
-        alive = n - len(deleted)
-        if alive and total * best_alive > best_total * alive:
-            best_total, best_alive, best_deleted = total, alive, len(deleted)
-    return DensestResult(set(deleted[best_deleted:]), Fraction(best_total, best_alive),
+    order = _peel(H, np.diff(H.nbr_offsets).tolist(), bounded=False)[1]
+    pos = np.argsort(order)  # node -> its position in the deletion order
+    edge_death = np.minimum.reduceat(pos[H.edge_flat], H.edge_starts)
+    group_death = np.maximum.reduceat(edge_death[H.pair_edge], H.pair_starts)
+    # total[t]: residual neighbor counts summed over the nodes left after t deletions
+    total = np.cumsum(np.bincount(group_death, minlength=n)[::-1])[::-1].tolist()
+    best = 0
+    for t in range(1, n):
+        if total[t] * (n - best) > total[best] * (n - t):
+            best = t
+    return DensestResult(set(order[best:]), Fraction(total[best], n - best),
                          "greedy", guarantee_factor(H))
 
 

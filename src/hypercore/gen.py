@@ -16,14 +16,21 @@ from .peel import CoreAssignment
 ORACLE_NODE_GUARD = 200
 
 
+def seeded_random(seed: int) -> random.Random:
+    """The random stream of an int seed.  `random.Random` drops the sign of
+    an int seed, so a negative seed is seeded by its string form instead; a
+    seed >= 0 keeps the stream of `random.Random(seed)`."""
+    return random.Random(seed if seed >= 0 else str(seed))
+
+
 def random_hypergraph(
     n: int, m: int, card_min: int, card_max: int, seed: int
 ) -> Hypergraph:
     """m distinct edges with uniform cardinality in [card_min, card_max] and
     uniformly sampled members; duplicates are rejection-resampled.
 
-    Deterministic per seed.  Nodes that end up in no edge are stripped at
-    build, so the result may have fewer than n nodes.
+    Deterministic per seed (see `seeded_random`).  Nodes that end up in no
+    edge are stripped at build, so the result may have fewer than n nodes.
     """
     if not (2 <= card_min <= card_max <= n):
         raise InputError(f"need 2 <= card_min <= card_max <= n, got ({card_min},{card_max},{n})")
@@ -42,7 +49,7 @@ def random_hypergraph(
     if m * floor > model.PAIR_ROW_GUARD:
         raise _pair_row_error(m * floor)
 
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     seen: set[tuple[int, ...]] = set()
     edges: list[list[str]] = []
     kept_rows, kept_cards = 0, set()

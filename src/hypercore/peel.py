@@ -8,7 +8,9 @@ node is popped.  A recount reads the residual's live neighbor count, which
 neighbor's count by more than one, or by none while another live hyperedge
 still holds the pair, so decrement-by-one graph peeling does not apply.
 The `neighborhood_recomputations` counter tracks exactly those residual
-recounts, which is what makes E-Peel's work ratio measurable.
+recounts, which is what makes E-Peel's work ratio measurable.  The exact
+loop's deletion order, least residual neighbor count first, is also
+Charikar's greedy peel, which `densest.greedy_densest` reads.
 """
 
 from __future__ import annotations
@@ -53,25 +55,32 @@ def _lower_bounds(H: Hypergraph) -> np.ndarray:
 def peel(H: Hypergraph) -> CoreAssignment:
     """Exact neighborhood core numbers by processing nodes in increasing
     residual neighborhood size."""
-    return _peel(H, np.diff(H.nbr_offsets).tolist(), bounded=False)
+    return _peel(H, np.diff(H.nbr_offsets).tolist(), bounded=False)[0]
 
 
 def e_peel(H: Hypergraph) -> CoreAssignment:
     """Peel with the local lower bound: neighbors still sitting on their bound
     are not recomputed or moved, so the recomputation counter never exceeds
     peel's on the same input."""
-    return _peel(H, _lower_bounds(H).tolist(), bounded=True)
+    return _peel(H, _lower_bounds(H).tolist(), bounded=True)[0]
 
 
-def _peel(H: Hypergraph, key: list[int], bounded: bool) -> CoreAssignment:
+def _peel(H: Hypergraph, key: list[int], bounded: bool) -> tuple[CoreAssignment, list[int]]:
     """Peel the residual from the initial keys in `key`, which it rekeys in
-    place, popping the least (key, id).  A node popped at key k is assigned
-    core k and deleted, and each neighbor it had is recounted and rekeyed to
-    max(count, k).  With `bounded`, every key is only a lower bound: a node
+    place, popping the least (key, id); returns the cores and the deletion
+    order.  A popped node is deleted and assigned the largest key popped so
+    far as its core, and each neighbor it had is recounted and rekeyed to its
+    live count.  With `bounded`, every key is only a lower bound: a node
     popped on its bound is recounted and requeued instead, and is not
-    recounted as a neighbor until then."""
+    recounted as a neighbor until then.
+
+    The first pop at a key k above every earlier one finds each residual
+    node with at least k residual neighbors: an exact key is the live count,
+    and a bound is at most the node's core, all of which is still in the
+    residual.  So the residual is then exactly the k-core."""
     n = H.n
     core = [0] * n
+    order: list[int] = []
     # exact keys are one residual count per node
     counters = {"neighborhood_recomputations": 0 if bounded else n, "cell_updates": 0}
     on_bound = [bounded] * n
@@ -83,26 +92,26 @@ def _peel(H: Hypergraph, key: list[int], bounded: bool) -> CoreAssignment:
     heapq.heapify(heap)
     R = Residual(H)
     count, pop, push = R.count, heapq.heappop, heapq.heappush
-    left = n  # nodes without a core; stale entries outlast the last one
-    while left:
+    top = 0  # the largest key popped so far
+    while len(order) < n:  # stale entries outlast the last node
         entry = pop(heap)
         k, v = entry >> b, entry & mask
         if key[v] != k:
             continue
         key[v] = -1
+        top = max(top, k)
         if on_bound[v]:
             on_bound[v] = False
             recount = [v]
         else:
-            core[v] = k
-            left -= 1
+            core[v] = top
+            order.append(v)
             recount = [u for u in R.delete(v) if not on_bound[u]]
             counters["neighborhood_recomputations"] += 1
         for u in recount:
-            new = max(count[u], k)
-            if key[u] != new:
-                key[u] = new
-                push(heap, new << b | u)
+            if key[u] != count[u]:
+                key[u] = count[u]
+                push(heap, count[u] << b | u)
         counters["neighborhood_recomputations"] += len(recount)
         counters["cell_updates"] += len(recount)
-    return CoreAssignment(core, counters)
+    return CoreAssignment(core, counters), order

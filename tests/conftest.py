@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypercore import build, parse_hg
+from hypercore import build, parse_hg, random_hypergraph
 
 
 def hg(text):
@@ -47,6 +47,17 @@ def with_wide_edge(H, seed):
     rng = random.Random(seed)
     wide = rng.sample(H.labels, rng.randint(8, min(12, H.n)))
     return build([[H.labels[v] for v in e] for e in H.edges] + [wide])[0]
+
+
+def scan_pool():
+    """(seed, H) for 200 small random hypergraphs of at most 4-member
+    hyperedges, most with shared pairs; every third one of at least 8 nodes
+    gets one added wide hyperedge."""
+    for seed in range(200):
+        H = random_hypergraph(10 + seed % 30, 5 + seed % 40, 2, 2 + seed % 3, seed)
+        if seed % 3 == 0 and H.n >= 8:
+            H = with_wide_edge(H, seed)
+        yield seed, H
 
 
 def refuse_large_samples(monkeypatch):

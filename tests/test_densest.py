@@ -22,7 +22,7 @@ from hypercore import (
 )
 from hypercore import densest
 from hypercore.densest import _flow_probe
-from conftest import hg, ids, with_wide_edge
+from conftest import hg, ids, scan_pool, with_wide_edge
 
 
 def test_volume_density_single_triple(single_triple):
@@ -140,6 +140,10 @@ def test_greedy_matches_reference_order():
             H = with_wide_edge(H, seed)
         res = greedy_densest(H)
         assert (res.nodes, res.density, res.factor) == reference_greedy(H), seed
+    # the 200 inputs the peel and e-peel scan reference runs on
+    for seed, H in scan_pool():
+        res = greedy_densest(H)
+        assert (res.nodes, res.density, res.factor) == reference_greedy(H), ("pool", seed)
 
 
 def test_greedy_computes_no_core_numbers(monkeypatch):

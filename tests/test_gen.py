@@ -28,6 +28,13 @@ def test_determinism():
     assert a.edges == b.edges and a.labels == b.labels
 
 
+def test_negative_seed_has_its_own_stream():
+    # random.Random(-k) is random.Random(k); the generator must tell them apart
+    for k in range(1, 21):
+        neg, pos = (random_hypergraph(30, 20, 2, 4, seed) for seed in (-k, k))
+        assert neg.edges != pos.edges, k
+
+
 def test_infeasible_request_rejected():
     with pytest.raises(InputError):
         random_hypergraph(4, 100, 2, 2, 0)
