@@ -20,7 +20,6 @@ from .localcore import (
     core_correction,
     h_operator,
     local_core,
-    naive_graph_h_index,
     neighborhood_hierarchy,
 )
 from .kdcore import KDCoreResult, degree_core, kd_decompose, kd_fixpoint_oracle
@@ -37,6 +36,7 @@ from .gen import (
     clique_expansion,
     clique_graph_core,
     naive_core_oracle,
+    naive_graph_h_index,
     oracle_k_core_sets,
     random_hypergraph,
 )

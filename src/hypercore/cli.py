@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 
 from . import diffusion, gen, kdcore, densest as densest_mod
-from .localcore import MAX_THREADS, LocalCoreOptions, local_core, naive_graph_h_index
+from .localcore import MAX_THREADS, LocalCoreOptions, local_core
 from .model import (
     GuardError,
     Hypergraph,
@@ -67,7 +67,7 @@ def cmd_decompose(args) -> int:
     elif args.algorithm == "local":
         res = local_core(H, opts)
     elif args.algorithm == "naive-h":
-        res = naive_graph_h_index(H)
+        res = gen.naive_graph_h_index(H)
     elif args.algorithm == "degree":
         res = kdcore.degree_core(H)
     else:  # clique

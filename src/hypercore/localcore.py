@@ -3,9 +3,10 @@
 Each round recomputes a per-node h-index from neighbor estimates and then
 applies a core-correction that lowers the estimate until an incident-edge
 witness supplies enough neighbors at that level.  Without the correction the
-plain h-index recurrence can converge above the true core number (exposed by
-`naive_graph_h_index`).  Estimates decrease monotonically and the loop stops
-on the first round in which no estimate changed.
+plain h-index recurrence can converge above the true core number; on the
+clique expansion the correction never binds, so there this engine runs that
+recurrence (`gen.naive_graph_h_index`).  Estimates decrease monotonically and
+the loop stops on the first round in which no estimate changed.
 
 One engine computes the fixpoint: `_local_core_jacobi`, a vectorized Jacobi
 operator applied once per round to the round-start estimates of every node,
@@ -181,25 +182,7 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
     return _result(est.tolist(), history, h_evals=len(history) * n)
 
 
-# -- uncorrected baseline and convergence hierarchy ------------------------
-
-
-def naive_graph_h_index(H: Hypergraph) -> CoreAssignment:
-    """Fixpoint of the plain graph h-index recurrence, without correction.
-
-    On hypergraphs this may converge strictly above the true core numbers;
-    it is kept as a comparison baseline."""
-    n = H.n
-    nbrs = [H.neighbors(v) for v in range(n)]
-    cur = [len(nbr) for nbr in nbrs]
-    rounds = 0
-    while True:
-        rounds += 1
-        new = [h_operator([cur[u] for u in nbrs[v]]) for v in range(n)]
-        if new == cur:
-            break
-        cur = new
-    return CoreAssignment(cur, {"rounds": rounds})
+# -- convergence hierarchy -------------------------------------------------
 
 
 def neighborhood_hierarchy(H: Hypergraph) -> list[int]:

@@ -1,9 +1,10 @@
 """Hypergraph data model: label interning, the pair table, CSR incidence/adjacency,
 neighborhood queries.
 
-The hypergraph is immutable after build; every algorithm in this package reads it
-through the queries defined here.  Nodes are dense integers in [0, n); the label
-table maps them back to the input tokens in first-seen order.
+Nodes are dense integers in [0, n), labelled in first-seen order.  The structure
+is fixed at build (SIR fills the `nbr_arrays` cache later); algorithms read it
+through the queries defined here or straight from `edge_flat`, `pair_edge` and
+the other numpy arrays.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class Hypergraph:
     nbr_offsets range holds g.
 
     Every hyperedge is a strictly ascending tuple of at least 2 node ids in
-    [0, n), and every node is a member of some hyperedge: any other edge, or
-    a label in none, is an InputError (`build` strips such labels and
-    reports them as isolated).
+    [0, n), and every node is a member of some hyperedge: any other edge, a
+    label in none or a repeated label is an InputError (`build` strips labels
+    in none, reporting them as isolated, and never repeats one).
 
     Attributes:
         n: number of retained nodes.
@@ -95,6 +96,9 @@ class Hypergraph:
         self.edges = edges
         self.labels = labels
         self.label_to_id = dict(zip(labels, range(self.n)))
+        if len(self.label_to_id) != self.n:
+            dup = next(lab for v, lab in enumerate(labels) if self.label_to_id[lab] != v)
+            raise InputError(f"label {dup!r} is repeated")
         self.nbr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._build_csr()
 
@@ -358,7 +362,8 @@ def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tupl
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
-    return parse_hg(text, policy)
+    # not "utf-8-sig": it counts a decode error's offset from after the mark
+    return parse_hg(text.removeprefix("\ufeff"), policy)
 
 
 def serialize_hg(H: Hypergraph) -> str:

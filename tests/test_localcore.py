@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from hypercore import (
+    Hypergraph,
     InputError,
     LocalCoreOptions,
     clique_graph_core,
@@ -17,7 +18,7 @@ from hypercore import (
     peel,
     random_hypergraph,
 )
-from conftest import by_label, hg, with_wide_edge
+from conftest import by_label, hg, scan_pool, with_wide_edge
 
 
 def test_h_operator_values():
@@ -118,6 +119,38 @@ def test_naive_h_index_is_clique_graph_coreness():
         d_pairs.add(H.d_pair)
         assert naive_graph_h_index(H).core == clique_graph_core(H).core, seed
     assert max(d_pairs) > 1  # node pairs shared by several hyperedges
+
+
+def reference_h_index(H):
+    """The plain h-index recurrence from degrees, node by node: its fixpoint
+    and the rounds run, the last one change-free."""
+    nbrs = [H.neighbors(v) for v in range(H.n)]
+    cur = [len(nbr) for nbr in nbrs]
+    rounds = 0
+    while True:
+        rounds += 1
+        new = [h_operator([cur[u] for u in nbr]) for nbr in nbrs]
+        if new == cur:
+            return cur, rounds
+        cur = new
+
+
+def test_naive_h_index_matches_reference_recurrence():
+    for seed, H in scan_pool():
+        res = naive_graph_h_index(H)
+        assert (res.core, res.counters["rounds"]) == reference_h_index(H), seed
+
+
+@pytest.mark.parametrize("text, rounds", [
+    ("a b e\na c d\nc d e\n", 2),  # fig_five
+    ("a b c\n", 1),
+    ("a b\nb c\n", 2),
+    ("".join(f"p{i} p{i + 1}\n" for i in range(20)), 11),  # a 21-node path
+    ("", 0),  # no node, so no round, as local_core reports
+])
+def test_naive_h_index_rounds(text, rounds):
+    H = hg(text) if text else Hypergraph([], [])
+    assert naive_graph_h_index(H).counters == {"rounds": rounds}
 
 
 def test_naive_agrees_on_clean_instance(single_triple):

@@ -10,8 +10,12 @@ from hypercore import (
     InputError,
     SingletonPolicy,
     build,
+    load_hg,
+    local_lower_bound,
     parse_hg,
     serialize_hg,
+    sir_expected_spread,
+    sir_run,
     volume_density,
 )
 from hypercore.model import BuildReport, Residual
@@ -149,6 +153,38 @@ def test_label_in_no_hyperedge_rejected():
     with pytest.raises(InputError):
         Hypergraph([], ["a"])
     assert Hypergraph([], []).n == 0
+
+
+def test_repeated_label_rejected():
+    # label_to_id would hold fewer labels than nodes, and serialize_hg ->
+    # parse_hg would not give the hypergraph back
+    with pytest.raises(InputError, match="label 'a' is repeated"):
+        Hypergraph([(0, 1), (1, 2)], ["a", "a", "b"])
+
+
+@pytest.mark.parametrize("query", [
+    Hypergraph.neighbors,
+    Hypergraph.neighbor_count,
+    Hypergraph.degree,
+    Hypergraph.incident_edges,
+    local_lower_bound,
+    lambda H, v: sir_run(H, v, 0.5),
+    lambda H, v: sir_expected_spread(H, v, Fraction(1, 2)),
+])
+def test_node_id_out_of_range_rejected(fig_five, query):
+    for v in (-1, fig_five.n):
+        with pytest.raises(InputError, match=f"invalid node id {v}$"):
+            query(fig_five, v)
+
+
+def test_load_drops_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.hg"
+    p.write_bytes(b"\xef\xbb\xbfa b\nb c\n")
+    assert load_hg(str(p))[0].labels == ["a", "b", "c"]
+    # a decode error's offset still counts the mark's three bytes
+    p.write_bytes(b"\xef\xbb\xbfa b\nc \xff d\n")
+    with pytest.raises(InputError, match="not UTF-8 text at byte offset 9$"):
+        load_hg(str(p))
 
 
 @pytest.mark.parametrize("edges", [
