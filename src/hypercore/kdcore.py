@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GuardError, Hypergraph
+from .model import GuardError, Hypergraph, _ranges
 from .peel import CoreAssignment
 from .localcore import local_core
 
@@ -60,12 +60,6 @@ def degree_core(H: Hypergraph) -> CoreAssignment:
     ranked = _Ranked(H, np.ones(H.n, dtype=np.int64))
     dvals = ranked.peel(1) if H.n else {}
     return CoreAssignment([dvals[v] for v in range(H.n)], ranked.work)
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _distinct(x: np.ndarray, size: int) -> np.ndarray:

@@ -10,7 +10,6 @@ the other numpy arrays.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
@@ -212,47 +211,82 @@ class Residual:
     It starts as all of H.  A hyperedge dies with its first deleted member,
     so liveness is decided once per hyperedge instead of by a member scan
     per query.  Live pair counts are kept bucket-style, as in Batagelj and
-    Zaversnik (2003): a dying hyperedge decrements each of its ordered
-    member pairs' groups, and a group that reaches 0 decrements its node's
-    neighbor count, so a recount is one read.
+    Zaversnik (2003), so a recount is one read.  A pair group held by one
+    hyperedge empties when that hyperedge dies, so a dying hyperedge lowers
+    each member's count by its private pairs there at once and never looks
+    those groups up; only a shared group, held by two or more hyperedges, is
+    decremented, and it lowers its node's count when it reaches 0.
 
     Attributes:
         live: hyperedge -> every member still alive.
         count: node -> number of residual neighbors.
-        gcount: pair group g (a position in H.nbr_flat) -> number of live
-            hyperedges holding the pair.
+        starts: H.edge_starts as a list.
+        priv: position p of (hyperedge e, member u) in H.edge_flat -> the
+            number of u's pairs in e that no other hyperedge holds.
+        shared_offsets, shared_flat: CSR over the same positions; p's entries
+            index gcount, one per pair of u in e that another hyperedge holds.
+        gcount: shared group, in H.nbr_flat order -> number of live
+            hyperedges holding the pair.  With d_pair = 1 it is empty.
     """
 
-    __slots__ = ("H", "live", "count", "gcount")
+    __slots__ = ("H", "live", "count", "starts", "priv", "shared_offsets", "shared_flat",
+                 "gcount")
 
     def __init__(self, H: Hypergraph):
         self.H = H
-        self.live = [True] * len(H.edges)
+        m = len(H.edges)
+        self.live = [True] * m
         self.count = np.diff(H.nbr_offsets).tolist()
-        self.gcount = np.diff(H.pair_starts, append=len(H.pair_edge)).tolist()
+        self.starts = H.edge_starts.tolist()
+        cards = np.diff(H.edge_starts, append=len(H.edge_flat))
+        edge_of = np.repeat(np.arange(m), cards)
+        sizes = np.diff(H.pair_starts, append=len(H.pair_edge))
+        shared = np.flatnonzero(sizes > 1)
+        reps = sizes[shared]
+        # each shared row's position in edge_flat: (its hyperedge, its group's node)
+        owner = np.searchsorted(H.nbr_offsets, shared, side="right") - 1
+        b = max(H.n, m).bit_length()
+        rows = _ranges(H.pair_starts[shared], reps)
+        pos = np.searchsorted((edge_of << b) | H.edge_flat,
+                              (H.pair_edge[rows] << b) | np.repeat(owner, reps))
+        entries = np.repeat(np.arange(shared.size), reps)
+        self.shared_flat = entries[np.argsort(pos, kind="stable")].tolist()
+        at = np.bincount(pos, minlength=edge_of.size)
+        self.priv = (cards[edge_of] - 1 - at).tolist()
+        self.shared_offsets = np.concatenate(([0], np.cumsum(at))).tolist()
+        self.gcount = reps.tolist()
 
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""
         H, live, count, gcount = self.H, self.live, self.count, self.gcount
-        flat, offsets = H.nbr_flat, H.nbr_offsets
+        starts, priv = self.starts, self.priv
+        offsets, flat = self.shared_offsets, self.shared_flat
         out: set[int] = set()
         for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
             if live[ei]:
                 live[ei] = False
                 e = H.edges[ei]
                 out.update(e)
-                for u in e:
-                    # u's neighbor range is sorted, and so is e
-                    lo, hi = offsets[u], offsets[u + 1]
-                    for w in e:
-                        if w != u:
-                            lo = bisect_left(flat, w, lo, hi)
-                            gcount[lo] -= 1
-                            if not gcount[lo]:
+                p = starts[ei]
+                q = p + len(e)
+                for u, k in zip(e, priv[p:q]):
+                    count[u] -= k
+                if offsets[p] != offsets[q]:
+                    for u in e:
+                        for s in flat[offsets[p] : offsets[p + 1]]:
+                            gcount[s] -= 1
+                            if not gcount[s]:
                                 count[u] -= 1
+                        p += 1
         out.discard(v)
         return out
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def build(
@@ -334,10 +368,12 @@ def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
 def parse_hg(text: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:
     """Parse the .hg text format: one edge per line, whitespace-separated.  A
     line whose first non-blank character is '#' is a comment; elsewhere '#' is
-    part of a label.  Blank lines are ignored.
+    part of a label.  Blank lines are ignored, and so is one leading byte
+    order mark (U+FEFF).
 
     `build` reads each line's tokens as the line is split, so no list of every
     line's tokens is held."""
+    text = text.removeprefix("\ufeff")
     edges = _edge_tokens(text.splitlines())
     first = next(edges, None)
     if first is None:
@@ -358,12 +394,13 @@ def parse_hg(text: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tup
 def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:
     with open(path, "rb") as fh:
         data = fh.read()
+    # not "utf-8-sig": it counts a decode error's offset from after the mark;
+    # parse_hg drops the mark
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
-    # not "utf-8-sig": it counts a decode error's offset from after the mark
-    return parse_hg(text.removeprefix("\ufeff"), policy)
+    return parse_hg(text, policy)
 
 
 def serialize_hg(H: Hypergraph) -> str:

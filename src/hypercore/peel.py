@@ -7,6 +7,10 @@ node is popped.  A recount reads the residual's live neighbor count, which
 `Residual.delete` keeps per node pair: deleting a node can drop a
 neighbor's count by more than one, or by none while another live hyperedge
 still holds the pair, so decrement-by-one graph peeling does not apply.
+A dying hyperedge lowers each member's count by its private pairs there
+(`Residual.priv`) at once, without looking their groups up; only groups
+that two or more hyperedges hold are kept in `Residual.gcount` and
+decremented.
 The `neighborhood_recomputations` counter tracks exactly those residual
 recounts, which is what makes E-Peel's work ratio measurable.  The exact
 loop's deletion order, least residual neighbor count first, is also

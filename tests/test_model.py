@@ -187,6 +187,15 @@ def test_load_drops_a_byte_order_mark(tmp_path):
         load_hg(str(p))
 
 
+def test_parse_drops_one_byte_order_mark():
+    assert parse_hg("\ufeffa b\nb c\n")[0].labels == ["a", "b", "c"]
+    # only one: a second mark is the start of a label
+    assert parse_hg("\ufeff\ufeffa b\n")[0].labels == ["\ufeffa", "b"]
+    # line numbers in errors are unchanged
+    with pytest.raises(InputError, match="^line 2: singleton"):
+        parse_hg("\ufeffa b\nc\n")
+
+
 @pytest.mark.parametrize("edges", [
     [(0, 0, 1)],  # a repeated member, on which peel and e_peel would disagree
     [(0,)],  # a node with no neighbor
@@ -423,10 +432,51 @@ def _assert_residual_is_definitional(H, R, alive):
     # live hyperedges holding each ordered pair
     holding = Counter(pair for e in H.edges if all(alive[u] for u in e)
                       for pair in permutations(e, 2))
+    bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
+    shared = iter(range(len(R.gcount)))  # gcount holds the shared groups in order
     for v in range(H.n):
         assert R.count[v] == len(H.residual_neighbors(v, alive)), v
         for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1]):
-            assert R.gcount[g] == holding[v, H.nbr_flat[g]], (v, H.nbr_flat[g])
+            if bounds[g + 1] - bounds[g] > 1:
+                live_holding = R.gcount[next(shared)]
+            else:  # a private group is live exactly while its one hyperedge is
+                live_holding = R.live[H.pair_edge[bounds[g]]]
+            assert live_holding == holding[v, H.nbr_flat[g]], (v, H.nbr_flat[g])
+    assert next(shared, None) is None
+
+
+def _assert_pairs_split(H, R):
+    """priv and the shared entries split each member's pairs in each hyperedge:
+    the entries at (e, u) are exactly u's pairs in e that another hyperedge
+    holds, and priv counts the rest."""
+    pairs = Counter(pair for e in H.edges for pair in permutations(e, 2))
+    index = {}  # ordered pair -> its gcount index, for shared pairs
+    for v in range(H.n):
+        for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1]):
+            if pairs[v, H.nbr_flat[g]] > 1:
+                index[v, H.nbr_flat[g]] = len(index)
+    assert R.gcount == [pairs[pair] for pair in index]
+    positions = [(e, u) for e in H.edges for u in e]
+    assert len(R.priv) == len(positions) == len(R.shared_offsets) - 1
+    assert R.shared_offsets[-1] == len(R.shared_flat)
+    for p, (e, u) in enumerate(positions):
+        entries = R.shared_flat[R.shared_offsets[p]:R.shared_offsets[p + 1]]
+        assert R.priv[p] + len(entries) == len(e) - 1, (e, u)
+        assert sorted(entries) == [index[u, w] for w in e if (u, w) in index], (e, u)
+    if H.d_pair == 1:
+        assert not R.gcount and not R.shared_flat
+
+
+@pytest.mark.parametrize("text", [
+    "1 2 4\n2 3 5\n3 4 6\n4 5 7\n5 6 1\n6 7 2\n7 1 3\n",  # the Fano plane
+    "a b c d e f\na g\nb g\ng h i\n",
+])
+def test_pair_disjoint_residual_has_no_shared_entry(text):
+    H = hg(text)
+    R = Residual(H)
+    assert H.d_pair == 1
+    assert R.gcount == [] and R.shared_flat == [] and set(R.shared_offsets) == {0}
+    assert R.priv == [len(e) - 1 for e in H.edges for _ in e]
 
 
 # edge_lists() draws at most 8 + 44 labels
@@ -447,6 +497,7 @@ def test_residual_matches_definition_under_deletion(raw, order):
     neighbors before the deletion."""
     H = build(raw)[0] if raw else Hypergraph([], [])
     R = Residual(H)
+    _assert_pairs_split(H, R)
     alive = [True] * H.n
     for v in (v for v in order if v < H.n):
         _assert_residual_is_definitional(H, R, alive)

@@ -1,5 +1,8 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypercore import (
@@ -11,6 +14,7 @@ from hypercore import (
     peel,
     random_hypergraph,
 )
+from hypercore.model import Residual
 from conftest import by_label, hg, scan_pool, with_wide_edge
 
 
@@ -110,6 +114,51 @@ def test_work_pinned_on_larger_inputs(make, peel_work, epeel_work, greedy_nodes,
     side, labels = greedy_nodes
     assert (kept if side == "keeps" else set(H.labels) - kept) == labels
     assert g.density == greedy_density
+
+
+class _Tally(list):
+    """A list that sums the decrements made to each of its items."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.decrements = Counter()
+
+    def __setitem__(self, i, x):
+        self.decrements[i] += self[i] - x
+        super().__setitem__(i, x)
+
+
+FANO = "1 2 4\n2 3 5\n3 4 6\n4 5 7\n5 6 1\n6 7 2\n7 1 3\n"
+
+
+# (input, group decrements in one whole peel); the wide-edge input has 518
+# pair rows, one group decrement each before private pairs were split off
+@pytest.mark.parametrize("make, decrements", [
+    (lambda: hg(FANO), 0),
+    (PINNED_WORK[2][0], 88),
+], ids=["pair-disjoint", "wide-edge"])
+def test_peel_decrements_only_shared_groups(monkeypatch, make, decrements):
+    """Residual.delete's group work under peel, e-peel and greedy: each pair
+    group held by two or more hyperedges is decremented once per holder, to
+    0, and a group held by one is never touched."""
+    tallies = []
+
+    class Tallied(Residual):
+        def __init__(self, H):
+            super().__init__(H)
+            self.gcount = _Tally(self.gcount)
+            tallies.append(self.gcount)
+
+    monkeypatch.setattr(sys.modules["hypercore.peel"], "Residual", Tallied)
+    H = make()
+    sizes = np.diff(H.pair_starts, append=len(H.pair_edge))
+    for route in (peel, e_peel, greedy_densest):
+        route(H)
+    assert len(tallies) == 3
+    for gcount in tallies:
+        assert [gcount.decrements[s] for s in range(len(gcount))] == sizes[sizes > 1].tolist()
+        assert sum(gcount.decrements.values()) == decrements
+        assert not any(gcount)
 
 
 def test_empty_hypergraph():
