@@ -2,7 +2,7 @@
 
 Three routes: a greedy peel by least residual neighbor count, which is
 Peel's deletion order, with a provable approximation factor; an exact
-method; and a subset-enumeration oracle for testing.  The exact method
+method; and subset enumeration, `--method brute`.  The exact method
 runs Dinkelbach iteration over an integer max-flow probe on Goldberg's
 closure network when no node pair is shared by two hyperedges
 (d_pair = 1), reading each witness off the last BFS of the flow; with

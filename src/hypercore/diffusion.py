@@ -42,14 +42,12 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import model
-from .model import GuardError, Hypergraph, InputError
+from .model import Hypergraph, InputError
 
-ENUMERATION_ATTEMPT_GUARD = 20
 # A step whose frontier has at least BULK_FRONTIER nodes draws its attempts in
 # numpy, BULK_SLICE contacts at a time; a smaller frontier runs the scalar loop.
 BULK_FRONTIER = 4
@@ -220,42 +218,6 @@ def sir_run(
             infected[newly] = True
         frontier = newly
     return SirOutcome(set(infection_time), infection_time, len(infection_time))
-
-
-def sir_expected_spread(H: Hypergraph, seed: int, beta: Fraction) -> Fraction:
-    """Exact expected spread by recursion over every attempt outcome.
-
-    Guarded by the total number of potential directed contacts; only tiny
-    fixtures are enumerable."""
-    check_beta(beta)
-    beta = Fraction(beta)
-    H._check_node(seed)
-    potential = sum(H.neighbor_count(v) for v in range(H.n))
-    if potential > ENUMERATION_ATTEMPT_GUARD:
-        raise GuardError(
-            f"enumeration guard: {potential} potential attempts > {ENUMERATION_ATTEMPT_GUARD}")
-
-    def recurse(frontier: tuple[int, ...], infected: frozenset[int]) -> Fraction:
-        if not frontier:
-            return Fraction(len(infected))
-        attempts = [
-            (u, v)
-            for u in sorted(frontier)
-            for v in H.neighbors(u)
-            if v not in infected
-        ]
-
-        def branch(i: int, newly: frozenset[int]) -> Fraction:
-            if i == len(attempts):
-                return recurse(tuple(sorted(newly)), infected | newly)
-            u, v = attempts[i]
-            if v in newly:  # already infected this step by an earlier attacker
-                return branch(i + 1, newly)
-            return beta * branch(i + 1, newly | {v}) + (1 - beta) * branch(i + 1, newly)
-
-        return branch(0, frozenset())
-
-    return recurse((seed,), frozenset({seed}))
 
 
 def intervention_delete(H: Hypergraph, ranked_nodes: list[int], top_k: int) -> Hypergraph:

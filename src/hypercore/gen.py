@@ -1,5 +1,5 @@
-"""Synthetic hypergraph generation, the definitional core oracle, and the two
-pairwise baselines: existing engines run on the clique expansion."""
+"""Synthetic hypergraph generation and the two pairwise baselines: existing
+engines run on the clique expansion."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ from itertools import accumulate
 
 from . import model
 from .model import GuardError, Hypergraph, InputError, build
-from .kdcore import degree_core, kd_fixpoint_oracle
+from .kdcore import degree_core
 from .localcore import local_core
 from .peel import CoreAssignment
-
-ORACLE_NODE_GUARD = 200
 
 
 def seeded_random(seed: int) -> random.Random:
@@ -76,30 +74,6 @@ def random_hypergraph(
 
 def _pair_row_error(rows: int) -> GuardError:
     return GuardError(f"pair-table guard: at least {rows} pair rows > {model.PAIR_ROW_GUARD}")
-
-
-def naive_core_oracle(H: Hypergraph) -> CoreAssignment:
-    """Ground-truth neighborhood core numbers straight from the definition.
-
-    c(v) is the number of nested k-cores that hold v, i.e. the largest k at
-    which v survives in `oracle_k_core_sets`.
-    """
-    if H.n > ORACLE_NODE_GUARD:
-        raise GuardError(f"oracle guard: {H.n} nodes > {ORACLE_NODE_GUARD}")
-    sets = oracle_k_core_sets(H)
-    return CoreAssignment(core=[sum(v in s for s in sets) for v in range(H.n)], counters={})
-
-
-def oracle_k_core_sets(H: Hypergraph) -> list[set[int]]:
-    """Per-k survivor sets [1-core, 2-core, ...] from the definitional oracle."""
-    sets = []
-    k = 1
-    while True:
-        s = kd_fixpoint_oracle(H, k, 0)
-        if not s:
-            return sets
-        sets.append(s)
-        k += 1
 
 
 def clique_expansion(H: Hypergraph) -> Hypergraph:

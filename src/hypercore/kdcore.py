@@ -148,21 +148,3 @@ class _Ranked:
             np.subtract.at(deg, member, 1)
             touched = _distinct(member[alive[member]], nk)
         return dict(zip(self.ids[:nk], dk.tolist()))
-
-
-def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
-    """Definitional (k,d)-core: delete nodes violating either threshold in the
-    strong residual until fixpoint.  Maximal by construction."""
-    alive = [True] * H.n
-    changed = True
-    while changed:
-        changed = False
-        for v in range(H.n):
-            if not alive[v]:
-                continue
-            if (len(H.residual_neighbors(v, alive)) < k
-                    or sum(all(alive[u] for u in H.edges[ei])
-                           for ei in H.incident_edges(v)) < d):
-                alive[v] = False
-                changed = True
-    return {v for v in range(H.n) if alive[v]}

@@ -19,7 +19,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -49,27 +48,6 @@ class LocalCoreOptions:
 class ConvergenceReport:
     rounds: int
     corrected_per_round: list[int] = field(default_factory=list)
-
-
-def h_operator(values: Sequence[int]) -> int:
-    """Largest y such that at least y of the values are >= y; 0 for empty input."""
-    vals = sorted(values, reverse=True)
-    h = 0
-    for i, x in enumerate(vals):
-        if x >= i + 1:
-            h = i + 1
-        else:
-            break
-    return h
-
-
-def core_correction(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> int:
-    """Largest k' <= k at which v has an incident-edge witness: a set of
-    incident edges whose members all carry estimate >= k' and which together
-    supply >= k' neighbors of v."""
-    while k > 0 and len(H.residual_neighbors(v, [x >= k for x in est])) < k:
-        k -= 1
-    return k
 
 
 def _result(est: list[int], history: list[int], h_evals: int = 0) -> CoreAssignment:
@@ -180,26 +158,3 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
             emin[:] = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
 
     return _result(est.tolist(), history, h_evals=len(history) * n)
-
-
-# -- convergence hierarchy -------------------------------------------------
-
-
-def neighborhood_hierarchy(H: Hypergraph) -> list[int]:
-    """Stratum index per node: stratum 0 holds the minimum-neighbor nodes,
-    each later stratum the minimum-neighbor nodes of the strong residual."""
-    n = H.n
-    idx = [-1] * n
-    alive = [True] * n
-    remaining = n
-    level = 0
-    while remaining:
-        cnts = {v: len(H.residual_neighbors(v, alive)) for v in range(n) if alive[v]}
-        mn = min(cnts.values())
-        stratum = [v for v, c in cnts.items() if c == mn]
-        for v in stratum:
-            idx[v] = level
-            alive[v] = False
-        remaining -= len(stratum)
-        level += 1
-    return idx

@@ -18,7 +18,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Largest pair table (sum of |e|(|e| - 1) over hyperedges) a hypergraph may
-# have; every row costs about 40 bytes while the table is built.
+# have.  Peak RSS per row above the imports, on one 2,000-member hyperedge
+# (3,998,000 rows; Python 3.11, numpy 2.4, x86-64 Linux): `Hypergraph()`
+# alone about 40 bytes, then `peel` about 49 and `local_core` about 64, so
+# `decompose --algorithm local` near the guard peaks at about 2 GB.
 PAIR_ROW_GUARD = 2**25
 
 
@@ -31,7 +34,11 @@ class InputError(HypergraphError):
 
 
 class GuardError(HypergraphError):
-    """A size guard on an oracle/brute-force routine was exceeded."""
+    """An input too large for a routine was refused by one of the size
+    guards: the pair-row guard (`PAIR_ROW_GUARD`, in `Hypergraph` and on
+    `gen.random_hypergraph`'s drawn cardinalities), the (k,d) lattice guard
+    (`kdcore.LATTICE_GUARD`) or the brute-force enumeration guard
+    (`densest.BRUTE_FORCE_NODE_GUARD`)."""
 
 
 class SingletonPolicy(enum.Enum):
@@ -178,16 +185,13 @@ class Hypergraph:
         self._check_node(v)
         return self.inc_offsets[v + 1] - self.inc_offsets[v]
 
-    def incident_edges(self, v: int) -> list[int]:
-        self._check_node(v)
-        return self.inc_flat[self.inc_offsets[v] : self.inc_offsets[v + 1]]
-
     def residual_neighbors(self, v: int, alive: Sequence[bool]) -> set[int]:
         """Neighbors of v among edges whose members are all alive.
 
-        The definitional member scan, kept for the oracles and checks.  Peel,
-        e-peel and greedy track liveness incrementally in `Residual`, and
-        the (k,d) degree peel in its own live-edge list.
+        The definitional member scan, which `volume_density` and the tests'
+        references read.  Peel, e-peel and greedy track liveness
+        incrementally in `Residual`, and the (k,d) degree peel in its own
+        live-edge list.
         """
         out: set[int] = set()
         inc = self.inc_flat

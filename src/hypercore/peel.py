@@ -36,15 +36,6 @@ class CoreAssignment:
     counters: dict[str, Any] = field(default_factory=dict)
     report: Any = None
 
-    def level_set(self, k: int) -> set[int]:
-        return {v for v, c in enumerate(self.core) if c >= k}
-
-
-def local_lower_bound(H: Hypergraph, v: int) -> int:
-    """max(|e_m(v)| - 1, min_u |N(u)|): guaranteed <= c(v)."""
-    H._check_node(v)
-    return int(_lower_bounds(H)[v])
-
 
 def _lower_bounds(H: Hypergraph) -> np.ndarray:
     """The local lower bound of every node: its largest incident

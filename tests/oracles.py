@@ -1,0 +1,166 @@
+"""Definitional references that the tests hold the library's engines to.
+
+They scan members, sweep to a fixpoint or enumerate every outcome, so they
+are slow, and the costly ones are guarded to small fixtures.
+`local_lower_bound` reads e-peel's own bound array.  No library route runs
+them, and `hypercore` imports nothing from here.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from hypercore.diffusion import check_beta
+from hypercore.model import GuardError, Hypergraph
+from hypercore.peel import CoreAssignment, _lower_bounds
+
+ORACLE_NODE_GUARD = 200
+ENUMERATION_ATTEMPT_GUARD = 20
+
+
+def incident_edges(H: Hypergraph, v: int) -> list[int]:
+    """Ids of the hyperedges that hold v, ascending."""
+    return H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]
+
+
+def level_set(res: CoreAssignment, k: int) -> set[int]:
+    """The nodes whose core number is at least k."""
+    return {v for v, c in enumerate(res.core) if c >= k}
+
+
+# -- local-core ------------------------------------------------------------
+
+
+def h_operator(values: Sequence[int]) -> int:
+    """Largest y such that at least y of the values are >= y; 0 for empty input."""
+    vals = sorted(values, reverse=True)
+    h = 0
+    for i, x in enumerate(vals):
+        if x >= i + 1:
+            h = i + 1
+        else:
+            break
+    return h
+
+
+def core_correction(H: Hypergraph, v: int, k: int, est: Sequence[int]) -> int:
+    """Largest k' <= k at which v has an incident-edge witness: a set of
+    incident edges whose members all carry estimate >= k' and which together
+    supply >= k' neighbors of v."""
+    while k > 0 and len(H.residual_neighbors(v, [x >= k for x in est])) < k:
+        k -= 1
+    return k
+
+
+def neighborhood_hierarchy(H: Hypergraph) -> list[int]:
+    """Stratum index per node: stratum 0 holds the minimum-neighbor nodes,
+    each later stratum the minimum-neighbor nodes of the strong residual."""
+    n = H.n
+    idx = [-1] * n
+    alive = [True] * n
+    remaining = n
+    level = 0
+    while remaining:
+        cnts = {v: len(H.residual_neighbors(v, alive)) for v in range(n) if alive[v]}
+        mn = min(cnts.values())
+        stratum = [v for v, c in cnts.items() if c == mn]
+        for v in stratum:
+            idx[v] = level
+            alive[v] = False
+        remaining -= len(stratum)
+        level += 1
+    return idx
+
+
+# -- peel ------------------------------------------------------------------
+
+
+def local_lower_bound(H: Hypergraph, v: int) -> int:
+    """max(|e_m(v)| - 1, min_u |N(u)|): guaranteed <= c(v)."""
+    H._check_node(v)
+    return int(_lower_bounds(H)[v])
+
+
+# -- (k,d)-cores and neighborhood cores ------------------------------------
+
+
+def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
+    """Definitional (k,d)-core: delete nodes violating either threshold in the
+    strong residual until fixpoint.  Maximal by construction."""
+    alive = [True] * H.n
+    changed = True
+    while changed:
+        changed = False
+        for v in range(H.n):
+            if not alive[v]:
+                continue
+            if (len(H.residual_neighbors(v, alive)) < k
+                    or sum(all(alive[u] for u in H.edges[ei])
+                           for ei in incident_edges(H, v)) < d):
+                alive[v] = False
+                changed = True
+    return {v for v in range(H.n) if alive[v]}
+
+
+def naive_core_oracle(H: Hypergraph) -> CoreAssignment:
+    """Ground-truth neighborhood core numbers straight from the definition.
+
+    c(v) is the number of nested k-cores that hold v, i.e. the largest k at
+    which v survives in `oracle_k_core_sets`.
+    """
+    if H.n > ORACLE_NODE_GUARD:
+        raise GuardError(f"oracle guard: {H.n} nodes > {ORACLE_NODE_GUARD}")
+    sets = oracle_k_core_sets(H)
+    return CoreAssignment(core=[sum(v in s for s in sets) for v in range(H.n)], counters={})
+
+
+def oracle_k_core_sets(H: Hypergraph) -> list[set[int]]:
+    """Per-k survivor sets [1-core, 2-core, ...] from the definitional oracle."""
+    sets = []
+    k = 1
+    while True:
+        s = kd_fixpoint_oracle(H, k, 0)
+        if not s:
+            return sets
+        sets.append(s)
+        k += 1
+
+
+# -- SIR -------------------------------------------------------------------
+
+
+def sir_expected_spread(H: Hypergraph, seed: int, beta: Fraction) -> Fraction:
+    """Exact expected spread by recursion over every attempt outcome.
+
+    Guarded by the total number of potential directed contacts; only tiny
+    fixtures are enumerable."""
+    check_beta(beta)
+    beta = Fraction(beta)
+    H._check_node(seed)
+    potential = sum(H.neighbor_count(v) for v in range(H.n))
+    if potential > ENUMERATION_ATTEMPT_GUARD:
+        raise GuardError(
+            f"enumeration guard: {potential} potential attempts > {ENUMERATION_ATTEMPT_GUARD}")
+
+    def recurse(frontier: tuple[int, ...], infected: frozenset[int]) -> Fraction:
+        if not frontier:
+            return Fraction(len(infected))
+        attempts = [
+            (u, v)
+            for u in sorted(frontier)
+            for v in H.neighbors(u)
+            if v not in infected
+        ]
+
+        def branch(i: int, newly: frozenset[int]) -> Fraction:
+            if i == len(attempts):
+                return recurse(tuple(sorted(newly)), infected | newly)
+            u, v = attempts[i]
+            if v in newly:  # already infected this step by an earlier attacker
+                return branch(i + 1, newly)
+            return beta * branch(i + 1, newly | {v}) + (1 - beta) * branch(i + 1, newly)
+
+        return branch(0, frozenset())
+
+    return recurse((seed,), frozenset({seed}))

@@ -15,25 +15,27 @@ from hypercore import (
     Hypergraph,
     LocalCoreOptions,
     brute_force_densest,
-    core_correction,
     e_peel,
     exact_densest,
     greedy_densest,
-    h_operator,
     kd_decompose,
-    kd_fixpoint_oracle,
     local_core,
-    local_lower_bound,
-    naive_core_oracle,
     naive_graph_h_index,
-    neighborhood_hierarchy,
     parse_hg,
     peel,
     random_hypergraph,
-    sir_expected_spread,
     sir_run,
 )
-from hypercore.gen import oracle_k_core_sets
+from oracles import (
+    core_correction,
+    h_operator,
+    kd_fixpoint_oracle,
+    local_lower_bound,
+    naive_core_oracle,
+    neighborhood_hierarchy,
+    oracle_k_core_sets,
+    sir_expected_spread,
+)
 
 FIG5 = "a b e\na c d\nc d e\n"
 

@@ -16,13 +16,13 @@ from hypercore import (
     greedy_densest,
     guarantee_factor,
     intervention_delete,
-    naive_core_oracle,
     random_hypergraph,
     volume_density,
 )
 from hypercore import densest
 from hypercore.densest import _flow_probe
 from conftest import hg, ids, scan_pool, with_wide_edge
+from oracles import naive_core_oracle
 
 
 def test_volume_density_single_triple(single_triple):

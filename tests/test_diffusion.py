@@ -17,11 +17,11 @@ from hypercore import (
     local_core,
     peel,
     random_hypergraph,
-    sir_expected_spread,
     sir_run,
 )
 from hypercore.diffusion import _GAMMA, _MASK, _attempt_draw, _splitmix64
 from conftest import hg
+from oracles import sir_expected_spread
 
 
 def test_beta_zero_only_seed(path3):

@@ -9,12 +9,11 @@ from hypercore import (
     clique_expansion,
     clique_graph_core,
     model,
-    naive_core_oracle,
     peel,
     random_hypergraph,
 )
-from hypercore.gen import oracle_k_core_sets
 from conftest import by_label, hg, refuse_large_samples, with_wide_edge
+from oracles import naive_core_oracle, oracle_k_core_sets
 
 
 def test_forced_single_edge():

@@ -7,12 +7,12 @@ from hypercore import (
     build,
     degree_core,
     kd_decompose,
-    kd_fixpoint_oracle,
     kdcore,
     peel,
     random_hypergraph,
 )
 from conftest import by_label, hg, with_wide_edge
+from oracles import incident_edges, kd_fixpoint_oracle
 
 
 def test_single_triple_levels(single_triple):
@@ -153,7 +153,7 @@ def test_neighbor_check_matches_live_union(seed, wide, data):
     if wide:
         H = with_wide_edge(H, seed)
     live = data.draw(st.lists(st.booleans(), min_size=len(H.edges), max_size=len(H.edges)))
-    unions = [set().union(*(H.edges[ei] for ei in H.incident_edges(v) if live[ei])) - {v}
+    unions = [set().union(*(H.edges[ei] for ei in incident_edges(H, v) if live[ei])) - {v}
               for v in range(H.n)]
     for v, union in enumerate(unions):
         c = len(union)
@@ -162,7 +162,7 @@ def test_neighbor_check_matches_live_union(seed, wide, data):
     # all nodes in one batch: only those without a live hyperedge of more
     # than k members are counted
     for k in range(max(map(len, unions)) + 2):
-        wide_live = [any(live[ei] and len(H.edges[ei]) > k for ei in H.incident_edges(v))
+        wide_live = [any(live[ei] and len(H.edges[ei]) > k for ei in incident_edges(H, v))
                      for v in range(H.n)]
         assert neighbor_check(H, live, range(H.n), k) == (
             [len(union) >= k for union in unions], wide_live.count(False)), k

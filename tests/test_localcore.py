@@ -9,16 +9,13 @@ from hypercore import (
     InputError,
     LocalCoreOptions,
     clique_graph_core,
-    core_correction,
-    h_operator,
     local_core,
-    naive_core_oracle,
     naive_graph_h_index,
-    neighborhood_hierarchy,
     peel,
     random_hypergraph,
 )
 from conftest import by_label, hg, scan_pool, with_wide_edge
+from oracles import core_correction, h_operator, naive_core_oracle, neighborhood_hierarchy
 
 
 def test_h_operator_values():

@@ -5,21 +5,37 @@ from itertools import accumulate, chain, permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hypercore
 from hypercore import (
     Hypergraph,
     InputError,
     SingletonPolicy,
     build,
     load_hg,
-    local_lower_bound,
     parse_hg,
     serialize_hg,
-    sir_expected_spread,
     sir_run,
     volume_density,
 )
 from hypercore.model import BuildReport, Residual
 from conftest import by_label, hg
+from oracles import local_lower_bound, sir_expected_spread
+
+
+def test_public_names():
+    # the package exports what its routes and callers run; the definitional
+    # references live in tests/oracles.py
+    assert sorted(hypercore.__all__) == [
+        "BuildReport", "ConvergenceReport", "CoreAssignment", "DensestResult",
+        "GuardError", "Hypergraph", "HypergraphError", "InputError",
+        "KDCoreResult", "LocalCoreOptions", "SingletonPolicy", "SirOutcome",
+        "brute_force_densest", "build", "clique_expansion", "clique_graph_core",
+        "degree_core", "e_peel", "exact_densest", "greedy_densest",
+        "guarantee_factor", "intervention_delete", "kd_decompose", "load_hg",
+        "local_core", "naive_graph_h_index", "parse_hg", "peel",
+        "random_hypergraph", "serialize_hg", "sir_run", "volume_density",
+    ]
+    assert [name for name in hypercore.__all__ if not hasattr(hypercore, name)] == []
 
 
 def test_duplicate_edges_deduped():
@@ -166,7 +182,6 @@ def test_repeated_label_rejected():
     Hypergraph.neighbors,
     Hypergraph.neighbor_count,
     Hypergraph.degree,
-    Hypergraph.incident_edges,
     local_lower_bound,
     lambda H, v: sir_run(H, v, 0.5),
     lambda H, v: sir_expected_spread(H, v, Fraction(1, 2)),
