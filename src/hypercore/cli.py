@@ -17,6 +17,8 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
+
 from . import diffusion, gen, kdcore, densest as densest_mod
 from .localcore import MAX_THREADS, LocalCoreOptions, local_core
 from .model import (
@@ -186,9 +188,9 @@ def _mean_sd(values: list[int]) -> tuple[float | None, float | None]:
 
 def cmd_stats(args) -> int:
     H, report = _load(args.input, args.lenient)
-    degs = [H.degree(v) for v in range(H.n)]
+    degs = np.diff(H.inc_offsets).tolist()
     cards = [len(e) for e in H.edges]
-    nbrs = [H.neighbor_count(v) for v in range(H.n)]
+    nbrs = np.diff(H.nbr_offsets).tolist()
     payload = {
         "nodes": H.n,
         "edges": len(H.edges),

@@ -22,13 +22,12 @@ A step takes one of two forms, which make the same draws and infect the
 same targets in the same order:
 
 - A frontier of fewer than BULK_FRONTIER nodes runs a scalar loop over
-  Python ints.
+  Python ints; an np.int64 times GAMMA would overflow.
 - A wider frontier draws all of its attempts at once in numpy, in uint64
   words whose products wrap mod 2**64.  It drops targets already infected
   before drawing and marks each target whose draw fires once.  Its contacts
   are taken BULK_SLICE at a time, so its temporaries stay bounded.  It reads
-  the neighbor lists as int64 arrays, built on the first such step and kept
-  on the hypergraph (`Hypergraph.nbr_arrays`) for every later run.
+  the neighbor arrays `H.nbr_offsets` and `H.nbr_flat` directly.
 
 The cutoff exists because a numpy step costs some tens of microseconds
 whatever its size.  Many tiny runs, such as 100,000 runs on a 3-node path
@@ -132,10 +131,7 @@ def _bulk_step(
     newly: list[int] = []
     if not threshold:  # nothing fires, and threshold - 1 is no uint64
         return newly
-    if H.nbr_arrays is None:  # built once per hypergraph
-        H.nbr_arrays = (np.array(H.nbr_offsets, dtype=np.int64),
-                        np.array(H.nbr_flat, dtype=np.int64))
-    offsets, flat = H.nbr_arrays
+    offsets, flat = H.nbr_offsets, H.nbr_flat
     f = np.array(frontier, dtype=np.int64)
     starts = offsets[f]
     counts = offsets[f + 1] - starts
@@ -204,7 +200,7 @@ def sir_run(
             k_u = ((k_u ^ (k_u >> 30)) * _M1) & _MASK
             k_u = ((k_u ^ (k_u >> 27)) * _M2) & _MASK
             k_u ^= k_u >> 31
-            for v in flat[offsets[u] : offsets[u + 1]]:
+            for v in flat[offsets[u] : offsets[u + 1]].tolist():
                 if v in infection_time:
                     continue
                 # _attempt_draw(rng_seed, u, v), inlined

@@ -113,7 +113,7 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
     then the caller rebuilds the minima; the loop stops on the first
     change-free round."""
     n = H.n
-    offsets = np.array(H.nbr_offsets, dtype=np.int64)
+    offsets = H.nbr_offsets
     est = np.diff(offsets)
     pair_edge = H.pair_edge
     seg_id, rank = _pair_table(offsets)

@@ -2,9 +2,9 @@
 neighborhood queries.
 
 Nodes are dense integers in [0, n), labelled in first-seen order.  The structure
-is fixed at build (SIR fills the `nbr_arrays` cache later); algorithms read it
-through the queries defined here or straight from `edge_flat`, `pair_edge` and
-the other numpy arrays.
+is fixed at build, and nothing writes to it after; algorithms read it through
+the queries defined here or straight from `edge_flat`, `nbr_offsets` and the
+other int64 arrays.
 """
 
 from __future__ import annotations
@@ -68,16 +68,14 @@ class Hypergraph:
     label in none or a repeated label is an InputError (`build` strips labels
     in none, reporting them as isolated, and never repeats one).
 
-    Attributes:
+    Attributes (every array, the CSR ones included, is int64 and fixed at build):
         n: number of retained nodes.
         edges: canonical hyperedges, each a strictly ascending tuple of node ids.
         labels: node id -> original label, in first-seen order.
+        inc_*, nbr_*: CSR (offsets, flat) of each node's hyperedges, neighbors.
         edge_flat, edge_starts: concatenated members, and each edge's offset.
         pair_edge, pair_starts: hyperedge of each row, first row of each group.
         d_pair: largest group size, i.e. most hyperedges sharing a node pair.
-        nbr_arrays: None, or (nbr_offsets, nbr_flat) as int64 arrays; only
-            `diffusion.sir_run` fills it, on its first wide frontier, and every
-            later run on this hypergraph shares it.
     """
 
     __slots__ = (
@@ -94,7 +92,6 @@ class Hypergraph:
         "pair_edge",
         "pair_starts",
         "d_pair",
-        "nbr_arrays",
     )
 
     def __init__(self, edges: list[tuple[int, ...]], labels: list[str]):
@@ -105,7 +102,6 @@ class Hypergraph:
         if len(self.label_to_id) != self.n:
             dup = next(lab for v, lab in enumerate(labels) if self.label_to_id[lab] != v)
             raise InputError(f"label {dup!r} is repeated")
-        self.nbr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._build_csr()
 
     def _build_csr(self) -> None:
@@ -158,13 +154,12 @@ class Hypergraph:
         group_key = key[self.pair_starts]
         del key
 
-        # incidences sorted by (node, edge); the lists share one int object
-        # per node id and per edge id
+        # incidences sorted by (node, edge)
         incidence = np.sort((edge_flat << b) | edge_of)
-        self.inc_flat = np.arange(m, dtype=object)[incidence & mask].tolist()
-        self.inc_offsets = np.searchsorted(incidence >> b, np.arange(n + 1)).tolist()
-        self.nbr_flat = np.arange(n, dtype=object)[group_key & mask].tolist()
-        self.nbr_offsets = np.searchsorted(group_key >> b, np.arange(n + 1)).tolist()
+        self.inc_flat = incidence & mask
+        self.inc_offsets = np.searchsorted(incidence >> b, np.arange(n + 1))
+        self.nbr_flat = group_key & mask
+        self.nbr_offsets = np.searchsorted(group_key >> b, np.arange(n + 1))
 
     # -- queries -----------------------------------------------------------
 
@@ -175,15 +170,15 @@ class Hypergraph:
     def neighbors(self, v: int) -> list[int]:
         """Sorted co-occurrence set of v, excluding v itself."""
         self._check_node(v)
-        return self.nbr_flat[self.nbr_offsets[v] : self.nbr_offsets[v + 1]]
+        return self.nbr_flat[self.nbr_offsets[v] : self.nbr_offsets[v + 1]].tolist()
 
     def neighbor_count(self, v: int) -> int:
         self._check_node(v)
-        return self.nbr_offsets[v + 1] - self.nbr_offsets[v]
+        return int(self.nbr_offsets[v + 1] - self.nbr_offsets[v])
 
     def degree(self, v: int) -> int:
         self._check_node(v)
-        return self.inc_offsets[v + 1] - self.inc_offsets[v]
+        return int(self.inc_offsets[v + 1] - self.inc_offsets[v])
 
     def residual_neighbors(self, v: int, alive: Sequence[bool]) -> set[int]:
         """Neighbors of v among edges whose members are all alive.
@@ -194,9 +189,8 @@ class Hypergraph:
         live-edge list.
         """
         out: set[int] = set()
-        inc = self.inc_flat
-        for i in range(self.inc_offsets[v], self.inc_offsets[v + 1]):
-            e = self.edges[inc[i]]
+        for ei in self.inc_flat[self.inc_offsets[v] : self.inc_offsets[v + 1]].tolist():
+            e = self.edges[ei]
             for u in e:
                 if not alive[u]:
                     break
@@ -224,6 +218,7 @@ class Residual:
     Attributes:
         live: hyperedge -> every member still alive.
         count: node -> number of residual neighbors.
+        inc_offsets, inc_flat: H's incidence CSR as lists, one int object per edge id.
         starts: H.edge_starts as a list.
         priv: position p of (hyperedge e, member u) in H.edge_flat -> the
             number of u's pairs in e that no other hyperedge holds.
@@ -233,14 +228,16 @@ class Residual:
             hyperedges holding the pair.  With d_pair = 1 it is empty.
     """
 
-    __slots__ = ("H", "live", "count", "starts", "priv", "shared_offsets", "shared_flat",
-                 "gcount")
+    __slots__ = ("H", "live", "count", "inc_offsets", "inc_flat", "starts", "priv",
+                 "shared_offsets", "shared_flat", "gcount")
 
     def __init__(self, H: Hypergraph):
         self.H = H
         m = len(H.edges)
         self.live = [True] * m
         self.count = np.diff(H.nbr_offsets).tolist()
+        self.inc_offsets = H.inc_offsets.tolist()
+        self.inc_flat = np.arange(m, dtype=object)[H.inc_flat].tolist()
         self.starts = H.edge_starts.tolist()
         cards = np.diff(H.edge_starts, append=len(H.edge_flat))
         edge_of = np.repeat(np.arange(m), cards)
@@ -264,10 +261,10 @@ class Residual:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""
         H, live, count, gcount = self.H, self.live, self.count, self.gcount
-        starts, priv = self.starts, self.priv
+        starts, priv, inc = self.starts, self.priv, self.inc_offsets
         offsets, flat = self.shared_offsets, self.shared_flat
         out: set[int] = set()
-        for ei in H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]:
+        for ei in self.inc_flat[inc[v] : inc[v + 1]]:
             if live[ei]:
                 live[ei] = False
                 e = H.edges[ei]

@@ -21,7 +21,7 @@ ENUMERATION_ATTEMPT_GUARD = 20
 
 def incident_edges(H: Hypergraph, v: int) -> list[int]:
     """Ids of the hyperedges that hold v, ascending."""
-    return H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]]
+    return H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]].tolist()
 
 
 def level_set(res: CoreAssignment, k: int) -> set[int]:

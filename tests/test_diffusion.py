@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import deque
 from fractions import Fraction
@@ -9,8 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from hypercore import (
     GuardError,
+    Hypergraph,
     InputError,
+    LocalCoreOptions,
+    clique_expansion,
+    degree_core,
     diffusion,
+    e_peel,
+    exact_densest,
     greedy_densest,
     intervention_delete,
     kd_decompose,
@@ -18,6 +25,7 @@ from hypercore import (
     peel,
     random_hypergraph,
     sir_run,
+    volume_density,
 )
 from hypercore.diffusion import _GAMMA, _MASK, _attempt_draw, _splitmix64
 from conftest import hg
@@ -150,22 +158,35 @@ def test_bulk_and_scalar_steps_agree_in_infection_order():
         assert sir_run(H, seed, beta, rng_seed=rs).infection_time == scalar
 
 
-def test_neighbor_arrays_built_by_sir_only_and_shared():
-    H = random_hypergraph(60, 120, 2, 4, 1)
+@pytest.mark.parametrize("H", [
+    random_hypergraph(60, 150, 2, 2, 1),  # d_pair = 1: exact densest probes
+    random_hypergraph(16, 30, 2, 4, 1),  # shared pairs: exact densest enumerates
+])
+def test_routes_leave_the_hypergraph_unchanged(H):
+    """Every slot holds the object it held after build, with the same
+    contents, once every route has run on the hypergraph."""
+    built = {name: getattr(H, name) for name in Hypergraph.__slots__}
+    contents = copy.deepcopy(built)
     peel(H)
-    local_core(H)
+    e_peel(H)
+    for threads in (1, 2):
+        local_core(H, LocalCoreOptions(threads=threads))
     kd_decompose(H)
+    degree_core(H)
     greedy_densest(H)
-    assert H.nbr_arrays is None
-    # a run whose frontiers all stay below the cutoff builds nothing either
-    sir_run(H, 0, 0.0)
-    assert H.nbr_arrays is None
-    sir_run(H, 0, 1.0, rng_seed=1)
-    offsets, flat = H.nbr_arrays
-    assert offsets.dtype == flat.dtype == np.int64
-    assert offsets.tolist() == H.nbr_offsets and flat.tolist() == H.nbr_flat
-    sir_run(H, 5, 1.0, rng_seed=2)
-    assert H.nbr_arrays[0] is offsets and H.nbr_arrays[1] is flat
+    exact_densest(H)
+    volume_density(H, range(H.n))
+    clique_expansion(H)
+    for cutoff in (10**9, 1):  # every step scalar, then every step in numpy
+        with mock.patch.object(diffusion, "BULK_FRONTIER", cutoff):
+            sir_run(H, 0, 1.0, rng_seed=1)
+    for name, obj in built.items():
+        assert getattr(H, name) is obj, name
+        if isinstance(obj, np.ndarray):
+            assert obj.dtype == contents[name].dtype, name
+            assert np.array_equal(obj, contents[name]), name
+        else:
+            assert obj == contents[name], name
 
 
 def test_expected_spread_endpoints(path3):

@@ -2,6 +2,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, permutations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -84,6 +85,15 @@ def test_degree_vs_neighbor_count():
 def test_degree_on_fixture(fig_five):
     e = fig_five.label_to_id["e"]
     assert fig_five.degree(e) == 2
+
+
+def test_queries_return_python_ints(fig_five):
+    # json.dumps refuses an np.int64, and SIR's bigint hash would overflow one
+    for v in range(fig_five.n):
+        nbrs = fig_five.neighbors(v)
+        assert type(nbrs) is list and all(type(u) is int for u in nbrs)
+        assert type(fig_five.neighbor_count(v)) is int
+        assert type(fig_five.degree(v)) is int
 
 
 def test_strong_induced_drops_partial_edges(fig_five):
@@ -249,12 +259,14 @@ def edge_lists(draw):
 def test_pair_table_matches_brute_force(raw):
     H = build(raw)[0] if raw else Hypergraph([], [])
     inc = [[ei for ei, e in enumerate(H.edges) if v in e] for v in range(H.n)]
-    assert H.inc_flat == [ei for lst in inc for ei in lst]
-    assert H.inc_offsets == list(accumulate(map(len, inc), initial=0))
+    assert H.inc_flat.tolist() == [ei for lst in inc for ei in lst]
+    assert H.inc_offsets.tolist() == list(accumulate(map(len, inc), initial=0))
     mult = Counter(p for e in H.edges for p in permutations(e, 2))
     nbrs = [sorted(u for w, u in mult if w == v) for v in range(H.n)]
-    assert H.nbr_flat == [u for lst in nbrs for u in lst]
-    assert H.nbr_offsets == list(accumulate(map(len, nbrs), initial=0))
+    assert H.nbr_flat.tolist() == [u for lst in nbrs for u in lst]
+    assert H.nbr_offsets.tolist() == list(accumulate(map(len, nbrs), initial=0))
+    for csr in (H.inc_flat, H.inc_offsets, H.nbr_flat, H.nbr_offsets):
+        assert csr.dtype == np.int64
     assert H.d_pair == max(mult.values(), default=0)
     assert H.edge_flat.tolist() == [v for e in H.edges for v in e]
     assert H.edge_starts.tolist() == list(accumulate(map(len, H.edges), initial=0))[:-1]
@@ -427,10 +439,12 @@ def test_packed_keys_on_wide_ids():
     nbrs = defaultdict(list)
     for v, u in sorted(pairs):
         nbrs[v].append(u)
-    assert H.inc_flat == [ei for v in range(n) for ei in inc[v]]
-    assert H.inc_offsets == list(accumulate((len(inc[v]) for v in range(n)), initial=0))
-    assert H.nbr_flat == [u for v in range(n) for u in nbrs[v]]
-    assert H.nbr_offsets == list(accumulate((len(nbrs[v]) for v in range(n)), initial=0))
+    assert H.inc_flat.tolist() == [ei for v in range(n) for ei in inc[v]]
+    assert H.inc_offsets.tolist() == list(accumulate((len(inc[v]) for v in range(n)), initial=0))
+    assert H.nbr_flat.tolist() == [u for v in range(n) for u in nbrs[v]]
+    assert H.nbr_offsets.tolist() == list(accumulate((len(nbrs[v]) for v in range(n)), initial=0))
+    for csr in (H.inc_flat, H.inc_offsets, H.nbr_flat, H.nbr_offsets):
+        assert csr.dtype == np.int64
     bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
     pair_edge = H.pair_edge.tolist()
     groups = {
