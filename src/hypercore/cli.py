@@ -76,18 +76,19 @@ def cmd_decompose(args) -> int:
         res = gen.clique_graph_core(H)
 
     with _output(args.out) as out:
+        # the sidecar is written first, so an unwritable path prints no table
+        if args.stats:
+            sidecar = {"algorithm": args.algorithm, "counters": res.counters}
+            if res.report is not None:
+                sidecar["rounds"] = res.report.rounds
+                sidecar["corrected_per_round"] = res.report.corrected_per_round
+            with open(args.stats, "w", encoding="utf-8") as fh:
+                json.dump(sidecar, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         for v in range(H.n):
             out.write(f"{H.labels[v]}\t{res.core[v]}\n")
         for lab in report.isolated_labels:
             out.write(f"{lab}\t0\n")
-    if args.stats:
-        sidecar = {"algorithm": args.algorithm, "counters": res.counters}
-        if res.report is not None:
-            sidecar["rounds"] = res.report.rounds
-            sidecar["corrected_per_round"] = res.report.corrected_per_round
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 0
 
 
@@ -151,7 +152,9 @@ def cmd_sir(args) -> int:
     fixed = None if args.seed_node is None else H.label_to_id[args.seed_node]
     runs: Counter[int] = Counter()  # seed core -> runs
     spread: Counter[int] = Counter()  # seed core -> summed spread
-    with _output(args.out) as out:
+    # opened before the first run, so an unwritable path prints no table
+    with _output(args.out) as out, (open(args.aggregate_out, "w", encoding="utf-8", newline="")
+                                    if args.aggregate_out else contextlib.nullcontext()) as fh:
         out.write("run\tseed\tcore\tspread\n")
         for i in range(args.runs):
             # each run draws its seed as it starts, so --runs allocates nothing
@@ -161,8 +164,7 @@ def cmd_sir(args) -> int:
             out.write(f"{i}\t{H.labels[s]}\t{cores[s]}\t{outcome.spread}\n")
             runs[cores[s]] += 1
             spread[cores[s]] += outcome.spread
-    if args.aggregate_out:
-        with open(args.aggregate_out, "w", encoding="utf-8", newline="") as fh:
+        if fh:
             w = csv.writer(fh)
             w.writerow(["core", "runs", "mean_spread"])
             for c in sorted(runs):

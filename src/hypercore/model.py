@@ -209,26 +209,25 @@ class Residual:
     It starts as all of H.  A hyperedge dies with its first deleted member,
     so liveness is decided once per hyperedge instead of by a member scan
     per query.  Live pair counts are kept bucket-style, as in Batagelj and
-    Zaversnik (2003), so a recount is one read.  A pair group held by one
-    hyperedge empties when that hyperedge dies, so a dying hyperedge lowers
-    each member's count by its private pairs there at once and never looks
-    those groups up; only a shared group, held by two or more hyperedges, is
-    decremented, and it lowers its node's count when it reaches 0.
+    Zaversnik (2003), so a recount is one read.  A dying hyperedge e lowers
+    every member's count by |e| - 1 at once, since a pair group held by e
+    alone empties with it; only a shared group, held by two or more
+    hyperedges, is decremented, and each one still held gives its node one
+    back.
 
     Attributes:
         live: hyperedge -> every member still alive.
         count: node -> number of residual neighbors.
         inc_offsets, inc_flat: H's incidence CSR as lists, one int object per edge id.
         starts: H.edge_starts as a list.
-        priv: position p of (hyperedge e, member u) in H.edge_flat -> the
-            number of u's pairs in e that no other hyperedge holds.
-        shared_offsets, shared_flat: CSR over the same positions; p's entries
-            index gcount, one per pair of u in e that another hyperedge holds.
+        shared_offsets, shared_flat: CSR over H.edge_flat's positions; the
+            entries at the position p of (hyperedge e, member u) index
+            gcount, one per pair of u in e that another hyperedge holds.
         gcount: shared group, in H.nbr_flat order -> number of live
             hyperedges holding the pair.  With d_pair = 1 it is empty.
     """
 
-    __slots__ = ("H", "live", "count", "inc_offsets", "inc_flat", "starts", "priv",
+    __slots__ = ("H", "live", "count", "inc_offsets", "inc_flat", "starts",
                  "shared_offsets", "shared_flat", "gcount")
 
     def __init__(self, H: Hypergraph):
@@ -253,7 +252,6 @@ class Residual:
         entries = np.repeat(np.arange(shared.size), reps)
         self.shared_flat = entries[np.argsort(pos, kind="stable")].tolist()
         at = np.bincount(pos, minlength=edge_of.size)
-        self.priv = (cards[edge_of] - 1 - at).tolist()
         self.shared_offsets = np.concatenate(([0], np.cumsum(at))).tolist()
         self.gcount = reps.tolist()
 
@@ -261,7 +259,7 @@ class Residual:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""
         H, live, count, gcount = self.H, self.live, self.count, self.gcount
-        starts, priv, inc = self.starts, self.priv, self.inc_offsets
+        starts, inc = self.starts, self.inc_offsets
         offsets, flat = self.shared_offsets, self.shared_flat
         out: set[int] = set()
         for ei in self.inc_flat[inc[v] : inc[v + 1]]:
@@ -269,16 +267,16 @@ class Residual:
                 live[ei] = False
                 e = H.edges[ei]
                 out.update(e)
-                p = starts[ei]
-                q = p + len(e)
-                for u, k in zip(e, priv[p:q]):
+                k = len(e) - 1
+                for u in e:
                     count[u] -= k
-                if offsets[p] != offsets[q]:
+                p = starts[ei]
+                if offsets[p] != offsets[p + k + 1]:
                     for u in e:
                         for s in flat[offsets[p] : offsets[p + 1]]:
                             gcount[s] -= 1
-                            if not gcount[s]:
-                                count[u] -= 1
+                            if gcount[s]:
+                                count[u] += 1
                         p += 1
         out.discard(v)
         return out

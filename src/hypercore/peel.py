@@ -7,10 +7,10 @@ node is popped.  A recount reads the residual's live neighbor count, which
 `Residual.delete` keeps per node pair: deleting a node can drop a
 neighbor's count by more than one, or by none while another live hyperedge
 still holds the pair, so decrement-by-one graph peeling does not apply.
-A dying hyperedge lowers each member's count by its private pairs there
-(`Residual.priv`) at once, without looking their groups up; only groups
-that two or more hyperedges hold are kept in `Residual.gcount` and
-decremented.
+A dying hyperedge e lowers every member's count by |e| - 1 at once,
+without looking its pair groups up; only groups that two or more
+hyperedges hold are kept in `Residual.gcount` and decremented, and each
+one still held gives its member one back.
 The `neighborhood_recomputations` counter tracks exactly those residual
 recounts, which is what makes E-Peel's work ratio measurable.  The exact
 loop's deletion order, least residual neighbor count first, is also
@@ -76,8 +76,7 @@ def _peel(H: Hypergraph, key: list[int], bounded: bool) -> tuple[CoreAssignment,
     n = H.n
     core = [0] * n
     order: list[int] = []
-    # exact keys are one residual count per node
-    counters = {"neighborhood_recomputations": 0 if bounded else n, "cell_updates": 0}
+    updates = 0  # recounts of a neighbor or of a node popped on its bound
     on_bound = [bounded] * n
     # heap entries pack (key, id) as key << b | id; one whose key is not
     # key[id] is stale, and a popped node's key is -1
@@ -86,7 +85,7 @@ def _peel(H: Hypergraph, key: list[int], bounded: bool) -> tuple[CoreAssignment,
     heap = [k << b | v for v, k in enumerate(key)]
     heapq.heapify(heap)
     R = Residual(H)
-    count, pop, push = R.count, heapq.heappop, heapq.heappush
+    count, delete, pop, push = R.count, R.delete, heapq.heappop, heapq.heappush
     top = 0  # the largest key popped so far
     while len(order) < n:  # stale entries outlast the last node
         entry = pop(heap)
@@ -94,19 +93,24 @@ def _peel(H: Hypergraph, key: list[int], bounded: bool) -> tuple[CoreAssignment,
         if key[v] != k:
             continue
         key[v] = -1
-        top = max(top, k)
+        if k > top:
+            top = k
         if on_bound[v]:
             on_bound[v] = False
             recount = [v]
         else:
             core[v] = top
             order.append(v)
-            recount = [u for u in R.delete(v) if not on_bound[u]]
-            counters["neighborhood_recomputations"] += 1
+            recount = delete(v)
+            if bounded:  # an exact key is never on its bound
+                recount = [u for u in recount if not on_bound[u]]
         for u in recount:
-            if key[u] != count[u]:
-                key[u] = count[u]
-                push(heap, count[u] << b | u)
-        counters["neighborhood_recomputations"] += len(recount)
-        counters["cell_updates"] += len(recount)
+            c = count[u]
+            if key[u] != c:
+                key[u] = c
+                push(heap, c << b | u)
+        updates += len(recount)
+    # each deletion is one more recount, and so is each exact initial key
+    counters = {"neighborhood_recomputations": updates + (n if bounded else 2 * n),
+                "cell_updates": updates}
     return CoreAssignment(core, counters), order

@@ -200,6 +200,41 @@ def test_sir_random_seeds_pinned(fig_file, tmp_path, capsys):
     assert agg.read_bytes() == b"core,runs,mean_spread\r\n2,5,3.6\r\n"
 
 
+def _assert_refused(code, out, err):
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_decompose_unwritable_stats_prints_no_table(fig_file, tmp_path, capsys):
+    _assert_refused(*run(capsys, "decompose", fig_file,
+                         "--stats", str(tmp_path / "missing" / "s.json")))
+
+
+def test_sir_unwritable_aggregate_runs_nothing(fig_file, tmp_path, capsys, monkeypatch):
+    # refused before the first run, so even a billion runs end at once
+    calls = []
+    monkeypatch.setattr(diffusion, "sir_run", lambda *a, **k: calls.append(a))
+    _assert_refused(*run(capsys, "sir", fig_file, "--beta", "0.5", "--runs", "1000000000",
+                         "--aggregate-out", str(tmp_path / "missing" / "a.csv")))
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--out", "{out}", "--stats", "{side}"),
+    ("sir", "--beta", "0.5", "--out", "{out}", "--aggregate-out", "{side}"),
+])
+def test_input_error_leaves_output_files_untouched(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.hg"
+    bad.write_text("a b\nz\n")  # a singleton line
+    paths = {"out": tmp_path / "out", "side": tmp_path / "side"}
+    for path in paths.values():
+        path.write_text("kept\n")
+    code, _, _ = run(capsys, argv[0], str(bad),
+                     *(a.format(**{k: str(v) for k, v in paths.items()}) for a in argv[1:]))
+    assert code == 2
+    assert all(path.read_text() == "kept\n" for path in paths.values())
+
+
 def test_sir_negative_rng_seed_draws_its_own_seed_nodes(tmp_path, capsys):
     # random.Random(-k) and random.Random(k) are one stream; the seed nodes
     # of --rng-seed -k must not repeat those of --rng-seed k

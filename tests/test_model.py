@@ -475,9 +475,8 @@ def _assert_residual_is_definitional(H, R, alive):
 
 
 def _assert_pairs_split(H, R):
-    """priv and the shared entries split each member's pairs in each hyperedge:
-    the entries at (e, u) are exactly u's pairs in e that another hyperedge
-    holds, and priv counts the rest."""
+    """The shared entries at each (e, u) are exactly u's pairs in e that
+    another hyperedge holds, so there are at most |e| - 1 of them."""
     pairs = Counter(pair for e in H.edges for pair in permutations(e, 2))
     index = {}  # ordered pair -> its gcount index, for shared pairs
     for v in range(H.n):
@@ -486,11 +485,11 @@ def _assert_pairs_split(H, R):
                 index[v, H.nbr_flat[g]] = len(index)
     assert R.gcount == [pairs[pair] for pair in index]
     positions = [(e, u) for e in H.edges for u in e]
-    assert len(R.priv) == len(positions) == len(R.shared_offsets) - 1
+    assert len(positions) == len(R.shared_offsets) - 1
     assert R.shared_offsets[-1] == len(R.shared_flat)
     for p, (e, u) in enumerate(positions):
         entries = R.shared_flat[R.shared_offsets[p]:R.shared_offsets[p + 1]]
-        assert R.priv[p] + len(entries) == len(e) - 1, (e, u)
+        assert len(entries) <= len(e) - 1, (e, u)
         assert sorted(entries) == [index[u, w] for w in e if (u, w) in index], (e, u)
     if H.d_pair == 1:
         assert not R.gcount and not R.shared_flat
@@ -505,7 +504,19 @@ def test_pair_disjoint_residual_has_no_shared_entry(text):
     R = Residual(H)
     assert H.d_pair == 1
     assert R.gcount == [] and R.shared_flat == [] and set(R.shared_offsets) == {0}
-    assert R.priv == [len(e) - 1 for e in H.edges for _ in e]
+
+
+def test_shared_pair_outlives_its_hyperedge():
+    """Killing a b c lowers a and b by 2 and gives each one back for the
+    pair a b still holds; deleting a then leaves b with no neighbor."""
+    H = hg("a b c\na b\n")
+    a, b, c = (H.label_to_id[lab] for lab in "abc")
+    R = Residual(H)
+    assert R.delete(c) == {a, b}
+    assert R.count[a] == R.count[b] == 1
+    assert R.gcount == [1, 1]
+    R.delete(a)
+    assert R.count[b] == 0
 
 
 # edge_lists() draws at most 8 + 44 labels
