@@ -60,8 +60,9 @@ def _output(path: str | None):
 
 
 def cmd_decompose(args) -> int:
-    H, report = _load(args.input, args.lenient)
+    # the thread count is refused before the input is read
     opts = LocalCoreOptions(threads=args.threads)
+    H, report = _load(args.input, args.lenient)
     if args.algorithm == "peel":
         res = peel(H)
     elif args.algorithm == "epeel":

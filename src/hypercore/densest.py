@@ -50,6 +50,7 @@ def volume_density(H: Hypergraph, nodes: Iterable[int]) -> Fraction:
         raise InputError("volume density of the empty set is undefined")
     in_S = [False] * H.n
     for v in S:
+        H._check_node(v)
         in_S[v] = True
     total = sum(len(H.residual_neighbors(v, in_S)) for v in S)
     return Fraction(total, len(S))

@@ -225,6 +225,8 @@ def intervention_delete(H: Hypergraph, ranked_nodes: list[int], top_k: int) -> H
     if top_k < 0:
         raise InputError(f"top_k must be >= 0, got {top_k}")
     doomed = set(ranked_nodes[:top_k])
+    for v in doomed:
+        H._check_node(v)
     kept = [[H.labels[v] for v in e] for e in H.edges if not any(v in doomed for v in e)]
     if not kept:  # build rejects an empty edge list
         return Hypergraph([], [])

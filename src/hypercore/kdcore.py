@@ -39,9 +39,6 @@ class KDCoreResult:
     # the levels' work, summed: removal sub-rounds and exact neighbor counts
     counters: dict[str, int] = field(default_factory=dict)
 
-    def core_members(self, k: int, d: int) -> set[int]:
-        return {v for v, dv in self.levels.get(k, {}).items() if dv >= d}
-
 
 def kd_decompose(H: Hypergraph) -> KDCoreResult:
     cores = local_core(H).core

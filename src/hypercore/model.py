@@ -218,66 +218,56 @@ class Residual:
     Attributes:
         live: hyperedge -> every member still alive.
         count: node -> number of residual neighbors.
+        edges: H.edges.
         inc_offsets, inc_flat: H's incidence CSR as lists, one int object per edge id.
-        starts: H.edge_starts as a list.
-        shared_offsets, shared_flat: CSR over H.edge_flat's positions; the
-            entries at the position p of (hyperedge e, member u) index
-            gcount, one per pair of u in e that another hyperedge holds.
+        shared_offsets, shared_flat: CSR over hyperedges; e's entries index
+            gcount, one per ordered pair of members of e that another
+            hyperedge also holds.
         gcount: shared group, in H.nbr_flat order -> number of live
             hyperedges holding the pair.  With d_pair = 1 it is empty.
+        gnode: shared group -> the node whose neighbor it counts.
     """
 
-    __slots__ = ("H", "live", "count", "inc_offsets", "inc_flat", "starts",
-                 "shared_offsets", "shared_flat", "gcount")
+    __slots__ = ("edges", "live", "count", "inc_offsets", "inc_flat",
+                 "shared_offsets", "shared_flat", "gcount", "gnode")
 
     def __init__(self, H: Hypergraph):
-        self.H = H
+        self.edges = H.edges
         m = len(H.edges)
         self.live = [True] * m
         self.count = np.diff(H.nbr_offsets).tolist()
         self.inc_offsets = H.inc_offsets.tolist()
         self.inc_flat = np.arange(m, dtype=object)[H.inc_flat].tolist()
-        self.starts = H.edge_starts.tolist()
-        cards = np.diff(H.edge_starts, append=len(H.edge_flat))
-        edge_of = np.repeat(np.arange(m), cards)
         sizes = np.diff(H.pair_starts, append=len(H.pair_edge))
         shared = np.flatnonzero(sizes > 1)
         reps = sizes[shared]
-        # each shared row's position in edge_flat: (its hyperedge, its group's node)
-        owner = np.searchsorted(H.nbr_offsets, shared, side="right") - 1
-        b = max(H.n, m).bit_length()
-        rows = _ranges(H.pair_starts[shared], reps)
-        pos = np.searchsorted((edge_of << b) | H.edge_flat,
-                              (H.pair_edge[rows] << b) | np.repeat(owner, reps))
+        holder = H.pair_edge[_ranges(H.pair_starts[shared], reps)]
         entries = np.repeat(np.arange(shared.size), reps)
-        self.shared_flat = entries[np.argsort(pos, kind="stable")].tolist()
-        at = np.bincount(pos, minlength=edge_of.size)
+        self.shared_flat = entries[np.argsort(holder, kind="stable")].tolist()
+        at = np.bincount(holder, minlength=m)
         self.shared_offsets = np.concatenate(([0], np.cumsum(at))).tolist()
         self.gcount = reps.tolist()
+        self.gnode = (np.searchsorted(H.nbr_offsets, shared, side="right") - 1).tolist()
 
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""
-        H, live, count, gcount = self.H, self.live, self.count, self.gcount
-        starts, inc = self.starts, self.inc_offsets
+        edges, live, count = self.edges, self.live, self.count
+        gcount, gnode, inc = self.gcount, self.gnode, self.inc_offsets
         offsets, flat = self.shared_offsets, self.shared_flat
         out: set[int] = set()
         for ei in self.inc_flat[inc[v] : inc[v + 1]]:
             if live[ei]:
                 live[ei] = False
-                e = H.edges[ei]
+                e = edges[ei]
                 out.update(e)
                 k = len(e) - 1
                 for u in e:
                     count[u] -= k
-                p = starts[ei]
-                if offsets[p] != offsets[p + k + 1]:
-                    for u in e:
-                        for s in flat[offsets[p] : offsets[p + 1]]:
-                            gcount[s] -= 1
-                            if gcount[s]:
-                                count[u] += 1
-                        p += 1
+                for s in flat[offsets[ei] : offsets[ei + 1]]:
+                    gcount[s] -= 1
+                    if gcount[s]:
+                        count[gnode[s]] += 1
         out.discard(v)
         return out
 

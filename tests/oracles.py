@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from hypercore.diffusion import check_beta
+from hypercore.kdcore import KDCoreResult
 from hypercore.model import GuardError, Hypergraph
 from hypercore.peel import CoreAssignment, _lower_bounds
 
@@ -27,6 +28,11 @@ def incident_edges(H: Hypergraph, v: int) -> list[int]:
 def level_set(res: CoreAssignment, k: int) -> set[int]:
     """The nodes whose core number is at least k."""
     return {v for v, c in enumerate(res.core) if c >= k}
+
+
+def core_members(res: KDCoreResult, k: int, d: int) -> set[int]:
+    """The (k,d)-core: the nodes of level k with d_k(v) >= d."""
+    return {v for v, dv in res.levels.get(k, {}).items() if dv >= d}
 
 
 # -- local-core ------------------------------------------------------------

@@ -28,6 +28,7 @@ from hypercore import (
 )
 from oracles import (
     core_correction,
+    core_members,
     h_operator,
     kd_fixpoint_oracle,
     local_lower_bound,
@@ -153,7 +154,7 @@ def test_criterion_07_kd_core_vs_oracle():
         dmax = max(H.degree(v) for v in range(H.n))
         for k in range(1, res.kmax + 2):
             for d in range(1, dmax + 2):
-                if res.core_members(k, d) != kd_fixpoint_oracle(H, k, d):
+                if core_members(res, k, d) != kd_fixpoint_oracle(H, k, d):
                     mismatches += 1
     assert mismatches == 0
 

@@ -92,6 +92,16 @@ def test_decompose_thread_count_guard(fig_file, capsys, monkeypatch):
             assert err.startswith("error: threads must be between") and err.count("\n") == 1, err
 
 
+def test_decompose_thread_count_refused_before_load(capsys, monkeypatch):
+    def refuse_load(*args, **kwargs):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(hypercore.cli, "load_hg", refuse_load)
+    code, out, err = run(capsys, "decompose", "nosuch.hg", "--threads", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: threads must be between") and err.count("\n") == 1, err
+
+
 def test_decompose_clique(tmp_path, capsys):
     p = tmp_path / "clique.hg"
     p.write_text("x a b\na c\na d\nb c\nb d\nc d\n")

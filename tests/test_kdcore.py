@@ -12,7 +12,7 @@ from hypercore import (
     random_hypergraph,
 )
 from conftest import by_label, hg, with_wide_edge
-from oracles import incident_edges, kd_fixpoint_oracle
+from oracles import core_members, incident_edges, kd_fixpoint_oracle
 
 
 def test_single_triple_levels(single_triple):
@@ -57,7 +57,7 @@ def test_matches_fixpoint_oracle_random():
                 seed, d)
         for k in range(1, res.kmax + 2):
             for d in range(1, dmax + 2):
-                assert res.core_members(k, d) == kd_fixpoint_oracle(H, k, d), (
+                assert core_members(res, k, d) == kd_fixpoint_oracle(H, k, d), (
                     seed, k, d)
 
 
@@ -66,8 +66,8 @@ def test_anti_monotone_membership():
     res = kd_decompose(H)
     for k in range(1, res.kmax + 1):
         for d in range(1, 5):
-            assert res.core_members(k + 1, d) <= res.core_members(k, d)
-            assert res.core_members(k, d + 1) <= res.core_members(k, d)
+            assert core_members(res, k + 1, d) <= core_members(res, k, d)
+            assert core_members(res, k, d + 1) <= core_members(res, k, d)
 
 
 def test_secondary_values_positive():
@@ -180,7 +180,7 @@ def test_kd_matches_fixpoint_oracle_property(seed):
         assert {v for v in range(H.n) if degree[v] >= d} == kd_fixpoint_oracle(H, 0, d), d
     for k in range(1, res.kmax + 2):
         for d in range(1, dmax + 2):
-            assert res.core_members(k, d) == kd_fixpoint_oracle(H, k, d), (k, d)
+            assert core_members(res, k, d) == kd_fixpoint_oracle(H, k, d), (k, d)
 
 
 def test_kd_counters_cover_level_one():

@@ -12,6 +12,7 @@ from hypercore import (
     InputError,
     SingletonPolicy,
     build,
+    intervention_delete,
     load_hg,
     parse_hg,
     serialize_hg,
@@ -195,6 +196,8 @@ def test_repeated_label_rejected():
     local_lower_bound,
     lambda H, v: sir_run(H, v, 0.5),
     lambda H, v: sir_expected_spread(H, v, Fraction(1, 2)),
+    lambda H, v: volume_density(H, [v]),
+    lambda H, v: intervention_delete(H, [v], 1),
 ])
 def test_node_id_out_of_range_rejected(fig_five, query):
     for v in (-1, fig_five.n):
@@ -475,8 +478,9 @@ def _assert_residual_is_definitional(H, R, alive):
 
 
 def _assert_pairs_split(H, R):
-    """The shared entries at each (e, u) are exactly u's pairs in e that
-    another hyperedge holds, so there are at most |e| - 1 of them."""
+    """Hyperedge e's shared entries are exactly the gcount indices of the
+    ordered pairs of e's members that another hyperedge also holds, and each
+    shared group names the node whose neighbor it counts."""
     pairs = Counter(pair for e in H.edges for pair in permutations(e, 2))
     index = {}  # ordered pair -> its gcount index, for shared pairs
     for v in range(H.n):
@@ -484,13 +488,13 @@ def _assert_pairs_split(H, R):
             if pairs[v, H.nbr_flat[g]] > 1:
                 index[v, H.nbr_flat[g]] = len(index)
     assert R.gcount == [pairs[pair] for pair in index]
-    positions = [(e, u) for e in H.edges for u in e]
-    assert len(positions) == len(R.shared_offsets) - 1
+    assert R.gnode == [v for v, _ in index]
+    assert len(R.shared_offsets) == len(H.edges) + 1
     assert R.shared_offsets[-1] == len(R.shared_flat)
-    for p, (e, u) in enumerate(positions):
-        entries = R.shared_flat[R.shared_offsets[p]:R.shared_offsets[p + 1]]
-        assert len(entries) <= len(e) - 1, (e, u)
-        assert sorted(entries) == [index[u, w] for w in e if (u, w) in index], (e, u)
+    for ei, e in enumerate(H.edges):
+        entries = R.shared_flat[R.shared_offsets[ei]:R.shared_offsets[ei + 1]]
+        assert sorted(entries) == sorted(index[pair] for pair in permutations(e, 2)
+                                         if pair in index), e
     if H.d_pair == 1:
         assert not R.gcount and not R.shared_flat
 
@@ -517,6 +521,20 @@ def test_shared_pair_outlives_its_hyperedge():
     assert R.gcount == [1, 1]
     R.delete(a)
     assert R.count[b] == 0
+
+
+def test_shared_groups_are_listed_per_hyperedge():
+    """The shared groups are a b, b a, b c and c b: a b c holds all four,
+    a b the first two and b c d the last two.  Deleting a kills a b c and
+    a b; b and c keep each other through b c d."""
+    H = hg("a b c\na b\nb c d\n")
+    a, b, c, d = (H.label_to_id[lab] for lab in "abcd")
+    R = Residual(H)
+    assert R.shared_offsets == [0, 4, 6, 8]
+    assert R.shared_flat == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert R.gnode == [a, b, b, c]
+    R.delete(a)
+    assert R.count == [0, 2, 2, 2]
 
 
 # edge_lists() draws at most 8 + 44 labels
