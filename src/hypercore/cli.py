@@ -60,32 +60,31 @@ def _output(path: str | None):
 
 
 def cmd_decompose(args) -> int:
-    # the thread count is refused before the input is read
+    # a bad thread count is refused before the input is read, an unwritable
+    # path before any work, the sidecar's first so --out is left as it was
     opts = LocalCoreOptions(threads=args.threads)
     H, report = _load(args.input, args.lenient)
-    if args.algorithm == "peel":
-        res = peel(H)
-    elif args.algorithm == "epeel":
-        res = e_peel(H)
-    elif args.algorithm == "local":
-        res = local_core(H, opts)
-    elif args.algorithm == "naive-h":
-        res = gen.naive_graph_h_index(H)
-    elif args.algorithm == "degree":
-        res = kdcore.degree_core(H)
-    else:  # clique
-        res = gen.clique_graph_core(H)
-
-    with _output(args.out) as out:
-        # the sidecar is written first, so an unwritable path prints no table
-        if args.stats:
+    with (open(args.stats, "w", encoding="utf-8") if args.stats
+          else contextlib.nullcontext()) as fh, _output(args.out) as out:
+        if args.algorithm == "peel":
+            res = peel(H)
+        elif args.algorithm == "epeel":
+            res = e_peel(H)
+        elif args.algorithm == "local":
+            res = local_core(H, opts)
+        elif args.algorithm == "naive-h":
+            res = gen.naive_graph_h_index(H)
+        elif args.algorithm == "degree":
+            res = kdcore.degree_core(H)
+        else:  # clique
+            res = gen.clique_graph_core(H)
+        if fh:  # written before the table
             sidecar = {"algorithm": args.algorithm, "counters": res.counters}
             if res.report is not None:
                 sidecar["rounds"] = res.report.rounds
                 sidecar["corrected_per_round"] = res.report.corrected_per_round
-            with open(args.stats, "w", encoding="utf-8") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         for v in range(H.n):
             out.write(f"{H.labels[v]}\t{res.core[v]}\n")
         for lab in report.isolated_labels:
@@ -153,9 +152,10 @@ def cmd_sir(args) -> int:
     fixed = None if args.seed_node is None else H.label_to_id[args.seed_node]
     runs: Counter[int] = Counter()  # seed core -> runs
     spread: Counter[int] = Counter()  # seed core -> summed spread
-    # opened before the first run, so an unwritable path prints no table
-    with _output(args.out) as out, (open(args.aggregate_out, "w", encoding="utf-8", newline="")
-                                    if args.aggregate_out else contextlib.nullcontext()) as fh:
+    # opened before the first run, the aggregate first, so an unwritable path
+    # prints no table and leaves --out as it was
+    with (open(args.aggregate_out, "w", encoding="utf-8", newline="")
+          if args.aggregate_out else contextlib.nullcontext()) as fh, _output(args.out) as out:
         out.write("run\tseed\tcore\tspread\n")
         for i in range(args.runs):
             # each run draws its seed as it starts, so --runs allocates nothing
@@ -192,11 +192,11 @@ def _mean_sd(values: list[int]) -> tuple[float | None, float | None]:
 def cmd_stats(args) -> int:
     H, report = _load(args.input, args.lenient)
     degs = np.diff(H.inc_offsets).tolist()
-    cards = [len(e) for e in H.edges]
+    cards = np.diff(H.edge_offsets).tolist()
     nbrs = np.diff(H.nbr_offsets).tolist()
     payload = {
         "nodes": H.n,
-        "edges": len(H.edges),
+        "edges": len(cards),
         "isolated_dropped": len(report.isolated_labels),
         "degree": dict(zip(("mean", "sd"), _mean_sd(degs))),
         "cardinality": dict(zip(("mean", "sd"), _mean_sd(cards))),

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import GuardError, Hypergraph, InputError
+from .model import GuardError, Hypergraph, InputError, member_lists
 # peel is unused here but stays bound: perfbench/tracing.py patches densest.peel
 from .peel import _peel, peel
 
@@ -66,7 +66,7 @@ def _node_count(H: Hypergraph) -> int:
 def guarantee_factor(H: Hypergraph) -> Fraction:
     """d_pair * (d_card - 2) + 2 for this hypergraph (2 for plain graphs)."""
     _node_count(H)
-    d_card = max(len(e) for e in H.edges)
+    d_card = int(np.diff(H.edge_offsets).max())
     return Fraction(H.d_pair * (d_card - 2) + 2)
 
 
@@ -83,7 +83,7 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     n = _node_count(H)
     order = _peel(H, np.diff(H.nbr_offsets).tolist(), bounded=False)[1]
     pos = np.argsort(order)  # node -> its position in the deletion order
-    edge_death = np.minimum.reduceat(pos[H.edge_flat], H.edge_starts)
+    edge_death = np.minimum.reduceat(pos[H.edge_flat], H.edge_offsets[:-1])
     group_death = np.maximum.reduceat(edge_death[H.pair_edge], H.pair_starts)
     # total[t]: residual neighbor counts summed over the nodes left after t deletions
     total = np.cumsum(np.bincount(group_death, minlength=n)[::-1])[::-1].tolist()
@@ -101,7 +101,7 @@ def brute_force_densest(H: Hypergraph) -> DensestResult:
     n = _node_count(H)
     if n > BRUTE_FORCE_NODE_GUARD:
         raise GuardError(f"enumeration guard: {n} nodes > {BRUTE_FORCE_NODE_GUARD}")
-    edge_masks = [sum(1 << v for v in e) for e in H.edges]
+    edge_masks = [sum(1 << v for v in e) for e in member_lists(H)]
     best_density = Fraction(-1)
     best_mask = 0
     for mask in range(1, 1 << n):
@@ -211,10 +211,11 @@ def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[bool, set[int]]:
     q = eta.denominator
     p = eta.numerator
     # vertex ids: 0 = source, 1 = sink, 2..n+1 nodes, n+2..n+m+1 hyperedges
-    net = _Dinic(n + len(H.edges) + 2)
-    weights = [len(e) * (len(e) - 1) * q for e in H.edges]
+    edges = member_lists(H)
+    net = _Dinic(n + len(edges) + 2)
+    weights = [len(e) * (len(e) - 1) * q for e in edges]
     total = sum(weights)
-    for ei, e in enumerate(H.edges):
+    for ei, e in enumerate(edges):
         net.add_edge(0, n + 2 + ei, weights[ei])
         for v in e:
             net.add_edge(n + 2 + ei, 2 + v, total + 1)

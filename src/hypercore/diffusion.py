@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import Hypergraph, InputError
+from .model import Hypergraph, InputError, member_lists
 
 # A step whose frontier has at least BULK_FRONTIER nodes draws its attempts in
 # numpy, BULK_SLICE contacts at a time; a smaller frontier runs the scalar loop.
@@ -227,7 +227,7 @@ def intervention_delete(H: Hypergraph, ranked_nodes: list[int], top_k: int) -> H
     doomed = set(ranked_nodes[:top_k])
     for v in doomed:
         H._check_node(v)
-    kept = [[H.labels[v] for v in e] for e in H.edges if not any(v in doomed for v in e)]
+    kept = [[H.labels[v] for v in e] for e in member_lists(H) if doomed.isdisjoint(e)]
     if not kept:  # build rejects an empty edge list
-        return Hypergraph([], [])
+        return Hypergraph([], [], [])
     return model.build(kept)[0]

@@ -8,6 +8,8 @@ import random
 import sys
 from itertools import accumulate
 
+import numpy as np
+
 from . import model
 from .model import GuardError, Hypergraph, InputError, build
 from .kdcore import degree_core
@@ -79,7 +81,9 @@ def _pair_row_error(rows: int) -> GuardError:
 def clique_expansion(H: Hypergraph) -> Hypergraph:
     """Replace each hyperedge by a clique on its members: the 2-uniform
     hypergraph of H's co-occurring node pairs, on H's labels."""
-    return Hypergraph([(v, u) for v in range(H.n) for u in H.neighbors(v) if v < u], H.labels)
+    v = np.repeat(np.arange(H.n), np.diff(H.nbr_offsets))
+    pairs = np.stack((v, H.nbr_flat), axis=1)[v < H.nbr_flat]
+    return Hypergraph(pairs.ravel(), np.full(len(pairs), 2), H.labels)
 
 
 def clique_graph_core(H: Hypergraph) -> CoreAssignment:

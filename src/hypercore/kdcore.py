@@ -73,9 +73,9 @@ class _Ranked:
     [0, edge_ends[k]).  `work` sums the levels' sub-rounds and recounts."""
 
     def __init__(self, H: Hypergraph, core: np.ndarray):
-        n, m = H.n, len(H.edges)
+        n, m = H.n, H.edge_offsets.size - 1
         self.kmax = int(core.max(initial=0))
-        low = np.minimum.reduceat(core[H.edge_flat], H.edge_starts) if m else core
+        low = np.minimum.reduceat(core[H.edge_flat], H.edge_offsets[:-1]) if m else core
         self.nodes, edges = np.argsort(-core, kind="stable"), np.argsort(-low, kind="stable")
         minus_k = -np.arange(self.kmax + 1)
         self.node_ends = np.searchsorted(-core[self.nodes], minus_k, side="right").tolist()
@@ -84,9 +84,9 @@ class _Ranked:
         # one int object per node id, shared by every level's dict
         self.ids = self.nodes.tolist()
         # members of each ranked hyperedge, and incidences sorted by (node, edge)
-        self.card = card = np.diff(H.edge_starts, append=H.edge_flat.size)[edges]
+        self.card = card = np.diff(H.edge_offsets)[edges]
         self.starts = np.concatenate(([0], np.cumsum(card)))
-        self.flat = rank[H.edge_flat[_ranges(H.edge_starts[edges], card)]]
+        self.flat = rank[H.edge_flat[_ranges(H.edge_offsets[edges], card)]]
         self.b = b = max(n, m).bit_length()
         inc = np.sort((self.flat << b) | np.repeat(np.arange(m), card))
         self.inc_starts = np.searchsorted(inc >> b, np.arange(n + 1))

@@ -135,7 +135,7 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
     # the blocks hold what the rounds read; free the whole-table arrays first
     del seg_id, rank, row_bounds
 
-    emin = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
+    emin = np.minimum.reduceat(est[H.edge_flat], H.edge_offsets[:-1])
 
     def step(block) -> int:
         """One round for one block; returns the number of estimates lowered."""
@@ -155,6 +155,6 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
             history.append(changes)
             if not changes:
                 break
-            emin[:] = np.minimum.reduceat(est[H.edge_flat], H.edge_starts)
+            emin[:] = np.minimum.reduceat(est[H.edge_flat], H.edge_offsets[:-1])
 
     return _result(est.tolist(), history, h_evals=len(history) * n)

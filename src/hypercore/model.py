@@ -58,64 +58,53 @@ class BuildReport:
 class Hypergraph:
     """Immutable simple hypergraph with CSR incidence and neighbor adjacency.
 
-    The (v, u) co-occurrence pairs are enumerated once, into a pair table:
-    one row per ordered pair of distinct members of a hyperedge, sorted and
-    grouped by (v, u).  Group g is the pair of nbr_flat[g] and the node whose
-    nbr_offsets range holds g.
+    Hyperedge e holds the next cards[e] ids of edge_flat; this edge CSR is
+    its only form.  The (v, u) co-occurrence pairs are enumerated once, into
+    a pair table: one row per ordered pair of distinct members of a
+    hyperedge, sorted and grouped by (v, u).  Group g is the pair of
+    nbr_flat[g] and the node whose nbr_offsets range holds g.
 
-    Every hyperedge is a strictly ascending tuple of at least 2 node ids in
-    [0, n), and every node is a member of some hyperedge: any other edge, a
-    label in none or a repeated label is an InputError (`build` strips labels
-    in none, reporting them as isolated, and never repeats one).
+    Every hyperedge's ids are strictly ascending, at least 2 and in [0, n),
+    and every node is a member of some hyperedge: any other edge, a label in
+    none, a repeated label or cards that do not cut edge_flat is an
+    InputError (`build` strips labels in none, reporting them as isolated,
+    and never repeats one).
 
     Attributes (every array, the CSR ones included, is int64 and fixed at build):
         n: number of retained nodes.
-        edges: canonical hyperedges, each a strictly ascending tuple of node ids.
         labels: node id -> original label, in first-seen order.
+        edge_offsets, edge_flat: CSR of each hyperedge's members, m + 1 offsets.
         inc_*, nbr_*: CSR (offsets, flat) of each node's hyperedges, neighbors.
-        edge_flat, edge_starts: concatenated members, and each edge's offset.
         pair_edge, pair_starts: hyperedge of each row, first row of each group.
         d_pair: largest group size, i.e. most hyperedges sharing a node pair.
     """
 
-    __slots__ = (
-        "n",
-        "edges",
-        "labels",
-        "label_to_id",
-        "inc_offsets",
-        "inc_flat",
-        "nbr_offsets",
-        "nbr_flat",
-        "edge_flat",
-        "edge_starts",
-        "pair_edge",
-        "pair_starts",
-        "d_pair",
-    )
+    __slots__ = ("n", "labels", "label_to_id", "inc_offsets", "inc_flat", "nbr_offsets",
+                 "nbr_flat", "edge_flat", "edge_offsets", "pair_edge", "pair_starts", "d_pair")
 
-    def __init__(self, edges: list[tuple[int, ...]], labels: list[str]):
-        self.n = len(labels)
-        self.edges = edges
+    def __init__(self, edge_flat: Sequence[int], cards: Sequence[int], labels: list[str]):
+        self.n = n = len(labels)
         self.labels = labels
-        self.label_to_id = dict(zip(labels, range(self.n)))
-        if len(self.label_to_id) != self.n:
+        self.label_to_id = dict(zip(labels, range(n)))
+        if len(self.label_to_id) != n:
             dup = next(lab for v, lab in enumerate(labels) if self.label_to_id[lab] != v)
             raise InputError(f"label {dup!r} is repeated")
-        self._build_csr()
-
-    def _build_csr(self) -> None:
-        n, m = self.n, len(self.edges)
-        cards = np.fromiter(map(len, self.edges), dtype=np.int64, count=m)
-        self.edge_flat = edge_flat = np.fromiter(
-            chain.from_iterable(self.edges), dtype=np.int64, count=int(cards.sum()))
+        self.edge_flat = edge_flat = np.asarray(edge_flat, dtype=np.int64)
+        cards = np.asarray(cards, dtype=np.int64)
+        if edge_flat.ndim != 1 or cards.ndim != 1 or cards.min(initial=0) < 0 \
+                or cards.sum() != edge_flat.size:
+            raise InputError("edge_flat and cards must be 1-D, cards >= 0 with sum len(edge_flat)")
+        m = cards.size
+        self.edge_offsets = offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(cards, out=offsets[1:])
         edge_of = np.repeat(np.arange(m), cards)
         bad = cards < 2
         bad[edge_of[(edge_flat < 0) | (edge_flat >= n)]] = True
         bad[edge_of[1:][(np.diff(edge_flat) <= 0) & (edge_of[1:] == edge_of[:-1])]] = True
         if bad.any():
             e = int(bad.argmax())
-            raise InputError(f"hyperedge {e} {self.edges[e]!r} is not a strictly "
+            members = tuple(edge_flat[offsets[e] : offsets[e + 1]].tolist())
+            raise InputError(f"hyperedge {e} {members!r} is not a strictly "
                              f"ascending tuple of at least 2 node ids in [0, {n})")
         isolated = np.flatnonzero(np.bincount(edge_flat, minlength=n) == 0)
         if isolated.size:
@@ -123,8 +112,6 @@ class Hypergraph:
         rows = int(cards @ (cards - 1))
         if rows > PAIR_ROW_GUARD:
             raise GuardError(f"pair-table guard: {rows} pair rows > {PAIR_ROW_GUARD}")
-        self.edge_starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(cards[:-1], out=self.edge_starts[1:])
 
         # Keys pack two ids by shift: (v << b) | u.  Validation ran first, so
         # n <= incidences <= pair rows <= PAIR_ROW_GUARD = 2**25 (every node is
@@ -138,7 +125,7 @@ class Hypergraph:
         edge_ids = [np.empty(0, dtype=np.int64)]
         for c in np.flatnonzero(np.bincount(cards)).tolist():
             idx = np.flatnonzero(cards == c)
-            members = edge_flat[self.edge_starts[idx, None] + np.arange(c)]
+            members = edge_flat[offsets[idx, None] + np.arange(c)]
             grid = (members[:, :, None] << b) | members[:, None, :]
             keys.append(grid[:, ~np.eye(c, dtype=bool)].ravel())
             edge_ids.append(np.repeat(idx, c * (c - 1)))
@@ -188,9 +175,10 @@ class Hypergraph:
         incrementally in `Residual`, and the (k,d) degree peel in its own
         live-edge list.
         """
+        flat, offsets = self.edge_flat, self.edge_offsets
         out: set[int] = set()
         for ei in self.inc_flat[self.inc_offsets[v] : self.inc_offsets[v + 1]].tolist():
-            e = self.edges[ei]
+            e = flat[offsets[ei] : offsets[ei + 1]].tolist()
             for u in e:
                 if not alive[u]:
                     break
@@ -200,7 +188,14 @@ class Hypergraph:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Hypergraph(n={self.n}, m={len(self.edges)})"
+        return f"Hypergraph(n={self.n}, m={self.edge_offsets.size - 1})"
+
+
+def member_lists(H: Hypergraph) -> list[list[int]]:
+    """Each hyperedge's ascending member ids, cut from `edge_flat`, for a loop
+    that reads members one hyperedge at a time; the caller holds the lists."""
+    flat, offsets = H.edge_flat.tolist(), H.edge_offsets.tolist()
+    return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
 class Residual:
@@ -218,7 +213,7 @@ class Residual:
     Attributes:
         live: hyperedge -> every member still alive.
         count: node -> number of residual neighbors.
-        edges: H.edges.
+        edge_offsets, edge_flat: H's edge CSR as lists, cut as each hyperedge dies.
         inc_offsets, inc_flat: H's incidence CSR as lists, one int object per edge id.
         shared_offsets, shared_flat: CSR over hyperedges; e's entries index
             gcount, one per ordered pair of members of e that another
@@ -228,12 +223,12 @@ class Residual:
         gnode: shared group -> the node whose neighbor it counts.
     """
 
-    __slots__ = ("edges", "live", "count", "inc_offsets", "inc_flat",
+    __slots__ = ("edge_offsets", "edge_flat", "live", "count", "inc_offsets", "inc_flat",
                  "shared_offsets", "shared_flat", "gcount", "gnode")
 
     def __init__(self, H: Hypergraph):
-        self.edges = H.edges
-        m = len(H.edges)
+        self.edge_offsets, self.edge_flat = H.edge_offsets.tolist(), H.edge_flat.tolist()
+        m = len(self.edge_offsets) - 1
         self.live = [True] * m
         self.count = np.diff(H.nbr_offsets).tolist()
         self.inc_offsets = H.inc_offsets.tolist()
@@ -252,14 +247,14 @@ class Residual:
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
         before the deletion, the only nodes whose residual changed."""
-        edges, live, count = self.edges, self.live, self.count
+        starts, members, live, count = self.edge_offsets, self.edge_flat, self.live, self.count
         gcount, gnode, inc = self.gcount, self.gnode, self.inc_offsets
         offsets, flat = self.shared_offsets, self.shared_flat
         out: set[int] = set()
         for ei in self.inc_flat[inc[v] : inc[v + 1]]:
             if live[ei]:
                 live[ei] = False
-                e = edges[ei]
+                e = members[starts[ei] : starts[ei + 1]]
                 out.update(e)
                 k = len(e) - 1
                 for u in e:
@@ -285,12 +280,11 @@ def build(
     """Build a canonical hypergraph from raw label lists.
 
     `edge_lists` is read once, so it may be a generator.  Labels are interned
-    in first-seen order as each list is read; the id rows are then sorted
-    per cardinality, and only a row that repeats a label is deduplicated
-    member by member.  Errors, duplicates and singletons are decided in input
-    order: duplicate member sets are dropped (reported), singletons are
-    rejected or dropped per `policy`, and nodes left with no retained edge
-    are stripped as isolated.
+    in first-seen order as each list is read; the id rows are then sorted,
+    cut to distinct members and compared in numpy.  Errors, duplicates and
+    singletons are decided in input order: duplicate member sets are dropped
+    (reported), singletons are rejected or dropped per `policy`, and nodes
+    left with no retained edge are stripped as isolated.
     """
     intern: defaultdict[str, int] = defaultdict(count().__next__)
     flat: list[int] = []
@@ -302,48 +296,47 @@ def build(
         raise InputError("no hyperedges given")
     labels = list(intern)
 
-    # each row's ids sorted, in input order; a repeated label leaves a
-    # shorter row, one distinct label a singleton and no label an empty row
-    cards = np.array(sizes, dtype=np.int64)
-    ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    # one sort of the keys row * n + id sorts every row's ids, in input order,
+    # and puts a label repeated within its row next to its first copy; a key
+    # stays below m * n
+    n, m = len(labels), len(sizes)
+    key = np.repeat(np.arange(m), sizes) * n + np.fromiter(flat, dtype=np.int64, count=len(flat))
     del flat
-    starts = np.cumsum(cards) - cards
-    rows: list[tuple[int, ...]] = [()] * len(sizes)
-    for c in np.flatnonzero(np.bincount(cards)).tolist():
-        idx = np.flatnonzero(cards == c)
-        block = np.sort(ids[starts[idx, None] + np.arange(c)], axis=1)
-        for i, row in zip(idx.tolist(), zip(*block.T.tolist())):
-            rows[i] = row
-        for i in idx[(block[:, 1:] == block[:, :-1]).any(axis=1)].tolist():
-            rows[i] = tuple(dict.fromkeys(rows[i]))
-    del ids, starts
+    key.sort()
+    row, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], max(n, 1))
+    cards = np.bincount(row, minlength=m)
+    offsets = np.cumsum(cards) - cards
+    del key, row
 
-    kept: dict[tuple[int, ...], None] = {}
-    report = BuildReport()
-    for idx, row in enumerate(rows):
-        if len(row) < 2:
-            if not row:
-                raise InputError(f"edge {idx}: empty hyperedge")
-            if policy is SingletonPolicy.REJECT:
-                tokens = [labels[row[0]]] * sizes[idx]
-                raise InputError(f"edge {idx}: singleton hyperedge {tokens!r}")
-            report.singleton_edges.append(idx)
-        elif row in kept:
-            report.duplicate_edges.append(idx)
-        else:
-            kept[row] = None
-    edges = list(kept)
-    del rows, kept
+    short = np.flatnonzero(cards < (1 if policy is SingletonPolicy.DROP else 2))
+    if short.size:
+        idx = int(short[0])
+        if not cards[idx]:
+            raise InputError(f"edge {idx}: empty hyperedge")
+        tokens = [labels[ids[offsets[idx]]]] * sizes[idx]
+        raise InputError(f"edge {idx}: singleton hyperedge {tokens!r}")
+    report = BuildReport(singleton_edges=np.flatnonzero(cards == 1).tolist())
+
+    # per width, a stable lexsort of the rows puts a repeat right after its first copy
+    keep = cards >= 2
+    for c in np.flatnonzero(np.bincount(cards[keep])).tolist():
+        idx = np.flatnonzero(cards == c)
+        block = ids[offsets[idx, None] + np.arange(c)]
+        order = np.lexsort(block.T[::-1])
+        repeat = (block[order[1:]] == block[order[:-1]]).all(axis=1)
+        keep[idx[order[1:][repeat]]] = False
+    report.duplicate_edges = np.flatnonzero(~keep & (cards >= 2)).tolist()
+    edge_flat, cards = ids[np.repeat(keep, cards)], cards[keep]
+    del ids, offsets
 
     # only a dropped singleton can leave a label in no kept edge (a duplicate's
     # labels are in its kept copy); the remap keeps id order, so edges stay sorted
     if report.singleton_edges:
-        used = set(chain.from_iterable(edges))
-        report.isolated_labels = [lab for v, lab in enumerate(labels) if v not in used]
-        remap = {v: i for i, v in enumerate(sorted(used))}
-        labels = [labels[v] for v in remap]
-        edges = [tuple(remap[v] for v in e) for e in edges]
-    return Hypergraph(edges, labels), report
+        used = np.bincount(edge_flat, minlength=n) > 0
+        report.isolated_labels = [labels[v] for v in np.flatnonzero(~used).tolist()]
+        labels = [labels[v] for v in np.flatnonzero(used).tolist()]
+        edge_flat = (np.cumsum(used) - 1)[edge_flat]
+    return Hypergraph(edge_flat, cards, labels), report
 
 
 def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
@@ -394,5 +387,5 @@ def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tupl
 
 def serialize_hg(H: Hypergraph) -> str:
     """Emit the .hg format with canonical sorted members."""
-    lines = [" ".join(H.labels[v] for v in e) for e in H.edges]
+    lines = [" ".join(H.labels[v] for v in e) for e in member_lists(H)]
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ def _lower_bounds(H: Hypergraph) -> np.ndarray:
     cardinality less one, or the least neighbor count if that is larger."""
     if not H.n:
         return np.zeros(0, dtype=np.int64)
-    cards = np.diff(H.edge_starts, append=len(H.edge_flat))
+    cards = np.diff(H.edge_offsets)
     largest = np.maximum.reduceat(cards[H.inc_flat], H.inc_offsets[:-1])
     return np.maximum(largest - 1, np.diff(H.nbr_offsets).min())
 

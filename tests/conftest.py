@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hypercore import build, parse_hg, random_hypergraph
+from oracles import edges
 
 
 def hg(text):
@@ -46,7 +47,7 @@ def with_wide_edge(H, seed):
     """H plus one hyperedge on 8 to 12 of its nodes (H needs at least 8)."""
     rng = random.Random(seed)
     wide = rng.sample(H.labels, rng.randint(8, min(12, H.n)))
-    return build([[H.labels[v] for v in e] for e in H.edges] + [wide])[0]
+    return build([[H.labels[v] for v in e] for e in edges(H)] + [wide])[0]
 
 
 def scan_pool():

@@ -20,6 +20,17 @@ ORACLE_NODE_GUARD = 200
 ENUMERATION_ATTEMPT_GUARD = 20
 
 
+def edges(H: Hypergraph) -> list[tuple[int, ...]]:
+    """H's hyperedges as ascending tuples of node ids, cut from its edge CSR."""
+    flat, offsets = H.edge_flat.tolist(), H.edge_offsets.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def hypergraph(edges: Sequence[Sequence[int]], labels: list[str]) -> Hypergraph:
+    """The Hypergraph on these labels whose hyperedges are these id tuples."""
+    return Hypergraph([v for e in edges for v in e], [len(e) for e in edges], labels)
+
+
 def incident_edges(H: Hypergraph, v: int) -> list[int]:
     """Ids of the hyperedges that hold v, ascending."""
     return H.inc_flat[H.inc_offsets[v] : H.inc_offsets[v + 1]].tolist()
@@ -95,6 +106,7 @@ def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
     """Definitional (k,d)-core: delete nodes violating either threshold in the
     strong residual until fixpoint.  Maximal by construction."""
     alive = [True] * H.n
+    members = edges(H)
     changed = True
     while changed:
         changed = False
@@ -102,7 +114,7 @@ def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
             if not alive[v]:
                 continue
             if (len(H.residual_neighbors(v, alive)) < k
-                    or sum(all(alive[u] for u in H.edges[ei])
+                    or sum(all(alive[u] for u in members[ei])
                            for ei in incident_edges(H, v)) < d):
                 alive[v] = False
                 changed = True

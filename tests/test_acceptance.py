@@ -29,7 +29,9 @@ from hypercore import (
 from oracles import (
     core_correction,
     core_members,
+    edges,
     h_operator,
+    hypergraph,
     kd_fixpoint_oracle,
     local_lower_bound,
     naive_core_oracle,
@@ -75,8 +77,8 @@ def permute(H: Hypergraph, shift: int) -> tuple[Hypergraph, list[int]]:
     labels = [""] * H.n
     for v in range(H.n):
         labels[pi[v]] = H.labels[v]
-    edges = sorted(tuple(sorted(pi[v] for v in e)) for e in H.edges)
-    return Hypergraph(edges, labels), pi
+    permuted = sorted(tuple(sorted(pi[v] for v in e)) for e in edges(H))
+    return hypergraph(permuted, labels), pi
 
 
 def test_criterion_01_h_operator_table():

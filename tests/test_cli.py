@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypercore
-from hypercore import densest, diffusion, kdcore, model
+from hypercore import cli, densest, diffusion, kdcore, model
 from hypercore.cli import main
 from hypercore.localcore import MAX_THREADS
 from conftest import refuse_large_samples
@@ -227,6 +227,29 @@ def test_sir_unwritable_aggregate_runs_nothing(fig_file, tmp_path, capsys, monke
     _assert_refused(*run(capsys, "sir", fig_file, "--beta", "0.5", "--runs", "1000000000",
                          "--aggregate-out", str(tmp_path / "missing" / "a.csv")))
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--stats", "{side}"),
+    ("sir", "--beta", "0.5", "--aggregate-out", "{side}"),
+])
+def test_unwritable_sidecar_leaves_out_untouched(fig_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.tsv"
+    out.write_text("kept\n")
+    side = str(tmp_path / "missing" / "side")
+    _assert_refused(*run(capsys, argv[0], fig_file, "--out", str(out),
+                         *(a.format(side=side) for a in argv[1:])))
+    assert out.read_text() == "kept\n"
+
+
+def test_decompose_unwritable_stats_refused_before_the_work(fig_file, tmp_path, capsys,
+                                                           monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("local_core ran before the sidecar path was opened")
+
+    monkeypatch.setattr(cli, "local_core", refuse)
+    _assert_refused(*run(capsys, "decompose", fig_file,
+                         "--stats", str(tmp_path / "missing" / "s.json")))
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hypercore import (
     GuardError,
-    Hypergraph,
     InputError,
     brute_force_densest,
     build,
@@ -22,7 +21,7 @@ from hypercore import (
 from hypercore import densest
 from hypercore.densest import _flow_probe
 from conftest import hg, ids, scan_pool, with_wide_edge
-from oracles import naive_core_oracle
+from oracles import edges, hypergraph, naive_core_oracle
 
 
 def test_volume_density_single_triple(single_triple):
@@ -45,7 +44,7 @@ def test_volume_density_empty_set_rejected(fig_five):
 
 def test_empty_hypergraph_refused(single_triple):
     emptied = intervention_delete(single_triple, [0], 1)
-    for H in (Hypergraph([], []), emptied):
+    for H in (hypergraph([], []), emptied):
         for route in (brute_force_densest, greedy_densest, exact_densest, guarantee_factor):
             with pytest.raises(InputError):
                 route(H)
@@ -126,8 +125,8 @@ def reference_greedy(H):
             rest = {u for u in range(H.n) if alive[u]}
             if rest and volume_density(H, rest) > best_density:
                 best_set, best_density = rest, volume_density(H, rest)
-    pairs = Counter(p for e in H.edges for p in combinations(e, 2))
-    factor = max(pairs.values()) * (max(map(len, H.edges)) - 2) + 2
+    pairs = Counter(p for e in edges(H) for p in combinations(e, 2))
+    factor = max(pairs.values()) * (max(map(len, edges(H))) - 2) + 2
     return best_set, best_density, factor
 
 
@@ -203,9 +202,10 @@ def test_min_cut_edge_layer_is_strongly_induced(fig_five, monkeypatch):
     monkeypatch.setattr(densest._Dinic, "max_flow", record)
     _, nodes = _flow_probe(fig_five, Fraction(3))
     n = fig_five.n
-    edges = {ei for ei in range(len(fig_five.edges)) if nets[0].level[n + 2 + ei] >= 0}
-    inside = {ei for ei, e in enumerate(fig_five.edges) if all(v in nodes for v in e)}
-    assert edges == inside
+    members = edges(fig_five)
+    reached = {ei for ei in range(len(members)) if nets[0].level[n + 2 + ei] >= 0}
+    inside = {ei for ei, e in enumerate(members) if all(v in nodes for v in e)}
+    assert reached == inside
 
 
 def pair_disjoint(rng, n, m, card_min, card_max):

@@ -12,7 +12,7 @@ from hypercore import (
     random_hypergraph,
 )
 from conftest import by_label, hg, with_wide_edge
-from oracles import core_members, incident_edges, kd_fixpoint_oracle
+from oracles import core_members, edges, incident_edges, kd_fixpoint_oracle
 
 
 def test_single_triple_levels(single_triple):
@@ -102,7 +102,7 @@ def test_max_nbr_core_at_least_max_degree_core():
         H = random_hypergraph(12, 18, 2, 4, seed)
         pairs = set()
         simple = True
-        for e in H.edges:
+        for e in edges(H):
             for i in range(len(e)):
                 for j in range(i + 1, len(e)):
                     if (e[i], e[j]) in pairs:
@@ -135,10 +135,10 @@ def test_neighbor_check_at_the_boundary():
     the count must not include a itself."""
     H = build([["a", "b", "c"], ["a", "d"], ["b", "d"]])[0]
     a, d = H.label_to_id["a"], H.label_to_id["d"]
-    live = [True] * len(H.edges)
+    live = [True] * len(edges(H))
     assert neighbor_check(H, live, [a, a], 3)[0] == [True, True]
     assert neighbor_check(H, live, [a], 4) == ([False], 1)
-    live = [all(u != d for u in e) for e in H.edges]  # d deleted
+    live = [all(u != d for u in e) for e in edges(H)]  # d deleted
     assert neighbor_check(H, live, [a], 2) == ([True], 0)  # {a, b, c} has 3 > 2 members
     assert neighbor_check(H, live, [a], 3) == ([False], 1)
     assert neighbor_check(H, live, [a, d], 0)[0] == [True, True]
@@ -152,8 +152,9 @@ def test_neighbor_check_matches_live_union(seed, wide, data):
     H = random_hypergraph(14 if wide else 10, 16, 2, 4, seed)
     if wide:
         H = with_wide_edge(H, seed)
-    live = data.draw(st.lists(st.booleans(), min_size=len(H.edges), max_size=len(H.edges)))
-    unions = [set().union(*(H.edges[ei] for ei in incident_edges(H, v) if live[ei])) - {v}
+    members = edges(H)
+    live = data.draw(st.lists(st.booleans(), min_size=len(members), max_size=len(members)))
+    unions = [set().union(*(members[ei] for ei in incident_edges(H, v) if live[ei])) - {v}
               for v in range(H.n)]
     for v, union in enumerate(unions):
         c = len(union)
@@ -162,7 +163,7 @@ def test_neighbor_check_matches_live_union(seed, wide, data):
     # all nodes in one batch: only those without a live hyperedge of more
     # than k members are counted
     for k in range(max(map(len, unions)) + 2):
-        wide_live = [any(live[ei] and len(H.edges[ei]) > k for ei in incident_edges(H, v))
+        wide_live = [any(live[ei] and len(members[ei]) > k for ei in incident_edges(H, v))
                      for v in range(H.n)]
         assert neighbor_check(H, live, range(H.n), k) == (
             [len(union) >= k for union in unions], wide_live.count(False)), k

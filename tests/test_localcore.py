@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from hypercore import (
-    Hypergraph,
     InputError,
     LocalCoreOptions,
     clique_graph_core,
@@ -15,7 +14,8 @@ from hypercore import (
     random_hypergraph,
 )
 from conftest import by_label, hg, scan_pool, with_wide_edge
-from oracles import core_correction, h_operator, naive_core_oracle, neighborhood_hierarchy
+from oracles import (core_correction, h_operator, hypergraph, naive_core_oracle,
+                     neighborhood_hierarchy)
 
 
 def test_h_operator_values():
@@ -146,7 +146,7 @@ def test_naive_h_index_matches_reference_recurrence():
     ("", 0),  # no node, so no round, as local_core reports
 ])
 def test_naive_h_index_rounds(text, rounds):
-    H = hg(text) if text else Hypergraph([], [])
+    H = hg(text) if text else hypergraph([], [])
     assert naive_graph_h_index(H).counters == {"rounds": rounds}
 
 

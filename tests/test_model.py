@@ -12,6 +12,7 @@ from hypercore import (
     InputError,
     SingletonPolicy,
     build,
+    clique_expansion,
     intervention_delete,
     load_hg,
     parse_hg,
@@ -19,9 +20,9 @@ from hypercore import (
     sir_run,
     volume_density,
 )
-from hypercore.model import BuildReport, Residual
+from hypercore.model import BuildReport, Residual, member_lists
 from conftest import by_label, hg
-from oracles import local_lower_bound, sir_expected_spread
+from oracles import edges, hypergraph, local_lower_bound, sir_expected_spread
 
 
 def test_public_names():
@@ -42,7 +43,7 @@ def test_public_names():
 
 def test_duplicate_edges_deduped():
     H, report = build([["a", "b", "c"], ["a", "b", "c"]])
-    assert len(H.edges) == 1
+    assert len(edges(H)) == 1
     assert report.duplicate_edges == [1]
 
 
@@ -53,7 +54,7 @@ def test_singleton_rejected_by_default():
 
 def test_singleton_dropped_isolates_node():
     H, report = build([["a", "b"], ["c"]], SingletonPolicy.DROP)
-    assert H.n == 2 and len(H.edges) == 1
+    assert H.n == 2 and len(edges(H)) == 1
     assert report.singleton_edges == [1]
     assert report.isolated_labels == ["c"]
 
@@ -135,13 +136,13 @@ def test_parse_reports_line_numbers():
 
 def test_parse_skips_comments_and_blanks():
     H, _ = parse_hg("# header\n\na b\n  \nb c\n")
-    assert len(H.edges) == 2
+    assert len(edges(H)) == 2
 
 
 def test_hash_starts_a_comment_only_at_line_start():
     H, _ = parse_hg("# header\n  # indented comment\na b # note\n")
     assert H.labels == ["a", "b", "#", "note"]
-    assert H.edges == [(0, 1, 2, 3)]
+    assert edges(H) == [(0, 1, 2, 3)]
 
 
 def test_parse_singleton_after_comments_and_a_duplicate():
@@ -153,13 +154,13 @@ def test_parse_singleton_after_comments_and_a_duplicate():
     assert report.isolated_labels == []
     H, report = parse_hg(text.replace("c d", "a d"), SingletonPolicy.DROP)
     assert report.isolated_labels == ["c"]
-    assert H.labels == ["a", "b", "d"] and H.edges == [(0, 1), (0, 2)]
+    assert H.labels == ["a", "b", "d"] and edges(H) == [(0, 1), (0, 2)]
 
 
 def test_round_trip(fig_five):
     H2, _ = parse_hg(serialize_hg(fig_five))
-    assert [[fig_five.labels[v] for v in e] for e in fig_five.edges] == [
-        [H2.labels[v] for v in e] for e in H2.edges
+    assert [[fig_five.labels[v] for v in e] for e in edges(fig_five)] == [
+        [H2.labels[v] for v in e] for e in edges(H2)
     ]
 
 
@@ -176,17 +177,17 @@ def test_label_in_no_hyperedge_rejected():
     # build strips such labels; direct construction must refuse them, since
     # the peeling loops assume every node sits in a hyperedge
     with pytest.raises(InputError, match="'c' is in no hyperedge"):
-        Hypergraph([(0, 1)], ["a", "b", "c"])
+        hypergraph([(0, 1)], ["a", "b", "c"])
     with pytest.raises(InputError):
-        Hypergraph([], ["a"])
-    assert Hypergraph([], []).n == 0
+        hypergraph([], ["a"])
+    assert hypergraph([], []).n == 0
 
 
 def test_repeated_label_rejected():
     # label_to_id would hold fewer labels than nodes, and serialize_hg ->
     # parse_hg would not give the hypergraph back
     with pytest.raises(InputError, match="label 'a' is repeated"):
-        Hypergraph([(0, 1), (1, 2)], ["a", "a", "b"])
+        hypergraph([(0, 1), (1, 2)], ["a", "a", "b"])
 
 
 @pytest.mark.parametrize("query", [
@@ -234,7 +235,19 @@ def test_parse_drops_one_byte_order_mark():
 ])
 def test_malformed_edge_rejected(edges):
     with pytest.raises(InputError, match="strictly ascending tuple of at least 2 node ids"):
-        Hypergraph(edges, ["a", "b"])
+        hypergraph(edges, ["a", "b"])
+
+
+@pytest.mark.parametrize("edge_flat, cards", [
+    ([0, 1], [3]),  # the cards run past edge_flat
+    ([0, 1, 0, 1], [2]),  # edge_flat runs past the cards
+    ([0, 1], [3, -1]),  # the right sum, through a negative card
+    ([[0, 1]], [2]),
+    ([0, 1], [[2]]),
+])
+def test_arrays_that_do_not_fit_rejected(edge_flat, cards):
+    with pytest.raises(InputError, match="must be 1-D"):
+        Hypergraph(edge_flat, cards, ["a", "b"])
 
 
 def ids_of(H, labels):
@@ -260,19 +273,27 @@ def edge_lists(draw):
 @example([["a", "b", "c"], ["a", "b", "d"], ["a", "b"]])
 @example([[str(v) for v in range(42)], ["0", "1"], ["1", "2", "x"]])
 def test_pair_table_matches_brute_force(raw):
-    H = build(raw)[0] if raw else Hypergraph([], [])
-    inc = [[ei for ei, e in enumerate(H.edges) if v in e] for v in range(H.n)]
+    H = build(raw)[0] if raw else hypergraph([], [])
+    members = edges(H)
+    inc = [[ei for ei, e in enumerate(members) if v in e] for v in range(H.n)]
     assert H.inc_flat.tolist() == [ei for lst in inc for ei in lst]
     assert H.inc_offsets.tolist() == list(accumulate(map(len, inc), initial=0))
-    mult = Counter(p for e in H.edges for p in permutations(e, 2))
+    mult = Counter(p for e in members for p in permutations(e, 2))
     nbrs = [sorted(u for w, u in mult if w == v) for v in range(H.n)]
     assert H.nbr_flat.tolist() == [u for lst in nbrs for u in lst]
     assert H.nbr_offsets.tolist() == list(accumulate(map(len, nbrs), initial=0))
     for csr in (H.inc_flat, H.inc_offsets, H.nbr_flat, H.nbr_offsets):
         assert csr.dtype == np.int64
     assert H.d_pair == max(mult.values(), default=0)
-    assert H.edge_flat.tolist() == [v for e in H.edges for v in e]
-    assert H.edge_starts.tolist() == list(accumulate(map(len, H.edges), initial=0))[:-1]
+    # the clique expansion is the hypergraph of the pairs v < u on H's labels
+    G = clique_expansion(H)
+    ref = hypergraph(sorted((v, u) for v, u in mult if v < u), H.labels)
+    assert G.labels == ref.labels and G.d_pair == ref.d_pair
+    for name in ("edge_flat", "edge_offsets", "inc_flat", "inc_offsets",
+                 "nbr_flat", "nbr_offsets", "pair_edge", "pair_starts"):
+        assert getattr(G, name).tolist() == getattr(ref, name).tolist(), name
+    assert H.edge_flat.tolist() == [v for e in members for v in e]
+    assert H.edge_offsets.tolist() == list(accumulate(map(len, members), initial=0))
     # one group per (v, u), holding exactly the hyperedges that contain both
     bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
     groups = {
@@ -282,8 +303,18 @@ def test_pair_table_matches_brute_force(raw):
     }
     assert len(groups) == len(H.pair_starts) == len(mult)
     assert groups == {
-        (v, u): [ei for ei, e in enumerate(H.edges) if v in e and u in e] for v, u in mult
+        (v, u): [ei for ei, e in enumerate(members) if v in e and u in e] for v, u in mult
     }
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists().filter(bool))
+def test_member_lists_match_reference(raw):
+    """The members read off the edge CSR are the reference builder's sorted
+    id tuples, and the hypergraph holds no second, tuple form."""
+    H = build(raw)[0]
+    assert [tuple(e) for e in member_lists(H)] == _reference_build(raw, SingletonPolicy.REJECT)[1]
+    assert not hasattr(H, "edges")
 
 
 def _reference_build(edge_lists, policy):
@@ -349,7 +380,7 @@ def _outcome(fn, *args):
 def test_build_matches_reference(raw, policy):
     def built(raw, policy):
         H, report = build(raw, policy)
-        return H.labels, H.edges, report
+        return H.labels, edges(H), report
 
     assert _outcome(built, raw, policy) == _outcome(_reference_build, raw, policy)
 
@@ -420,7 +451,7 @@ def hg_texts(draw):
 def test_parse_matches_reference(text, policy):
     def parsed(text, policy):
         H, report = parse_hg(text, policy)
-        return H.labels, H.edges, report
+        return H.labels, edges(H), report
 
     assert _outcome(parsed, text, policy) == _outcome(_reference_parse, text, policy)
 
@@ -432,7 +463,7 @@ def test_packed_keys_on_wide_ids():
     n = 2**16 + 10
     edges = [(v, v + 1) for v in range(0, n, 2)]
     edges += [(0, 1, n - 2, n - 1), (0, 2, 2**16, n - 1), (n - 4, n - 3, n - 2, n - 1)]
-    H = Hypergraph(edges, [str(v) for v in range(n)])
+    H = hypergraph(edges, [str(v) for v in range(n)])
     inc, pairs = defaultdict(list), defaultdict(list)
     for ei, e in enumerate(edges):
         for v in e:
@@ -460,9 +491,9 @@ def test_packed_keys_on_wide_ids():
 
 
 def _assert_residual_is_definitional(H, R, alive):
-    assert R.live == [all(alive[u] for u in e) for e in H.edges]
+    assert R.live == [all(alive[u] for u in e) for e in edges(H)]
     # live hyperedges holding each ordered pair
-    holding = Counter(pair for e in H.edges if all(alive[u] for u in e)
+    holding = Counter(pair for e in edges(H) if all(alive[u] for u in e)
                       for pair in permutations(e, 2))
     bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
     shared = iter(range(len(R.gcount)))  # gcount holds the shared groups in order
@@ -481,7 +512,7 @@ def _assert_pairs_split(H, R):
     """Hyperedge e's shared entries are exactly the gcount indices of the
     ordered pairs of e's members that another hyperedge also holds, and each
     shared group names the node whose neighbor it counts."""
-    pairs = Counter(pair for e in H.edges for pair in permutations(e, 2))
+    pairs = Counter(pair for e in edges(H) for pair in permutations(e, 2))
     index = {}  # ordered pair -> its gcount index, for shared pairs
     for v in range(H.n):
         for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1]):
@@ -489,9 +520,9 @@ def _assert_pairs_split(H, R):
                 index[v, H.nbr_flat[g]] = len(index)
     assert R.gcount == [pairs[pair] for pair in index]
     assert R.gnode == [v for v, _ in index]
-    assert len(R.shared_offsets) == len(H.edges) + 1
+    assert len(R.shared_offsets) == len(edges(H)) + 1
     assert R.shared_offsets[-1] == len(R.shared_flat)
-    for ei, e in enumerate(H.edges):
+    for ei, e in enumerate(edges(H)):
         entries = R.shared_flat[R.shared_offsets[ei]:R.shared_offsets[ei + 1]]
         assert sorted(entries) == sorted(index[pair] for pair in permutations(e, 2)
                                          if pair in index), e
@@ -553,7 +584,7 @@ def test_residual_matches_definition_under_deletion(raw, order):
     live hyperedges agree with the member scan, its live counts per node
     and per pair group with a brute-force count, and delete returns the
     neighbors before the deletion."""
-    H = build(raw)[0] if raw else Hypergraph([], [])
+    H = build(raw)[0] if raw else hypergraph([], [])
     R = Residual(H)
     _assert_pairs_split(H, R)
     alive = [True] * H.n

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hypercore import (
-    Hypergraph,
     e_peel,
     greedy_densest,
     peel,
@@ -14,7 +13,7 @@ from hypercore import (
 )
 from hypercore.model import Residual
 from conftest import by_label, hg, scan_pool, with_wide_edge
-from oracles import level_set, local_lower_bound, naive_core_oracle
+from oracles import edges, hypergraph, level_set, local_lower_bound, naive_core_oracle
 
 
 def test_single_pair_edge():
@@ -161,7 +160,7 @@ def test_peel_decrements_only_shared_groups(monkeypatch, make, decrements):
 
 
 def test_empty_hypergraph():
-    H = Hypergraph([], [])
+    H = hypergraph([], [])
     assert peel(H).core == [] and e_peel(H).core == []
 
 
@@ -216,7 +215,7 @@ def scan_peel(H, keys, bounded):
 def test_peel_and_epeel_match_scan_reference():
     shared = wide = 0
     for seed, H in scan_pool():
-        wide += max(map(len, H.edges)) > 4
+        wide += max(map(len, edges(H))) > 4
         shared += H.d_pair > 1
         exact = [H.neighbor_count(v) for v in range(H.n)]
         bounds = [local_lower_bound(H, v) for v in range(H.n)]
