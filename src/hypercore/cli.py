@@ -85,6 +85,7 @@ def cmd_decompose(args) -> int:
                 sidecar["corrected_per_round"] = res.report.corrected_per_round
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
+            fh.flush()  # a full disk fails here, before any row is printed
         for v in range(H.n):
             out.write(f"{H.labels[v]}\t{res.core[v]}\n")
         for lab in report.isolated_labels:

@@ -5,8 +5,11 @@ Peel's deletion order, with a provable approximation factor; an exact
 method; and subset enumeration, `--method brute`.  The exact method
 runs Dinkelbach iteration over an integer max-flow probe on Goldberg's
 closure network when no node pair is shared by two hyperedges
-(d_pair = 1), reading each witness off the last BFS of the flow; with
-shared pairs it is the enumeration.
+(d_pair = 1).  The probe runs Dinic's algorithm on paired arc lists built
+from the edge CSR and reads both its witness S and the witness's objective g
+off the last BFS of the flow; the next density is g / |S|, so no member is
+scanned on the route.  With shared pairs the exact method is the
+enumeration.
 
 All densities are exact rationals.  The flow probe scales every capacity by
 the denominator of the probed density so the network stays pure-integer;
@@ -16,7 +19,6 @@ makes floating point unsafe here.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
@@ -128,109 +130,90 @@ def brute_force_densest(H: Hypergraph) -> DensestResult:
 # -- exact algorithm: Dinkelbach iteration over an integer max-flow --------
 
 
-class _Dinic:
-    """Exact max-flow on integer capacities (Python ints, so no overflow)."""
+def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[int, set[int]]:
+    """Solve Goldberg's closure network at eta = p/q exactly by Dinic's
+    algorithm and return (g, S) for its smallest min cut.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
+    Vertices: 0 = source, 1 = sink, 2..n+1 the nodes, n+2..n+m+1 the
+    hyperedges.  The arcs are source -> hyperedge e at |e|(|e|-1) q, e -> each
+    member at total + 1 (more than the cut around the source alone), and
+    node -> sink at p, where total = sum |e|(|e|-1) q.  Arc 2i is the i-th of
+    them and arc 2i + 1 its reverse, so the reverse of arc a is a ^ 1; `arcs`
+    lists the arcs leaving each vertex, a CSR over `first`.  Capacities are
+    Python ints, so nothing overflows.
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, s: int, t: int) -> int:
-        """Push flow along one s-t path of the level graph and return the
-        amount, or 0 once the phase is blocked.  The path is kept in a list,
-        not on the call stack: it can run the length of the network."""
-        graph, level, it = self.graph, self.level, self.it
-        path: list[list[int]] = []  # edges from s to u
-        u = s
-        while u != t:
-            adj, i = graph[u], it[u]
-            while i < len(adj) and not (adj[i][1] > 0 and level[adj[i][0]] == level[u] + 1):
+    S is the set of nodes the last, failed BFS still reaches: the node part
+    of the min cut's source side, the smallest one there is.  It reaches a
+    hyperedge vertex exactly when it reaches all of its members, so
+    g = sum over e inside S of |e|(|e|-1), and g > eta |S| exactly when some
+    subset T has g(T) > eta |T|.  g counts each neighbor pair of the strongly
+    induced H[S] once per hyperedge that holds it, so when no node pair is
+    shared (d_pair = 1) g / |S| is the volume density of S and the probe is
+    exact both ways.
+    """
+    n, m = H.n, len(H.edge_offsets) - 1
+    p, q = eta.numerator, eta.denominator
+    cards = np.diff(H.edge_offsets)
+    weights = (cards * (cards - 1)).tolist()
+    total = sum(weights) * q
+    hyper = np.arange(n + 2, n + m + 2)
+    # the forward arcs, source -> e, e -> member and node -> sink, in order
+    tail = np.concatenate([np.zeros(m, np.int64), np.repeat(hyper, cards), np.arange(2, n + 2)])
+    head = np.concatenate([hyper, H.edge_flat + 2, np.ones(n, np.int64)])
+    frm = np.stack([tail, head], axis=1).ravel()  # arc 2i + 1 runs head -> tail
+    to = np.stack([head, tail], axis=1).ravel().tolist()
+    arcs = np.argsort(frm, kind="stable").tolist()
+    first = [0] + np.cumsum(np.bincount(frm, minlength=n + m + 2)).tolist()
+    cap = [0] * len(to)
+    cap[::2] = [w * q for w in weights] + [total + 1] * len(H.edge_flat) + [p] * n
+    while True:
+        level = [-1] * (n + m + 2)
+        level[0] = 0
+        reached = [0]
+        for u in reached:
+            for a in arcs[first[u] : first[u + 1]]:
+                if cap[a] > 0 and level[to[a]] < 0:
+                    level[to[a]] = level[u] + 1
+                    reached.append(to[a])
+        if level[1] < 0:
+            break
+        # push flow along one path of the level graph at a time; the path is
+        # kept in a list, not on the call stack, as it can run the length of
+        # the network, and it[u] is the first arc of u not yet found dead
+        it = first[:]
+        path: list[int] = []  # arcs from the source to u
+        u = 0
+        while True:
+            if u == 1:
+                f = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                path, u = [], 0
+            i, end, up = it[u], first[u + 1], level[u] + 1
+            while i < end and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == up):
                 i += 1
             it[u] = i
-            if i < len(adj):
-                path.append(adj[i])
-                u = adj[i][0]
-            elif not path:
-                return 0
-            else:  # dead end: back to the tail of the last edge, which is skipped
-                edge = path.pop()
-                u = graph[edge[0]][edge[2]][0]
+            if i < end:
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:  # dead end: back to the tail of the last arc, which is skipped
+                u = to[path.pop() ^ 1]
                 it[u] += 1
-        f = min(edge[1] for edge in path)
-        for edge in path:
-            edge[1] -= f
-            graph[edge[0]][edge[2]][1] += f
-        return f
-
-    def max_flow(self, s: int, t: int) -> int:
-        """The max-flow value.  The last, failed BFS leaves level[x] >= 0 on
-        exactly the nodes still reachable from s in the residual network:
-        the source side of the minimum cut, the smallest one there is."""
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                f = self._dfs(s, t)
-                if f == 0:
-                    break
-                flow += f
-        return flow
-
-
-def _flow_probe(H: Hypergraph, eta: Fraction) -> tuple[bool, set[int]]:
-    """Solve Goldberg's closure network at eta = p/q exactly.
-
-    Returns (denser_exists, witness).  The arcs are source -> hyperedge e at
-    |e|(|e|-1) q, e -> each member at total + 1 (more than the cut around the
-    source alone), and node -> sink at p, where total = sum |e|(|e|-1) q.
-    The max-flow is below total exactly when some S has
-    g(S) = sum over e inside S of |e|(|e|-1) > eta |S|; the witness is the
-    node part of the min cut's source side, read off the last BFS, and its g
-    exceeds eta times its size.  g counts each neighbor pair of the strongly
-    induced H[S] once per hyperedge that holds it, so when no node pair is
-    shared (d_pair = 1) g is the volume objective and the probe is exact both
-    ways.
-    """
-    n = H.n
-    q = eta.denominator
-    p = eta.numerator
-    # vertex ids: 0 = source, 1 = sink, 2..n+1 nodes, n+2..n+m+1 hyperedges
-    edges = member_lists(H)
-    net = _Dinic(n + len(edges) + 2)
-    weights = [len(e) * (len(e) - 1) * q for e in edges]
-    total = sum(weights)
-    for ei, e in enumerate(edges):
-        net.add_edge(0, n + 2 + ei, weights[ei])
-        for v in e:
-            net.add_edge(n + 2 + ei, 2 + v, total + 1)
-    for v in range(n):
-        net.add_edge(2 + v, 1, p)
-    flow = net.max_flow(0, 1)
-    return flow < total, {v for v in range(n) if net.level[2 + v] >= 0}
+            else:  # the phase is blocked
+                break
+    g = sum(w for w, lev in zip(weights, level[n + 2 :]) if lev >= 0)
+    return g, {v for v in range(n) if level[2 + v] >= 0}
 
 
 def exact_densest(H: Hypergraph) -> DensestResult:
-    """Dinkelbach iteration on the density: start from all nodes, probe at
-    the current density eta, and take the probe's min-cut witness, which is
-    strictly denser, as the next candidate.  The first negative probe proves
-    eta optimal, so the result carries the closed bracket (eta, eta).  eta
-    only rises and there are finitely many subsets, so the loop ends.
+    """Dinkelbach iteration on the density: start from all nodes, at
+    eta = len(nbr_flat) / n, probe at the current eta, and move to the
+    probe's witness S at eta = g / |S|, both read off its cut, while
+    g > eta |S|.  No member is scanned to rate a witness.  The first negative
+    probe proves eta optimal, so the result carries the closed bracket
+    (eta, eta).  eta only rises and there are finitely many subsets, so the
+    loop ends.
 
     The probe is exact only when no node pair is shared by two hyperedges.
     Otherwise the answer is the subset-enumeration optimum, with no probe,
@@ -239,14 +222,11 @@ def exact_densest(H: Hypergraph) -> DensestResult:
     if H.d_pair > 1:
         res = brute_force_densest(H)
         return replace(res, method="exact", bracket=(res.density, res.density))
-    best = set(range(n))
-    eta = volume_density(H, best)
-    probes = 0
+    best, eta, probes = set(range(n)), Fraction(len(H.nbr_flat), n), 0
     while True:
-        denser, nodes = _flow_probe(H, eta)
+        g, nodes = _flow_probe(H, eta)
         probes += 1
-        if not denser:
+        if g <= eta * len(nodes):
             break
-        best = nodes
-        eta = volume_density(H, best)
+        best, eta = nodes, Fraction(g, len(nodes))
     return DensestResult(best, eta, "exact", Fraction(1), bracket=(eta, eta), probes=probes)

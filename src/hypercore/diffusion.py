@@ -73,13 +73,6 @@ _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _U_GAMMA, _U_M1, _U_M2 = np.uint64(_GAMMA), np.uint64(_M1), np.uint64(_M2)
 
 
-def _splitmix64(z: int) -> int:
-    """The splitmix64 finalizer of a 64-bit word."""
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _run_key(rng_seed: int) -> int:
     # any int, negative or >= 2**64, maps to one 64-bit key on every platform
     try:
@@ -96,15 +89,10 @@ def check_rng_seed(rng_seed: int) -> None:
     _run_key(rng_seed)
 
 
-def _attempt_draw(rng_seed: int, u: int, v: int) -> int:
-    """The 64-bit draw of the attempt u -> v; `sir_run` inlines it."""
-    k_u = _splitmix64((_run_key(rng_seed) + (u + 1) * _GAMMA) & _MASK)
-    return _splitmix64((k_u + (v + 1) * _GAMMA) & _MASK)
-
-
 def _splitmix64_array(z: np.ndarray) -> np.ndarray:
-    """`_splitmix64` of every word of a uint64 array, in place; the products
-    wrap mod 2**64, as `& _MASK` does."""
+    """The splitmix64 finalizer (`splitmix64` in tests/oracles.py) of every
+    word of a uint64 array, in place; the products wrap mod 2**64, as
+    `& _MASK` does."""
     z ^= z >> _U30
     z *= _U_M1
     z ^= z >> _U27
@@ -195,7 +183,8 @@ def sir_run(
             continue
         newly: list[int] = []
         for u in frontier:
-            # k_u = _splitmix64(run_key + (u + 1) * _GAMMA mod 2**64), inlined
+            # k_u = splitmix64(run_key + (u + 1) * _GAMMA mod 2**64), inlined; the
+            # reference splitmix64 and attempt_draw are in tests/oracles.py
             k_u = (run_key + (u + 1) * _GAMMA) & _MASK
             k_u = ((k_u ^ (k_u >> 30)) * _M1) & _MASK
             k_u = ((k_u ^ (k_u >> 27)) * _M2) & _MASK
@@ -203,7 +192,7 @@ def sir_run(
             for v in flat[offsets[u] : offsets[u + 1]].tolist():
                 if v in infection_time:
                     continue
-                # _attempt_draw(rng_seed, u, v), inlined
+                # attempt_draw(rng_seed, u, v), inlined
                 z = (k_u + (v + 1) * _GAMMA) & _MASK
                 z = ((z ^ (z >> 30)) * _M1) & _MASK
                 z = ((z ^ (z >> 27)) * _M2) & _MASK

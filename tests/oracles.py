@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from hypercore.diffusion import check_beta
+from hypercore.diffusion import _GAMMA, _M1, _M2, _MASK, _run_key, check_beta
 from hypercore.kdcore import KDCoreResult
 from hypercore.model import GuardError, Hypergraph
 from hypercore.peel import CoreAssignment, _lower_bounds
@@ -146,6 +146,20 @@ def oracle_k_core_sets(H: Hypergraph) -> list[set[int]]:
 
 
 # -- SIR -------------------------------------------------------------------
+
+
+def splitmix64(z: int) -> int:
+    """The splitmix64 finalizer of a 64-bit word."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    return z ^ (z >> 31)
+
+
+def attempt_draw(rng_seed: int, u: int, v: int) -> int:
+    """The 64-bit draw of the attempt u -> v, which `sir_run` and
+    `diffusion._bulk_step` inline."""
+    k_u = splitmix64((_run_key(rng_seed) + (u + 1) * _GAMMA) & _MASK)
+    return splitmix64((k_u + (v + 1) * _GAMMA) & _MASK)
 
 
 def sir_expected_spread(H: Hypergraph, seed: int, beta: Fraction) -> Fraction:

@@ -220,6 +220,13 @@ def test_decompose_unwritable_stats_prints_no_table(fig_file, tmp_path, capsys):
                          "--stats", str(tmp_path / "missing" / "s.json")))
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_decompose_full_disk_stats_prints_no_table(fig_file, capsys):
+    # /dev/full opens, but writing to it fails: the sidecar is flushed before
+    # the table, so the failure comes first
+    _assert_refused(*run(capsys, "decompose", fig_file, "--stats", "/dev/full"))
+
+
 def test_sir_unwritable_aggregate_runs_nothing(fig_file, tmp_path, capsys, monkeypatch):
     # refused before the first run, so even a billion runs end at once
     calls = []

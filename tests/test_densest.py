@@ -167,8 +167,8 @@ def test_flow_probe_exact_without_shared_pairs():
     H = hg("a b c\nd e\nf g h\n")
     opt = brute_force_densest(H).density
     for eta in (opt - Fraction(1, 7), opt, opt + Fraction(1, 7)):
-        denser, _ = _flow_probe(H, eta)
-        assert denser == (opt > eta), eta
+        g, S = _flow_probe(H, eta)
+        assert (g > eta * len(S)) == (opt > eta), eta
 
 
 def test_exact_handles_shared_pairs():
@@ -189,23 +189,16 @@ def test_exact_enumerates_shared_pairs_without_a_probe(fig_five, monkeypatch):
     assert res.bracket == (res.density, res.density)
 
 
-def test_min_cut_edge_layer_is_strongly_induced(fig_five, monkeypatch):
-    # read the edge layer (network vertices n + 2 + ei) off the min cut
-    # itself: the level the last BFS of max_flow left on each vertex
-    nets = []
-    max_flow = densest._Dinic.max_flow
-
-    def record(net, s, t):
-        nets.append(net)
-        return max_flow(net, s, t)
-
-    monkeypatch.setattr(densest._Dinic, "max_flow", record)
-    _, nodes = _flow_probe(fig_five, Fraction(3))
-    n = fig_five.n
-    members = edges(fig_five)
-    reached = {ei for ei in range(len(members)) if nets[0].level[n + 2 + ei] >= 0}
-    inside = {ei for ei, e in enumerate(members) if all(v in nodes for v in e)}
-    assert reached == inside
+def test_min_cut_edge_layer_is_strongly_induced(fig_five):
+    # g is summed over the hyperedge vertices the last BFS reaches, which
+    # must be exactly the hyperedges inside S, each counted once even where
+    # it shares a pair (d_pair = 2); the added tail stays outside S
+    tailed = hg("a b e\na c d\nc d e\ne f\nf g\n")
+    for H in (fig_five, tailed):
+        assert H.d_pair == 2
+        g, S = _flow_probe(H, Fraction(3))
+        assert S == set(range(5))
+        assert g == sum(len(e) * (len(e) - 1) for e in edges(H) if set(e) <= S)
 
 
 def pair_disjoint(rng, n, m, card_min, card_max):
@@ -250,7 +243,8 @@ def test_exact_result_certified_by_a_negative_probe():
         H = pair_disjoint(rng, n, rng.randint(5, 2 * n), 2, 4)
         res = exact_densest(H)
         probes.append(res.probes)
-        assert not _flow_probe(H, res.density)[0], seed
+        g, S = _flow_probe(H, res.density)
+        assert not g > res.density * len(S), seed
         assert res.bracket == (res.density, res.density)
         assert volume_density(H, res.nodes) == res.density
     assert max(probes) >= 3  # some input took two denser witnesses
@@ -295,14 +289,16 @@ def test_exact_matches_brute_without_shared_pairs(H):
 @settings(max_examples=150, deadline=None)
 @given(small_hypergraphs(shared_pair=False))
 def test_flow_probe_exact_on_pair_disjoint_inputs(H):
-    # d_pair = 1: the probe answers both ways, and a positive answer's
-    # witness is denser than eta
+    # d_pair = 1: the probe answers both ways, a positive answer's witness is
+    # denser than eta, and g is the witness's volume
     opt = brute_force_densest(H).density
     for eta in (opt - Fraction(1, 7), opt, opt + Fraction(1, 7)):
         if eta <= 0:
             continue
-        denser, nodes = _flow_probe(H, eta)
+        g, nodes = _flow_probe(H, eta)
+        denser = g > eta * len(nodes)
         assert denser == (opt > eta), eta
+        assert g == (volume_density(H, nodes) * len(nodes) if nodes else 0), eta
         if denser:
             assert volume_density(H, nodes) > eta, eta
 
