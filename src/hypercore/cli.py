@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
 from collections import Counter
 
@@ -42,14 +43,46 @@ class _StdoutClosed(Exception):
 
 
 @contextlib.contextmanager
+def _written(path: str, newline: str | None = None, *, keep_on_error: bool = True):
+    """`path` as a UTF-8 text file, written over in place and cut at the end.
+
+    Opened with no O_TRUNC, since truncating a non-empty file can cost tens
+    of milliseconds (ext4 mounted with `discard`).  On exit it is flushed and
+    a regular file is cut at the OS position, also when a write failed, so it
+    holds exactly the bytes written; devices and pipes are never cut.  With
+    `keep_on_error` false, an OSError raised in the block (a failed write of
+    another file included) cuts it to nothing instead."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # a descriptor, not a path: "w" here opens nothing and truncates nothing
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        end = None
+        try:
+            yield fh
+        except OSError:
+            if not keep_on_error:
+                end = 0
+            raise
+        finally:
+            try:
+                fh.flush()
+            finally:
+                if regular:
+                    end = os.lseek(fd, 0, os.SEEK_CUR) if end is None else end
+                    if end < os.fstat(fd).st_size:  # a cut never lengthens the file
+                        os.ftruncate(fd, end)
+
+
+@contextlib.contextmanager
 def _output(path: str | None):
-    """The file at `path`, closed on exit, or stdout when no path is given.
+    """The file at `path`, written by `_written`, or stdout when no path is
+    given.
 
     Stdout is flushed on exit, so a reader that leaves early (`| head`) is
     seen here, as `_StdoutClosed`, and not at interpreter exit; a failing
     write to `path` stays an OSError."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _written(path) as fh:
             yield fh
         return
     try:
@@ -61,10 +94,12 @@ def _output(path: str | None):
 
 def cmd_decompose(args) -> int:
     # a bad thread count is refused before the input is read, an unwritable
-    # path before any work, the sidecar's first so --out is left as it was
+    # path before any work, the sidecar's first so --out is left as it was;
+    # a table that fails to write leaves the sidecar empty, not reading like
+    # a finished run's
     opts = LocalCoreOptions(threads=args.threads)
     H, report = _load(args.input, args.lenient)
-    with (open(args.stats, "w", encoding="utf-8") if args.stats
+    with (_written(args.stats, keep_on_error=False) if args.stats
           else contextlib.nullcontext()) as fh, _output(args.out) as out:
         if args.algorithm == "peel":
             res = peel(H)
@@ -155,7 +190,7 @@ def cmd_sir(args) -> int:
     spread: Counter[int] = Counter()  # seed core -> summed spread
     # opened before the first run, the aggregate first, so an unwritable path
     # prints no table and leaves --out as it was
-    with (open(args.aggregate_out, "w", encoding="utf-8", newline="")
+    with (_written(args.aggregate_out, newline="")
           if args.aggregate_out else contextlib.nullcontext()) as fh, _output(args.out) as out:
         out.write("run\tseed\tcore\tspread\n")
         for i in range(args.runs):

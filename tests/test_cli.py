@@ -275,6 +275,168 @@ def test_input_error_leaves_output_files_untouched(tmp_path, capsys, argv):
     assert all(path.read_text() == "kept\n" for path in paths.values())
 
 
+# Every file the CLI writes, per subcommand: the flags that name it and the
+# suffix of its path.  Each is written over in place and cut at the end.
+WRITERS = {
+    "decompose": [("--out", ".tsv"), ("--stats", ".json")],
+    "kdcore": [("--out", ".tsv")],
+    "densest": [("--out", ".json")],
+    "sir": [("--out", ".tsv"), ("--aggregate-out", ".csv")],
+    "gen": [("--out", ".hg")],
+    "stats": [("--out", ".json")],
+}
+
+
+def _writer_argv(command, fig_file, paths):
+    argv = [command] + (["--n", "12", "--m", "6"] if command == "gen" else [fig_file])
+    if command == "sir":
+        argv += ["--beta", "0.5", "--runs", "3", "--rng-seed", "3"]
+    for (flag, _), path in zip(WRITERS[command], paths):
+        argv += [flag, str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_longer_output_files_are_cut_to_the_new_bytes(fig_file, tmp_path, capsys, command):
+    # each output file already holds more than the run writes: it ends with
+    # exactly the bytes a fresh file gets, and keeps its inode and mode
+    fresh = [tmp_path / f"fresh{suffix}" for _, suffix in WRITERS[command]]
+    assert run(capsys, *_writer_argv(command, fig_file, fresh))[0] == 0
+    old = [tmp_path / f"old{suffix}" for _, suffix in WRITERS[command]]
+    for path in old:
+        path.write_bytes(b"stale line\n" * 500)
+        path.chmod(0o640)
+    before = [path.stat() for path in old]
+    assert run(capsys, *_writer_argv(command, fig_file, old)) == (0, "", "")
+    for path, new, st_before in zip(old, fresh, before):
+        assert path.read_bytes() == new.read_bytes() != b"", path
+        st_after = path.stat()
+        assert (st_after.st_ino, st_after.st_mode) == (st_before.st_ino, st_before.st_mode), path
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_outputs_are_opened_without_truncation(fig_file, tmp_path, capsys, monkeypatch,
+                                               command):
+    # every output path goes through os.open with no O_TRUNC, and open() is
+    # never handed a path to write: it only wraps a descriptor that os.open
+    # returned, which truncates nothing
+    paths = [tmp_path / f"out{suffix}" for _, suffix in WRITERS[command]]
+    for path in paths:
+        path.write_text("stale\n" * 50)
+    os_open, builtin_open = os.open, open
+    opened, fds, bad = [], set(), []
+
+    def checked_os_open(path, flags, *args, **kwargs):
+        if flags & os.O_TRUNC:
+            bad.append(("os.open with O_TRUNC", path))
+        fd = os_open(path, flags, *args, **kwargs)
+        opened.append(os.fspath(path))
+        fds.add(fd)
+        return fd
+
+    def checked_open(file, mode="r", *args, **kwargs):
+        if "w" in mode and not (isinstance(file, int) and file in fds):
+            bad.append((f"open with mode {mode!r}", file))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", checked_os_open)
+    monkeypatch.setattr("builtins.open", checked_open)
+    code = main(_writer_argv(command, fig_file, paths))
+    monkeypatch.undo()
+    assert code == 0 and bad == []
+    assert sorted(opened) == sorted(map(str, paths))
+
+
+def test_symlinked_out_is_written_through(fig_file, tmp_path, capsys):
+    target = tmp_path / "target.tsv"
+    target.write_text("stale line\n" * 100)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    ino = target.stat().st_ino
+    code, table, _ = run(capsys, "decompose", fig_file)
+    assert code == 0
+    assert run(capsys, "decompose", fig_file, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == table and target.stat().st_ino == ino
+
+
+def test_one_file_named_for_table_and_sidecar_holds_no_padding(fig_file, tmp_path, capsys):
+    # the table's writer cuts the file at its end before the longer
+    # sidecar's writer closes; that later cut must not pad it with zeros
+    both = tmp_path / "both"
+    assert run(capsys, "decompose", fig_file, "--out", str(both), "--stats", str(both))[0] == 0
+    data = both.read_bytes()
+    assert data.startswith(b"a\t2\n") and b"\0" not in data
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+def test_null_device_outputs(fig_file, capsys):
+    for argv in (("decompose", "--out", os.devnull, "--stats", os.devnull),
+                 ("sir", "--beta", "0.5", "--runs", "2", "--out", os.devnull,
+                  "--aggregate-out", os.devnull),
+                 ("kdcore", "--out", os.devnull)):
+        assert run(capsys, argv[0], fig_file, *argv[1:]) == (0, "", ""), argv
+
+
+class _FailsAtRow(list):
+    """Core numbers whose read of row `at` fails the way a write can."""
+
+    def __init__(self, core, at):
+        super().__init__(core)
+        self.at = at
+
+    def __getitem__(self, v):
+        if v == self.at:
+            raise OSError(5, "Input/output error")
+        return super().__getitem__(v)
+
+
+def test_failed_table_keeps_the_rows_written(fig_file, tmp_path, capsys, monkeypatch):
+    # the first three rows reached the file before the fourth failed: the
+    # file holds exactly those rows, not the tail of what it held before
+    local_core = cli.local_core
+
+    def fails_at_row_3(H, opts=None):
+        res = local_core(H, opts)
+        res.core = _FailsAtRow(res.core, 3)
+        return res
+
+    monkeypatch.setattr(cli, "local_core", fails_at_row_3)
+    out = tmp_path / "out.tsv"
+    out.write_text("stale line\n" * 100)
+    code, stdout, err = run(capsys, "decompose", fig_file, "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: [Errno 5] Input/output error\n")
+    assert out.read_text() == "a\t2\nb\t2\ne\t2\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_table_empties_the_stats_sidecar(fig_file, tmp_path, capsys):
+    # the sidecar is written before the table; when the table then fails,
+    # a complete sidecar would read like a finished run's
+    stats = tmp_path / "s.json"
+    stats.write_text("kept\n")
+    _assert_refused(*run(capsys, "decompose", fig_file, "--out", "/dev/full",
+                         "--stats", str(stats)))
+    assert stats.read_bytes() == b""
+
+
+def test_closed_stdout_keeps_the_stats_sidecar(fig_file, tmp_path):
+    # a reader that leaves early is exit 0, and the run's sidecar stays whole
+    src = os.path.dirname(os.path.dirname(hypercore.__file__))
+    stats = tmp_path / "s.json"
+    argv = [sys.executable, "-m", "hypercore.cli", "decompose", fig_file,
+            "--stats", str(stats)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        try:
+            proc.stdout.close()  # before the interpreter has started
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (0, b"")
+    assert json.loads(stats.read_text())["algorithm"] == "local"
+
+
 def test_sir_negative_rng_seed_draws_its_own_seed_nodes(tmp_path, capsys):
     # random.Random(-k) and random.Random(k) are one stream; the seed nodes
     # of --rng-seed -k must not repeat those of --rng-seed k
