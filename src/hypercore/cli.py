@@ -134,8 +134,8 @@ def cmd_kdcore(args) -> int:
     labels = H.labels
     with _output(args.out) as out:
         for k in range(1, result.kmax + 1):
-            level, tag = result.levels[k], f"\t{k}\t"
-            out.write("".join([f"{labels[v]}{tag}{level[v]}\n" for v in sorted(level)]))
+            tag = f"\t{k}\t"
+            out.write("".join([f"{labels[v]}{tag}{d}\n" for v, d in result.levels[k].items()]))
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Neighborhood core numbers c come first.  Level k then degree-peels V_k =
 {v : c(v) >= k} on E_k, the hyperedges whose members all have c >= k.
-Degree-core numbers are level 1 of the same peel, on all of H.
+Degree-core numbers are level 1 of the same peel, on all of H.  V_k and
+E_k are boolean masks over H's ids, and a level reads H's own incidence
+and edge CSRs.
 
 A level peels level-synchronously in numpy, like Batagelj and Zaversnik's
 bucket peel on graphs: at threshold d a sub-round removes every node of
@@ -34,29 +36,40 @@ LATTICE_GUARD = 2**22
 @dataclass
 class KDCoreResult:
     kmax: int
-    # levels[k] maps surviving node -> d_k(v), for k in [1, kmax]
+    # levels[k] maps surviving node -> d_k(v), for k in [1, kmax], in
+    # ascending node id order
     levels: dict[int, dict[int, int]] = field(default_factory=dict)
     # the levels' work, summed: removal sub-rounds and exact neighbor counts
     counters: dict[str, int] = field(default_factory=dict)
 
 
 def kd_decompose(H: Hypergraph) -> KDCoreResult:
-    cores = local_core(H).core
-    entries = sum(cores)
+    core = np.array(local_core(H).core, dtype=np.int64)
+    entries = int(core.sum())
     if entries > LATTICE_GUARD:
         raise GuardError(f"lattice guard: {entries} (k,d) entries > {LATTICE_GUARD}")
-    ranked = _Ranked(H, np.array(cores, dtype=np.int64))
-    levels = {k: ranked.peel(k) for k in range(1, ranked.kmax + 1)}
-    return KDCoreResult(ranked.kmax, levels, ranked.work)
+    kmax = int(core.max(initial=0))
+    # each hyperedge's least member core: e is in E_k while it is at least k
+    low = np.minimum.reduceat(core[H.edge_flat], H.edge_offsets[:-1])
+    # one int object per node id, shared by every level's dict
+    ids = np.arange(H.n, dtype=object)
+    work = {"rounds": 0, "neighbor_recounts": 0}
+    levels = {}
+    for k in range(1, kmax + 1):
+        nodes = core >= k
+        dk = _peel_level(H, k, nodes.copy(), low >= k, work)
+        levels[k] = dict(zip(ids[nodes].tolist(), dk[nodes].tolist()))
+    return KDCoreResult(kmax, levels, work)
 
 
 def degree_core(H: Hypergraph) -> CoreAssignment:
     """Exact degree-based core numbers: level 1 of the (k,d)-decomposition,
     where every node with a live hyperedge has a residual neighbor, so the
     peel runs over all of H's nodes and hyperedges."""
-    ranked = _Ranked(H, np.ones(H.n, dtype=np.int64))
-    dvals = ranked.peel(1) if H.n else {}
-    return CoreAssignment([dvals[v] for v in range(H.n)], ranked.work)
+    work = {"rounds": 0, "neighbor_recounts": 0}
+    live = np.ones(H.edge_offsets.size - 1, dtype=bool)
+    dk = _peel_level(H, 1, np.ones(H.n, dtype=bool), live, work)
+    return CoreAssignment(dk.tolist(), work)
 
 
 def _distinct(x: np.ndarray, size: int) -> np.ndarray:
@@ -67,81 +80,63 @@ def _distinct(x: np.ndarray, size: int) -> np.ndarray:
     return x[mark[x] == at]
 
 
-class _Ranked:
-    """H in rank ids, nodes by descending core and hyperedges by descending
-    least member core: V_k and E_k are the prefixes [0, node_ends[k]) and
-    [0, edge_ends[k]).  `work` sums the levels' sub-rounds and recounts."""
+def _rows(offsets: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR (offsets, flat)'s entries in each of rows, and how many each row holds."""
+    starts = offsets[rows]
+    count = offsets[rows + 1] - starts
+    return flat[_ranges(starts, count)], count
 
-    def __init__(self, H: Hypergraph, core: np.ndarray):
-        n, m = H.n, H.edge_offsets.size - 1
-        self.kmax = int(core.max(initial=0))
-        low = np.minimum.reduceat(core[H.edge_flat], H.edge_offsets[:-1]) if m else core
-        self.nodes, edges = np.argsort(-core, kind="stable"), np.argsort(-low, kind="stable")
-        minus_k = -np.arange(self.kmax + 1)
-        self.node_ends = np.searchsorted(-core[self.nodes], minus_k, side="right").tolist()
-        self.edge_ends = np.searchsorted(-low[edges], minus_k, side="right").tolist()
-        rank = np.argsort(self.nodes)
-        # one int object per node id, shared by every level's dict
-        self.ids = self.nodes.tolist()
-        # members of each ranked hyperedge, and incidences sorted by (node, edge)
-        self.card = card = np.diff(H.edge_offsets)[edges]
-        self.starts = np.concatenate(([0], np.cumsum(card)))
-        self.flat = rank[H.edge_flat[_ranges(H.edge_offsets[edges], card)]]
-        self.b = b = max(n, m).bit_length()
-        inc = np.sort((self.flat << b) | np.repeat(np.arange(m), card))
-        self.inc_starts = np.searchsorted(inc >> b, np.arange(n + 1))
-        self.inc = inc & ((1 << b) - 1)
-        self.work = {"rounds": 0, "neighbor_recounts": 0}
 
-    def incident(self, us: np.ndarray, deg0: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The live hyperedges of us, with the position in us they were read
-        for; sorted by edge rank, a node's deg0[u] in E_k come first."""
-        count = deg0[us]
-        e = self.inc[_ranges(self.inc_starts[us], count)]
-        owner = np.repeat(np.arange(us.size), count)
-        keep = live[e]
-        return e[keep], owner[keep]
+def _has_neighbors(H: Hypergraph, us: np.ndarray, k: int, live: np.ndarray,
+                   work: dict[str, int]) -> np.ndarray:
+    """Whether each node of us has k neighbors through the hyperedges of
+    live; a node with a live one of more than k members is not counted."""
+    e, count = _rows(H.inc_offsets, H.inc_flat, us)
+    owner = np.repeat(np.arange(us.size), count)
+    keep = live[e]
+    e, owner = e[keep], owner[keep]
+    starts = H.edge_offsets[e]
+    card = H.edge_offsets[e + 1] - starts
+    passed = np.zeros(us.size, dtype=bool)
+    passed[owner[card > k]] = True
+    keep = ~passed[owner]
+    starts, card, owner = starts[keep], card[keep], owner[keep]
+    work["neighbor_recounts"] += us.size - int(passed.sum())
+    member, owner = H.edge_flat[_ranges(starts, card)], np.repeat(owner, card)
+    b = max(H.n, H.edge_offsets.size - 1).bit_length()
+    keys = np.sort(((owner << b) | member)[member != us[owner]])
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    distinct = keys[first]
+    return passed | (np.bincount(distinct >> b, minlength=us.size) >= k)
 
-    def members(self, e: np.ndarray) -> np.ndarray:
-        return self.flat[_ranges(self.starts[e], self.card[e])]
 
-    def has_neighbors(self, us: np.ndarray, k: int, deg0: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Whether each node of us has k neighbors through live hyperedges;
-        a node with a live one of more than k members is not counted."""
-        e, owner = self.incident(us, deg0, live)
-        passed = np.zeros(us.size, dtype=bool)
-        passed[owner[self.card[e] > k]] = True
-        keep = ~passed[owner]
-        e, owner = e[keep], owner[keep]
-        self.work["neighbor_recounts"] += us.size - int(passed.sum())
-        member, owner = self.members(e), np.repeat(owner, self.card[e])
-        keys = np.sort(((owner << self.b) | member)[member != us[owner]])
-        distinct = keys[np.diff(keys, prepend=-1) != 0]
-        return passed | (np.bincount(distinct >> self.b, minlength=us.size) >= k)
-
-    def peel(self, k: int) -> dict[int, int]:
-        """d_k(v) for every node v of V_k."""
-        nk, mk = self.node_ends[k], self.edge_ends[k]
-        deg0 = np.bincount(self.flat[: self.starts[mk]], minlength=nk)
-        deg, alive, live = deg0.copy(), np.ones(nk, dtype=bool), np.ones(mk, dtype=bool)
-        dk = np.empty(nk, dtype=np.int64)
-        d, left, touched = 0, nk, np.empty(0, dtype=np.int64)
-        while left:
-            at_d = deg[touched] <= d
-            out = touched[at_d]
-            if k > 1 and not at_d.all():
-                checked = touched[~at_d]
-                out = np.concatenate([out, checked[~self.has_neighbors(checked, k, deg0, live)]])
-            if not out.size:
-                # nothing left at d: rise to the least live degree
-                d = int(deg[alive].min())
-                out = np.flatnonzero(alive & (deg == d))
-            self.work["rounds"] += 1
-            dk[out], alive[out] = d, False
-            left -= out.size
-            e = _distinct(self.incident(out, deg0, live)[0], mk)
-            live[e] = False
-            member = self.members(e)
-            np.subtract.at(deg, member, 1)
-            touched = _distinct(member[alive[member]], nk)
-        return dict(zip(self.ids[:nk], dk.tolist()))
+def _peel_level(H: Hypergraph, k: int, alive: np.ndarray, live: np.ndarray,
+                work: dict[str, int]) -> np.ndarray:
+    """d_k(v) at each node v of V_k, the nodes flagged in alive, by the
+    degree peel of E_k, the hyperedges flagged in live; both masks are
+    cleared as the peel goes, and the entries outside V_k are 0."""
+    n, m = H.n, live.size
+    deg = np.bincount(_rows(H.edge_offsets, H.edge_flat, np.flatnonzero(live))[0], minlength=n)
+    dk = np.zeros(n, dtype=np.int64)
+    d, left, touched = 0, int(alive.sum()), np.empty(0, dtype=np.int64)
+    while left:
+        at_d = deg[touched] <= d
+        out = touched[at_d]
+        if k > 1 and not at_d.all():
+            checked = touched[~at_d]
+            out = np.concatenate([out, checked[~_has_neighbors(H, checked, k, live, work)]])
+        if not out.size:
+            # nothing left at d: rise to the least live degree
+            d = int(deg[alive].min())
+            out = np.flatnonzero(alive & (deg == d))
+        work["rounds"] += 1
+        dk[out], alive[out] = d, False
+        left -= out.size
+        e = _rows(H.inc_offsets, H.inc_flat, out)[0]
+        e = _distinct(e[live[e]], m)
+        live[e] = False
+        member = _rows(H.edge_offsets, H.edge_flat, e)[0]
+        np.subtract.at(deg, member, 1)
+        touched = _distinct(member[alive[member]], n)
+    return dk

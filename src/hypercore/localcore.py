@@ -8,10 +8,9 @@ clique expansion the correction never binds, so there this engine runs that
 recurrence (`gen.naive_graph_h_index`).  Estimates decrease monotonically and
 the loop stops on the first round in which no estimate changed.
 
-One engine computes the fixpoint: `_local_core_jacobi`, a vectorized Jacobi
-operator applied once per round to the round-start estimates of every node,
-split into `threads` contiguous node blocks.  It returns the same core array
-as `peel`.
+`local_core` applies a vectorized Jacobi operator once per round to the
+round-start estimates of every node, split into `threads` contiguous node
+blocks.  It returns the same core array as `peel`.
 """
 
 from __future__ import annotations
@@ -50,25 +49,6 @@ class ConvergenceReport:
     corrected_per_round: list[int] = field(default_factory=list)
 
 
-def _result(est: list[int], history: list[int], h_evals: int = 0) -> CoreAssignment:
-    return CoreAssignment(est, {"h_operator_evals": h_evals},
-                          report=ConvergenceReport(len(history), history))
-
-
-def local_core(H: Hypergraph, opts: LocalCoreOptions | None = None) -> CoreAssignment:
-    """Neighborhood core numbers via the corrected local fixpoint.
-
-    The output array equals peel's; the thread count changes neither it nor
-    the round count.
-    """
-    if H.n == 0:
-        return _result([], [])
-    return _local_core_jacobi(H, (opts or LocalCoreOptions()).threads)
-
-
-# -- Jacobi local-core -----------------------------------------------------
-
-
 def _segment_top_h(vals: np.ndarray, base: np.ndarray, rank: np.ndarray,
                    starts: np.ndarray) -> np.ndarray:
     """Per-segment h-index of `vals`, given base = seg * (hi + 1) + hi for
@@ -85,20 +65,8 @@ def _segment_top_h(vals: np.ndarray, base: np.ndarray, rank: np.ndarray,
     return np.maximum.reduceat(key, starts)
 
 
-def _pair_table(offsets: np.ndarray):
-    """Node segments of the model's pair table for the one-shot update
-    operator, from the neighbor offsets `H.nbr_offsets`.  Each pair group is
-    one neighbor u of one node v, and the groups of node v form segment v
-    (every node has a neighbor).  Returns (seg_id, rank): per-group segment
-    ids and 1-based group rank within the segment."""
-    seg_id = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    rank = np.arange(1, len(seg_id) + 1)
-    rank -= offsets[seg_id]
-    return seg_id, rank
-
-
-def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
-    """Vectorized Jacobi engine over T contiguous node blocks.
+def local_core(H: Hypergraph, opts: LocalCoreOptions | None = None) -> CoreAssignment:
+    """Neighborhood core numbers via the corrected local fixpoint.
 
     Built on a closed form of the per-round update: with
     best(v, u) = max over hyperedges containing both v and u of the
@@ -107,16 +75,25 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
     (best(v, u) <= est(u) pointwise, so the h-index cannot exceed the
     neighbor h-index; and the candidate neighborhood at level k is exactly
     {u : best(v, u) >= k}, so the h-index is the largest self-consistent
-    correction level.)  Each round recomputes that h-index for every block
-    from the round-start hyperedge minima -- pure vectorized work that
-    releases the GIL, so with T > 1 the blocks run on a pool of T threads --
-    then the caller rebuilds the minima; the loop stops on the first
-    change-free round."""
+    correction level.)  Each round recomputes that h-index for every node
+    block from the round-start hyperedge minima -- pure vectorized work that
+    releases the GIL, so with T = opts.threads > 1 the blocks run on a pool
+    of T threads -- then rebuilds the minima; the loop stops on the first
+    change-free round.  The output array equals peel's; the thread count
+    changes neither it nor the round count.
+    """
     n = H.n
+    if n == 0:
+        return CoreAssignment([], {"h_operator_evals": 0}, report=ConvergenceReport(0, []))
+    T = (opts or LocalCoreOptions()).threads
     offsets = H.nbr_offsets
     est = np.diff(offsets)
     pair_edge = H.pair_edge
-    seg_id, rank = _pair_table(offsets)
+    # each pair group is one neighbor u of one node v, and v's groups form
+    # segment v (every node has a neighbor), ranked from 1 within it
+    seg_id = np.repeat(np.arange(n), est)
+    rank = np.arange(1, len(seg_id) + 1)
+    rank -= offsets[seg_id]
 
     # contiguous node ranges per block, balanced by pair rows
     row_bounds = np.append(H.pair_starts, len(pair_edge))
@@ -157,4 +134,5 @@ def _local_core_jacobi(H: Hypergraph, T: int) -> CoreAssignment:
                 break
             emin[:] = np.minimum.reduceat(est[H.edge_flat], H.edge_offsets[:-1])
 
-    return _result(est.tolist(), history, h_evals=len(history) * n)
+    return CoreAssignment(est.tolist(), {"h_operator_evals": len(history) * n},
+                          report=ConvergenceReport(len(history), history))

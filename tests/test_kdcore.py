@@ -5,9 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 from hypercore import (
     GuardError,
     build,
+    clique_graph_core,
     degree_core,
+    intervention_delete,
     kd_decompose,
     kdcore,
+    local_core,
+    naive_graph_h_index,
     peel,
     random_hypergraph,
 )
@@ -41,6 +45,29 @@ def test_level_sets_match_neighborhood_cores(fig_five):
     cores = peel(fig_five).core
     for k in range(1, res.kmax + 1):
         assert set(res.levels[k]) == {v for v, c in enumerate(cores) if c >= k}
+
+
+def test_levels_in_ascending_id_order():
+    # a wide hyperedge spreads the cores, so descending core order is not id order
+    for seed in range(20):
+        H = with_wide_edge(random_hypergraph(12 + seed % 6, 14 + seed % 10, 2, 4, seed), seed)
+        res, cores = kd_decompose(H), peel(H).core
+        for k, level in res.levels.items():
+            assert list(level) == [v for v in range(H.n) if cores[v] >= k], (seed, k)
+
+
+def test_core_routes_on_the_empty_hypergraph(fig_five):
+    # deleting every node leaves no hyperedge
+    H = intervention_delete(fig_five, list(range(fig_five.n)), fig_five.n)
+    assert H.n == 0
+    res = local_core(H)
+    assert (res.core, res.counters, res.report.rounds) == ([], {"h_operator_evals": 0}, 0)
+    for route in (degree_core, clique_graph_core):
+        res = route(H)
+        assert (res.core, res.counters) == ([], {"rounds": 0, "neighbor_recounts": 0})
+    kd = kd_decompose(H)
+    assert (kd.kmax, kd.levels) == (0, {})
+    assert naive_graph_h_index(H).counters == {"rounds": 0}
 
 
 def test_matches_fixpoint_oracle_random():
@@ -120,14 +147,11 @@ def test_kd_degrades_to_degree_core_at_k1():
 
 def neighbor_check(H, live, us, k):
     """The level peel's neighbor check for the nodes us, with the hyperedges
-    in live (a flag per hyperedge of H), and how many it counted exactly.
-    All cores equal leaves H's own ids as ranks and E_1 = all hyperedges."""
-    ranked = kdcore._Ranked(H, np.ones(H.n, dtype=np.int64))
-    assert ranked.nodes.tolist() == list(range(H.n))
-    deg0 = np.bincount(ranked.flat, minlength=H.n)
-    passed = ranked.has_neighbors(np.array(us, dtype=np.int64), k, deg0,
-                                  np.array(live, dtype=bool))
-    return passed.tolist(), ranked.work["neighbor_recounts"]
+    in live (a flag per hyperedge of H), and how many it counted exactly."""
+    work = {"rounds": 0, "neighbor_recounts": 0}
+    passed = kdcore._has_neighbors(H, np.array(us, dtype=np.int64), k,
+                                   np.array(live, dtype=bool), work)
+    return passed.tolist(), work["neighbor_recounts"]
 
 
 def test_neighbor_check_at_the_boundary():
@@ -217,7 +241,7 @@ def test_lattice_guard(monkeypatch, fig_five):
         raise AssertionError("a level was peeled")
 
     monkeypatch.setattr(kdcore, "LATTICE_GUARD", 9)
-    monkeypatch.setattr(kdcore._Ranked, "peel", no_level)
+    monkeypatch.setattr(kdcore, "_peel_level", no_level)
     with pytest.raises(GuardError, match=r"^lattice guard: 10 \(k,d\) entries > 9$"):
         kd_decompose(fig_five)
     monkeypatch.undo()
