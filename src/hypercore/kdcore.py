@@ -2,25 +2,40 @@
 
 Neighborhood core numbers c come first.  Level k then degree-peels V_k =
 {v : c(v) >= k} on E_k, the hyperedges whose members all have c >= k.
-Degree-core numbers are level 1 of the same peel, on all of H.  V_k and
-E_k are boolean masks over H's ids, and a level reads H's own incidence
-and edge CSRs.
+Degree-core numbers are level 1 of the same peel, on all of H.
 
-A level peels level-synchronously in numpy, like Batagelj and Zaversnik's
-bucket peel on graphs: at threshold d a sub-round removes every node of
-live degree <= d and every touched node (a member of a hyperedge the last
+A level peels level-synchronously, like Batagelj and Zaversnik's bucket
+peel on graphs: at threshold d a sub-round removes every node of live
+degree <= d and every touched node (a member of a hyperedge the last
 sub-round killed) with fewer than k live neighbors, and gives each d_k = d;
 when none qualifies, d rises to the least live degree.  That is the
 definitional fixpoint, so C(k,d) = {v : d_k(v) >= d} has no tie order.
+
+Consecutive levels peel in lockstep, a group at a time, over cells: (k, v)
+for v in V_k and (k, e) for e in E_k.  Nodes are ranked by descending c and
+hyperedges by descending least member core, ties by id, so V_k and E_k are
+rank prefixes, and a cell's id is its level's base plus its rank.  One numpy
+sub-round runs one sub-round of every level of the group still peeling,
+each at its own d.  Members and incidences are read through H's own CSR
+offsets, with their ids taken as ranks once per decomposition.
+
 No pair counts are kept: V_k is the neighborhood k-core of E_k, so only a
-touched node can lack k neighbors, and only one without a live hyperedge
-of more than k members is counted.  At k = 1 none is: a node without a
-neighbor has degree 0, and the degree rule removes it.
+touched node can lack k neighbors.  One with a live hyperedge of more than
+k members passes; every other one is a recount.  A cell keeps wdeg, the sum
+of |e| - 1 over its live hyperedges, and excess(u), the sum of |e| - 1 over
+all of u's hyperedges less |N(u)|, is fixed.  Then wdeg - excess <= |live
+N(u)| <= wdeg: wdeg counts each of u's pair groups once per live holder,
+the live count once per held group, and the overcount only shrinks as
+hyperedges die.  So a recount passes at wdeg - excess >= k and fails at
+wdeg < k; only the rest sort their live members.  At k = 1 there is no
+recount: a node without a neighbor has degree 0, and the degree rule
+removes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,8 +44,20 @@ from .peel import CoreAssignment
 from .localcore import local_core
 
 # Largest lattice (sum of c(v), one entry per level a node survives) that
-# kd_decompose builds; the levels hold about 70 bytes per entry.
+# kd_decompose builds; the levels hold about 37 bytes per entry (Python
+# 3.11, numpy 2.4, x86-64 Linux: a 1,000-entry level dict takes 36,952
+# bytes, and on 10^6-entry inputs with local_core's cores given, peak RSS
+# rose by 20-21 bytes per entry over the input's own).
 LATTICE_GUARD = 2**22
+
+# Most cells, node and hyperedge cells together, that one group of levels
+# peels in lockstep, in units of n + m; a group takes at least one level.
+# A group's temporaries grow with its cells' incidences, and at half of
+# n + m the kd peak stays below local_core's on the benchmark's mixed-wide.
+GROUP_CELLS = 0.5
+
+# above every live degree: the least of a level with no live cell
+_NONE = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -39,7 +66,10 @@ class KDCoreResult:
     # levels[k] maps surviving node -> d_k(v), for k in [1, kmax], in
     # ascending node id order
     levels: dict[int, dict[int, int]] = field(default_factory=dict)
-    # the levels' work, summed: removal sub-rounds and exact neighbor counts
+    # each level's own work, summed: its removal sub-rounds (`rounds`) and
+    # its touched nodes that hold no live hyperedge of more than k members
+    # (`neighbor_recounts`), whether the degree-sum bound or a member sort
+    # settled them
     counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -55,9 +85,8 @@ def kd_decompose(H: Hypergraph) -> KDCoreResult:
     ids = np.arange(H.n, dtype=object)
     work = {"rounds": 0, "neighbor_recounts": 0}
     levels = {}
-    for k in range(1, kmax + 1):
+    for k, dk in _peel(H, core, low, kmax, work):
         nodes = core >= k
-        dk = _peel_level(H, k, nodes.copy(), low >= k, work)
         levels[k] = dict(zip(ids[nodes].tolist(), dk[nodes].tolist()))
     return KDCoreResult(kmax, levels, work)
 
@@ -67,9 +96,97 @@ def degree_core(H: Hypergraph) -> CoreAssignment:
     where every node with a live hyperedge has a residual neighbor, so the
     peel runs over all of H's nodes and hyperedges."""
     work = {"rounds": 0, "neighbor_recounts": 0}
-    live = np.ones(H.edge_offsets.size - 1, dtype=bool)
-    dk = _peel_level(H, 1, np.ones(H.n, dtype=bool), live, work)
+    ones = np.ones(H.edge_offsets.size - 1, dtype=np.int64)
+    ((_, dk),) = _peel(H, np.ones(H.n, dtype=np.int64), ones, 1, work)
     return CoreAssignment(dk.tolist(), work)
+
+
+class _Prefixes(NamedTuple):
+    """Ids by descending value, ties by id; each id's rank, its place in
+    that order; and a flat array of these ids, read as ranks.  The ids of
+    value >= k are order[:count[k]].  same: every id is its own rank."""
+
+    order: np.ndarray
+    rank: np.ndarray
+    count: np.ndarray
+    flat: np.ndarray
+    same: bool
+
+
+def _prefixes(values: np.ndarray, kmax: int, flat: np.ndarray) -> _Prefixes:
+    order = (-values).argsort(kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    count = np.bincount(values, minlength=kmax + 2)[::-1].cumsum()[::-1]
+    # values that never rise from one id to the next leave each id its rank
+    same = not np.count_nonzero(values[1:] > values[:-1])
+    return _Prefixes(order, rank, count, flat if same else rank[flat], same)
+
+
+def _peel(H: Hypergraph, core: np.ndarray, low: np.ndarray, kmax: int,
+          work: dict[str, int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, d_k) for k in [1, kmax]: d_k(v) at each node of V_k = {core >=
+    k} by the degree peel of E_k = {low >= k}, and 0 outside V_k."""
+    # members as node ranks, incidences as hyperedge ranks
+    nodes, edges = _prefixes(core, kmax, H.edge_flat), _prefixes(low, kmax, H.inc_flat)
+    excess = _excess(H) if kmax > 1 else None
+    cells = (nodes.count + edges.count).tolist()
+    budget = GROUP_CELLS * (H.n + low.size)
+    first = 1
+    while first <= kmax:
+        last, held = first, cells[first]
+        while last < kmax and held + cells[last + 1] <= budget:
+            last += 1
+            held += cells[last]
+        dk = _peel_group(H, first, last, nodes, edges, excess, work)
+        at = 0
+        for k, count in enumerate(nodes.count[first : last + 1].tolist(), first):
+            full = np.zeros(H.n, dtype=np.int64)
+            full[nodes.order[:count]] = dk[at : at + count]
+            yield k, full
+            at += count
+        first = last + 1
+
+
+def _excess(H: Hypergraph) -> np.ndarray:
+    """Per node u, the sum of |e| - 1 over u's hyperedges less |N(u)|: the
+    most by which a sum of |e| - 1 over live hyperedges overcounts u's live
+    neighbors."""
+    card = np.diff(H.edge_offsets)
+    total = np.bincount(H.edge_flat, (card - 1).repeat(card), H.n).astype(np.int64)
+    return total - np.diff(H.nbr_offsets)
+
+
+def _has_neighbors(k: np.ndarray, wide: np.ndarray, most: np.ndarray, excess: np.ndarray,
+                   count: Callable[[np.ndarray], np.ndarray], work: dict[str, int]) -> np.ndarray:
+    """Whether each touched node i has k[i] live neighbors.  One with a live
+    hyperedge of more than k[i] members (wide[i] > 0) has.  Every other is a
+    recount: most[i] - excess[i] <= its live neighbors <= most[i], where
+    most is its sum of |e| - 1 over live hyperedges, settles it, or else
+    count(sel) gives the live neighbors of the recounts flagged in sel."""
+    passed = wide > 0
+    recount = ~passed
+    work["neighbor_recounts"] += int(np.count_nonzero(recount))
+    passed |= recount & (most - excess >= k)
+    scan = ~passed & (most >= k)
+    if np.count_nonzero(scan):
+        passed[scan] = count(scan) >= k[scan]
+    return passed
+
+
+def _count_members(H: Hypergraph, flat: np.ndarray, e: np.ndarray, owner: np.ndarray,
+                   own: np.ndarray) -> np.ndarray:
+    """For each i, the distinct members other than own[i] of the hyperedges
+    e[j] with owner[j] = i; flat is H.edge_flat or its ranks.  Packed
+    (owner << b) | member keys are sorted, and the first of each run kept."""
+    member, card = _rows(H.edge_offsets, flat, e)
+    owner = owner.repeat(card)
+    b = H.n.bit_length()
+    keys = ((owner << b) | member)[member != own[owner]]
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.bincount(keys[first] >> b, minlength=own.size)
 
 
 def _distinct(x: np.ndarray, size: int) -> np.ndarray:
@@ -83,60 +200,125 @@ def _distinct(x: np.ndarray, size: int) -> np.ndarray:
 def _rows(offsets: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR (offsets, flat)'s entries in each of rows, and how many each row holds."""
     starts = offsets[rows]
-    count = offsets[rows + 1] - starts
+    count = offsets[1:][rows] - starts
     return flat[_ranges(starts, count)], count
 
 
-def _has_neighbors(H: Hypergraph, us: np.ndarray, k: int, live: np.ndarray,
-                   work: dict[str, int]) -> np.ndarray:
-    """Whether each node of us has k neighbors through the hyperedges of
-    live; a node with a live one of more than k members is not counted."""
-    e, count = _rows(H.inc_offsets, H.inc_flat, us)
-    owner = np.repeat(np.arange(us.size), count)
-    keep = live[e]
-    e, owner = e[keep], owner[keep]
-    starts = H.edge_offsets[e]
-    card = H.edge_offsets[e + 1] - starts
-    passed = np.zeros(us.size, dtype=bool)
-    passed[owner[card > k]] = True
-    keep = ~passed[owner]
-    starts, card, owner = starts[keep], card[keep], owner[keep]
-    work["neighbor_recounts"] += us.size - int(passed.sum())
-    member, owner = H.edge_flat[_ranges(starts, card)], np.repeat(owner, card)
-    b = max(H.n, H.edge_offsets.size - 1).bit_length()
-    keys = np.sort(((owner << b) | member)[member != us[owner]])
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    distinct = keys[first]
-    return passed | (np.bincount(distinct >> b, minlength=us.size) >= k)
+def _peel_group(H: Hypergraph, k0: int, k1: int, nodes: _Prefixes, edges: _Prefixes,
+                excess: np.ndarray | None, work: dict[str, int]) -> np.ndarray:
+    """d_k at the node cells of levels k0 .. k1, level after level, each in
+    rank order; excess is read only above level 1."""
+    levels = np.arange(k1 - k0 + 1)
+    nk, mk = nodes.count[k0 : k1 + 1], edges.count[k0 : k1 + 1]
+    nbase, ebase = np.zeros((2, levels.size + 1), dtype=np.int64)
+    nk.cumsum(out=nbase[1:])
+    mk.cumsum(out=ebase[1:])
+    size, esize = int(nbase[-1]), int(ebase[-1])
+    # with one level a cell is its rank, and with every id its own rank
+    # also its id
+    lockstep = k1 > k0
+    ids = not lockstep and nodes.same and edges.same
+    # each cell's level, and its id: the id of its rank, the cell less its base
+    lev, elev = levels.repeat(nk), levels.repeat(mk)
+    cnode, cedge = nodes.order[:size], edges.order[:esize]
+    if lockstep:
+        cnode = nodes.order[np.arange(size) - nbase[lev]]
+        cedge = edges.order[np.arange(esize) - ebase[elev]]
+    recount = k1 > 1  # level 1 alone needs no wdeg
+    # whether some hyperedge at a node of V_k0 is outside E_k1
+    partial = mk[-1] < edges.order.size
 
+    def member_cells(e: np.ndarray, at: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of the members of hyperedges e at levels at, and each |e|."""
+        cell, card = _rows(H.edge_offsets, nodes.flat, e)
+        if lockstep:
+            cell += nbase[at].repeat(card)
+        return cell, card
 
-def _peel_level(H: Hypergraph, k: int, alive: np.ndarray, live: np.ndarray,
-                work: dict[str, int]) -> np.ndarray:
-    """d_k(v) at each node v of V_k, the nodes flagged in alive, by the
-    degree peel of E_k, the hyperedges flagged in live; both masks are
-    cleared as the peel goes, and the entries outside V_k are 0."""
-    n, m = H.n, live.size
-    deg = np.bincount(_rows(H.edge_offsets, H.edge_flat, np.flatnonzero(live))[0], minlength=n)
-    dk = np.zeros(n, dtype=np.int64)
-    d, left, touched = 0, int(alive.sum()), np.empty(0, dtype=np.int64)
-    while left:
-        at_d = deg[touched] <= d
+    def edge_cells(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The hyperedge cells at node cells c's incidences, which of them
+        are live, and how many incidences each cell of c has."""
+        ec, count = _rows(H.inc_offsets, edges.flat, c if ids else cnode[c])
+        if not partial:
+            if lockstep:
+                ec += ebase[lev[c]].repeat(count)
+            return ec, live[ec], count
+        at = lev[c]
+        ok = ec < mk[at].repeat(count)
+        if lockstep:
+            ec += ebase[at].repeat(count)
+        ok[ok] = live[ec[ok]]
+        return ec, ok, count
+
+    def live_neighbors(c: np.ndarray) -> np.ndarray:
+        """How many live neighbors each node cell of c has."""
+        ec, ok, incidences = edge_cells(c)
+        owner = np.arange(c.size).repeat(incidences)[ok]
+        return _count_members(H, nodes.flat, cedge[ec[ok]], owner, nodes.rank[cnode[c]])
+
+    # Each incidence of E_k0 is marked once, at the last level of the group
+    # whose E_k holds it (for wide, the last at which it has more than k
+    # members), and each level then adds in the one above: V_{k+1} is a
+    # rank prefix of V_k.
+    rank, card = _rows(H.edge_offsets, nodes.flat, edges.order[: mk[0]])
+    top, cell = 0, rank
+    if lockstep:
+        top = (-mk).searchsorted(-np.arange(mk[0])) - 1
+        cell = nbase[top].repeat(card) + rank
+    # live degree less d: a cell is at d when it reaches 0
+    slack = np.bincount(cell, minlength=size)
+    marks = [slack]
+    if recount:
+        wdeg = np.bincount(cell, (card - 1).repeat(card), size).astype(np.int64)
+        wide_top = np.minimum(top, card - 1 - k0).repeat(card)
+        keep = wide_top >= 0
+        wide = np.bincount(nbase[wide_top[keep]] + rank[keep], minlength=size)
+        marks += [wdeg, wide]
+    for j in levels[-2::-1]:
+        a, b, c = nbase[j], nbase[j + 1], nk[j + 1]
+        for x in marks:
+            x[a : a + c] += x[b : b + c]
+
+    dk = np.zeros(size, dtype=np.int64)
+    alive, live = np.ones(size, dtype=bool), np.ones(esize, dtype=bool)
+    d, left = np.zeros_like(nk), nk.copy()
+    touched = np.empty(0, dtype=np.int64)
+    while peeling := np.count_nonzero(left):
+        work["rounds"] += int(peeling)
+        at_d = slack[touched] <= 0
         out = touched[at_d]
-        if k > 1 and not at_d.all():
+        if recount and out.size < touched.size:
             checked = touched[~at_d]
-            out = np.concatenate([out, checked[~_has_neighbors(H, checked, k, live, work)]])
-        if not out.size:
-            # nothing left at d: rise to the least live degree
-            d = int(deg[alive].min())
-            out = np.flatnonzero(alive & (deg == d))
-        work["rounds"] += 1
-        dk[out], alive[out] = d, False
-        left -= out.size
-        e = _rows(H.inc_offsets, H.inc_flat, out)[0]
-        e = _distinct(e[live[e]], m)
-        live[e] = False
-        member = _rows(H.edge_offsets, H.edge_flat, e)[0]
-        np.subtract.at(deg, member, 1)
-        touched = _distinct(member[alive[member]], n)
+            passed = _has_neighbors(k0 + lev[checked], wide[checked], wdeg[checked],
+                                    excess[cnode[checked]], lambda sel: live_neighbors(checked[sel]),
+                                    work)
+            out = np.concatenate([out, checked[~passed]])
+        at = lev[out]
+        dk[out], alive[out] = d[at], False
+        gone = np.bincount(at, minlength=levels.size)
+        rising = gone < np.minimum(left, 1)
+        left -= gone
+        if np.count_nonzero(rising):
+            # a level with none at d rises to its least live degree; every
+            # other live cell is above its d, so the cells at 0 are theirs
+            least = np.minimum.reduceat(np.where(alive, slack, _NONE), nbase[:-1])
+            up = np.where(rising, least, 0)
+            d += up
+            slack -= up.repeat(nk)
+            rise = (alive & (slack == 0)).nonzero()[0]
+            at = lev[rise]
+            dk[rise], alive[rise] = d[at], False
+            left -= np.bincount(at, minlength=levels.size)
+            out = np.concatenate([out, rise])
+        ec, ok, _ = edge_cells(out)
+        ec = _distinct(ec[ok], esize)
+        live[ec] = False
+        at = elev[ec] if lockstep or recount else None
+        cell, card = member_cells(ec if ids else cedge[ec], at)
+        fell = np.bincount(cell, minlength=size)
+        slack -= fell
+        if recount:
+            wdeg -= np.bincount(cell, (card - 1).repeat(card), size).astype(np.int64)
+            wide -= np.bincount(cell[(card > k0 + at).repeat(card)], minlength=size)
+        touched = ((fell > 0) & alive).nonzero()[0]
     return dk

@@ -269,8 +269,8 @@ class Residual:
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + lengths).repeat(lengths)
 
 
 def build(

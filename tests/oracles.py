@@ -2,7 +2,9 @@
 
 They scan members, sweep to a fixpoint or enumerate every outcome, so they
 are slow, and the costly ones are guarded to small fixtures.
-`local_lower_bound` reads e-peel's own bound array.  No library route runs
+`local_lower_bound` reads e-peel's own bound array.  `kd_levels_reference`
+peels the (k,d) levels one at a time, each by `peel_level`, where
+`kd_decompose` peels groups of them in lockstep.  No library route runs
 them, and `hypercore` imports nothing from here.
 """
 
@@ -11,9 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from hypercore.diffusion import _GAMMA, _M1, _M2, _MASK, _run_key, check_beta
-from hypercore.kdcore import KDCoreResult
-from hypercore.model import GuardError, Hypergraph
+from hypercore.kdcore import KDCoreResult, _distinct, _rows
+from hypercore.localcore import local_core
+from hypercore.model import GuardError, Hypergraph, _ranges
 from hypercore.peel import CoreAssignment, _lower_bounds
 
 ORACLE_NODE_GUARD = 200
@@ -119,6 +124,76 @@ def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
                 alive[v] = False
                 changed = True
     return {v for v in range(H.n) if alive[v]}
+
+
+def kd_levels_reference(H: Hypergraph) -> KDCoreResult:
+    """`kd_decompose` one level at a time: `peel_level` on V_k and E_k as
+    masks over H's own ids, each level's dict in ascending node id order."""
+    core = np.array(local_core(H).core, dtype=np.int64)
+    kmax = int(core.max(initial=0))
+    low = np.minimum.reduceat(core[H.edge_flat], H.edge_offsets[:-1])
+    work = {"rounds": 0, "neighbor_recounts": 0}
+    levels = {}
+    for k in range(1, kmax + 1):
+        nodes = core >= k
+        dk = peel_level(H, k, nodes.copy(), low >= k, work)
+        levels[k] = dict(zip(np.flatnonzero(nodes).tolist(), dk[nodes].tolist()))
+    return KDCoreResult(kmax, levels, work)
+
+
+def has_neighbors(H: Hypergraph, us: np.ndarray, k: int, live: np.ndarray,
+                  work: dict[str, int]) -> np.ndarray:
+    """Whether each node of us has k neighbors through the hyperedges of
+    live; a node with a live one of more than k members is not counted."""
+    e, count = _rows(H.inc_offsets, H.inc_flat, us)
+    owner = np.repeat(np.arange(us.size), count)
+    keep = live[e]
+    e, owner = e[keep], owner[keep]
+    starts = H.edge_offsets[e]
+    card = H.edge_offsets[e + 1] - starts
+    passed = np.zeros(us.size, dtype=bool)
+    passed[owner[card > k]] = True
+    keep = ~passed[owner]
+    starts, card, owner = starts[keep], card[keep], owner[keep]
+    work["neighbor_recounts"] += us.size - int(passed.sum())
+    member, owner = H.edge_flat[_ranges(starts, card)], np.repeat(owner, card)
+    b = max(H.n, H.edge_offsets.size - 1).bit_length()
+    keys = np.sort(((owner << b) | member)[member != us[owner]])
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    distinct = keys[first]
+    return passed | (np.bincount(distinct >> b, minlength=us.size) >= k)
+
+
+def peel_level(H: Hypergraph, k: int, alive: np.ndarray, live: np.ndarray,
+               work: dict[str, int]) -> np.ndarray:
+    """d_k(v) at each node v of V_k, the nodes flagged in alive, by the
+    degree peel of E_k, the hyperedges flagged in live; both masks are
+    cleared as the peel goes, and the entries outside V_k are 0."""
+    n, m = H.n, live.size
+    deg = np.bincount(_rows(H.edge_offsets, H.edge_flat, np.flatnonzero(live))[0], minlength=n)
+    dk = np.zeros(n, dtype=np.int64)
+    d, left, touched = 0, int(alive.sum()), np.empty(0, dtype=np.int64)
+    while left:
+        at_d = deg[touched] <= d
+        out = touched[at_d]
+        if k > 1 and not at_d.all():
+            checked = touched[~at_d]
+            out = np.concatenate([out, checked[~has_neighbors(H, checked, k, live, work)]])
+        if not out.size:
+            # nothing left at d: rise to the least live degree
+            d = int(deg[alive].min())
+            out = np.flatnonzero(alive & (deg == d))
+        work["rounds"] += 1
+        dk[out], alive[out] = d, False
+        left -= out.size
+        e = _rows(H.inc_offsets, H.inc_flat, out)[0]
+        e = _distinct(e[live[e]], m)
+        live[e] = False
+        member = _rows(H.edge_offsets, H.edge_flat, e)[0]
+        np.subtract.at(deg, member, 1)
+        touched = _distinct(member[alive[member]], n)
+    return dk
 
 
 def naive_core_oracle(H: Hypergraph) -> CoreAssignment:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +18,14 @@ from hypercore import (
     random_hypergraph,
 )
 from conftest import by_label, hg, with_wide_edge
-from oracles import core_members, edges, incident_edges, kd_fixpoint_oracle
+from oracles import (
+    core_members,
+    edges,
+    incident_edges,
+    kd_fixpoint_oracle,
+    kd_levels_reference,
+    peel_level,
+)
 
 
 def test_single_triple_levels(single_triple):
@@ -146,11 +155,25 @@ def test_kd_degrades_to_degree_core_at_k1():
 
 
 def neighbor_check(H, live, us, k):
-    """The level peel's neighbor check for the nodes us, with the hyperedges
-    in live (a flag per hyperedge of H), and how many it counted exactly."""
+    """The level peel's neighbor check for the nodes us at level k, with the
+    hyperedges in live (a flag per hyperedge of H) and the per-node state the
+    peel keeps, built here from live: whether each passes, and how many were
+    recounts."""
+    us = np.array(us, dtype=np.int64)
+    card = np.diff(H.edge_offsets)
+    mine = [[ei for ei in incident_edges(H, u) if live[ei]] for u in us]
+    wide = np.array([sum(card[ei] > k for ei in es) for es in mine], dtype=np.int64)
+    most = np.array([sum(card[ei] - 1 for ei in es) for es in mine], dtype=np.int64)
+
+    def count(sel):
+        at = np.flatnonzero(sel)
+        owner = np.array([i for i, j in enumerate(at) for _ in mine[j]], dtype=np.int64)
+        e = np.array([ei for j in at for ei in mine[j]], dtype=np.int64)
+        return kdcore._count_members(H, H.edge_flat, e, owner, us[at])
+
     work = {"rounds": 0, "neighbor_recounts": 0}
-    passed = kdcore._has_neighbors(H, np.array(us, dtype=np.int64), k,
-                                   np.array(live, dtype=bool), work)
+    passed = kdcore._has_neighbors(np.full(us.size, k), wide, most, kdcore._excess(H)[us],
+                                   count, work)
     return passed.tolist(), work["neighbor_recounts"]
 
 
@@ -167,6 +190,28 @@ def test_neighbor_check_at_the_boundary():
     assert neighbor_check(H, live, [a], 3) == ([False], 1)
     assert neighbor_check(H, live, [a, d], 0)[0] == [True, True]
     assert neighbor_check(H, live, [d], 1) == ([False], 1)
+
+
+def test_neighbor_check_scans_only_between_the_bounds():
+    # node 0 fails on wdeg 2 < 3, node 1 sits between 5 - 3 and 5 and is
+    # counted, node 2 passes on its wide hyperedge, node 3 on 6 - 2 >= 3
+    scanned = []
+
+    def count(sel):
+        scanned.append(sel.tolist())
+        return np.array([3])
+
+    work = {"rounds": 0, "neighbor_recounts": 0}
+    passed = kdcore._has_neighbors(np.full(4, 3), np.array([0, 0, 1, 0]), np.array([2, 5, 9, 6]),
+                                   np.array([0, 3, 0, 2]), count, work)
+    assert passed.tolist() == [False, True, True, True]
+    assert scanned == [[False, True, False, False]]
+    assert work["neighbor_recounts"] == 3
+    # {a, b, c} and {a, b, d} share the pair a-b: a has 3 neighbors, wdeg 4
+    # and excess 1, so k = 3 passes on the bound and k = 4 is counted
+    H = build([["a", "b", "c"], ["a", "b", "d"]])[0]
+    assert kdcore._excess(H).tolist() == [1, 1, 0, 0]
+    assert neighbor_check(H, [True, True], [H.label_to_id["a"]], 4) == ([False], 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -241,9 +286,80 @@ def test_lattice_guard(monkeypatch, fig_five):
         raise AssertionError("a level was peeled")
 
     monkeypatch.setattr(kdcore, "LATTICE_GUARD", 9)
-    monkeypatch.setattr(kdcore, "_peel_level", no_level)
+    monkeypatch.setattr(kdcore, "_peel_group", no_level)
     with pytest.raises(GuardError, match=r"^lattice guard: 10 \(k,d\) entries > 9$"):
         kd_decompose(fig_five)
     monkeypatch.undo()
     monkeypatch.setattr(kdcore, "LATTICE_GUARD", 10)
     assert sum(map(len, kd_decompose(fig_five).levels.values())) == 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.sampled_from([kdcore.GROUP_CELLS, 0, 10**9]))
+@example(seed=0, wide=True, budget=kdcore.GROUP_CELLS)
+def test_levels_match_the_per_level_reference(seed, wide, budget):
+    # shared node pairs, and a wide hyperedge that makes E_k differ by level;
+    # groups at the default budget, of one level each, and of every level
+    H = random_hypergraph(14, 16, 2, 4, seed)
+    if wide:
+        H = with_wide_edge(H, seed)
+    ref = kd_levels_reference(H)
+    with mock.patch.object(kdcore, "GROUP_CELLS", budget):
+        res = kd_decompose(H)
+    assert res.kmax == ref.kmax
+    assert [(k, list(level.items())) for k, level in res.levels.items()] == [
+        (k, list(level.items())) for k, level in ref.levels.items()]
+    assert res.counters == ref.counters
+    work = {"rounds": 0, "neighbor_recounts": 0}
+    m = H.edge_offsets.size - 1
+    dk = peel_level(H, 1, np.ones(H.n, dtype=bool), np.ones(m, dtype=bool), work)
+    res = degree_core(H)
+    assert (res.core, res.counters) == (dk.tolist(), work)
+
+
+def test_groups_span_several_levels(monkeypatch):
+    # a 40-edge path and a hyperedge on 10 of its nodes: levels 1 and 2 hold
+    # most of it, levels 3 to 9 only those 10 and their hyperedge, 11 cells
+    # each, so at the default budget of (41 + 41) / 2 cells three of them
+    # share a group; a zero budget gives each level its own
+    text = "".join(f"p{i} p{i + 1}\n" for i in range(40))
+    H = hg(text + " ".join(f"p{4 * i}" for i in range(10)) + "\n")
+    spans = []
+    peel_group = kdcore._peel_group
+
+    def spy(H, k0, k1, *args):
+        spans.append((k0, k1))
+        return peel_group(H, k0, k1, *args)
+
+    monkeypatch.setattr(kdcore, "_peel_group", spy)
+    ref = kd_levels_reference(H)
+    for budget, groups in ((kdcore.GROUP_CELLS, [(1, 1), (2, 2), (3, 5), (6, 8), (9, 9)]),
+                           (0, [(k, k) for k in range(1, 10)])):
+        spans.clear()
+        monkeypatch.setattr(kdcore, "GROUP_CELLS", budget)
+        res = kd_decompose(H)
+        assert spans == groups
+        assert [list(level.items()) for level in res.levels.values()] == [
+            list(level.items()) for level in ref.levels.values()]
+        assert res.counters == ref.counters
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.data())
+def test_degree_sum_bounds_live_neighbors(seed, wide, data):
+    # wdeg - excess <= |live union - {v}| <= wdeg, with wdeg the sum of
+    # |e| - 1 over v's live hyperedges, at every node and live mask
+    H = random_hypergraph(14 if wide else 10, 16, 2, 4, seed)
+    if wide:
+        H = with_wide_edge(H, seed)
+    members = edges(H)
+    live = data.draw(st.lists(st.booleans(), min_size=len(members), max_size=len(members)))
+    excess = kdcore._excess(H)
+    for v in range(H.n):
+        mine = [members[ei] for ei in incident_edges(H, v) if live[ei]]
+        wdeg = sum(len(e) - 1 for e in mine)
+        union = len(set().union(*mine) - {v})
+        assert wdeg - excess[v] <= union <= wdeg, v
+    # with every hyperedge live both ends are the definition
+    assert all(excess[v] == sum(len(members[ei]) - 1 for ei in incident_edges(H, v))
+               - H.neighbor_count(v) for v in range(H.n))
