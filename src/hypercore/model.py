@@ -10,10 +10,11 @@ other int64 arrays.
 from __future__ import annotations
 
 import enum
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, count
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -280,9 +281,10 @@ def build(
     """Build a canonical hypergraph from raw label lists.
 
     `edge_lists` is read once, so it may be a generator.  Labels are interned
-    in first-seen order as each list is read; the id rows are then sorted,
-    cut to distinct members and compared in numpy.  Errors, duplicates and
-    singletons are decided in input order: duplicate member sets are dropped
+    in first-seen order as each list is read; the id rows then go to the
+    numpy half that `parse_hg` shares (`_from_rows`), where they are sorted,
+    cut to distinct members and compared.  Errors, duplicates and singletons
+    are decided in input order: duplicate member sets are dropped
     (reported), singletons are rejected or dropped per `policy`, and nodes
     left with no retained edge are stripped as isolated.
     """
@@ -294,14 +296,26 @@ def build(
         sizes.append(len(members))
     if not sizes:
         raise InputError("no hyperedges given")
-    labels = list(intern)
+    ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    del flat
+    return _from_rows(ids, np.array(sizes, dtype=np.int64), list(intern), policy, "edge {}".format)
 
+
+def _from_rows(
+    ids: np.ndarray,
+    sizes: np.ndarray,
+    labels: list[str],
+    policy: SingletonPolicy,
+    row_name: Callable[[int], str],
+) -> tuple[Hypergraph, BuildReport]:
+    """The hypergraph of interned rows: row i is the next sizes[i] ids, in
+    input order, of labels; an error names row i by row_name(i)."""
     # one sort of the keys row * n + id sorts every row's ids, in input order,
     # and puts a label repeated within its row next to its first copy; a key
     # stays below m * n
-    n, m = len(labels), len(sizes)
-    key = np.repeat(np.arange(m), sizes) * n + np.fromiter(flat, dtype=np.int64, count=len(flat))
-    del flat
+    n, m = len(labels), sizes.size
+    key = np.repeat(np.arange(m), sizes) * n + ids
+    del ids
     key.sort()
     row, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], max(n, 1))
     cards = np.bincount(row, minlength=m)
@@ -312,19 +326,29 @@ def build(
     if short.size:
         idx = int(short[0])
         if not cards[idx]:
-            raise InputError(f"edge {idx}: empty hyperedge")
-        tokens = [labels[ids[offsets[idx]]]] * sizes[idx]
-        raise InputError(f"edge {idx}: singleton hyperedge {tokens!r}")
+            raise InputError(f"{row_name(idx)}: empty hyperedge")
+        tokens = [labels[ids[offsets[idx]]]] * int(sizes[idx])
+        raise InputError(f"{row_name(idx)}: singleton hyperedge {tokens!r}")
     report = BuildReport(singleton_edges=np.flatnonzero(cards == 1).tolist())
 
-    # per width, a stable lexsort of the rows puts a repeat right after its first copy
+    # per width, each row is packed into one int64 key that sorts as the row
+    # does: its ascending ids are shifted in, b bits each, while they fit in
+    # 63 bits, and then the key so far is replaced by its dense rank.  A
+    # stable argsort of the keys puts a repeat right after its first copy.
     keep = cards >= 2
+    b = max(n - 1, 1).bit_length()
     for c in np.flatnonzero(np.bincount(cards[keep])).tolist():
         idx = np.flatnonzero(cards == c)
-        block = ids[offsets[idx, None] + np.arange(c)]
-        order = np.lexsort(block.T[::-1])
-        repeat = (block[order[1:]] == block[order[:-1]]).all(axis=1)
-        keep[idx[order[1:][repeat]]] = False
+        at = offsets[idx]
+        key, bits = ids[at], b
+        for j in range(1, c):
+            if bits + b > 63:
+                key, bits = _dense_rank(key), max(idx.size - 1, 1).bit_length()
+            key = (key << b) | ids[at + j]
+            bits += b
+        order = key.argsort(kind="stable")
+        key = key[order]
+        keep[idx[order[1:][key[1:] == key[:-1]]]] = False
     report.duplicate_edges = np.flatnonzero(~keep & (cards >= 2)).tolist()
     edge_flat, cards = ids[np.repeat(keep, cards)], cards[keep]
     del ids, offsets
@@ -339,38 +363,93 @@ def build(
     return Hypergraph(edge_flat, cards, labels), report
 
 
-def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Each hyperedge line's tokens; a blank line, or one whose first token
-    starts with '#', is skipped."""
-    for tokens in map(str.split, lines):
-        if tokens and tokens[0][0] != "#":
-            yield tokens
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys, ascending from 0."""
+    order = key.argsort()
+    ordered = key[order]
+    step = np.empty(key.size, dtype=np.int64)
+    step[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    rank = np.empty_like(key)
+    rank[order] = step.cumsum()
+    return rank
+
+
+# The tokenizer reads the text a slice at a time, each slice ending just
+# after a line break.  Splitting the whole text at once was as fast, but it
+# held every token string at once, and the pymalloc arenas that keep the
+# label strings alive stayed resident.  One load of a 774 KB file of 120 K
+# tokens raised ru_maxrss over the imports by 32.9 MB as one slice, 25.5 MB
+# in slices of 64 K characters and 25.4 MB line by line (Python 3.11.7,
+# numpy 2.4.6, x86-64 Linux).
+SLICE_CHARS = 1 << 16
+
+# str.splitlines' line breaks, \r\n counted as one, and the rest of
+# str.split's whitespace (every break is also whitespace; 29 code points in
+# all, the last U+3000).  _CLASS[c] is 2 for a break, 1 for other
+# whitespace and 0 for any other code point; one past the last whitespace
+# stands for all the code points above.
+_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_BLANKS = "\t\x1f \xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B)))
+_BREAK = re.compile("\r\n|[" + _BREAKS + "]")
+_CLASS = np.zeros(0x3002, dtype=np.uint8)
+_CLASS[[ord(c) for c in _BLANKS]] = 1
+_CLASS[[ord(c) for c in _BREAKS]] = 2
 
 
 def parse_hg(text: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:
     """Parse the .hg text format: one edge per line, whitespace-separated.  A
     line whose first non-blank character is '#' is a comment; elsewhere '#' is
-    part of a label.  Blank lines are ignored, and so is one leading byte
-    order mark (U+FEFF).
+    part of a label.  Lines are those of `str.splitlines` and tokens those of
+    `str.split`, for any Unicode text.  Blank lines are ignored, and so is one
+    leading byte order mark (U+FEFF).
 
-    `build` reads each line's tokens as the line is split, so no list of every
-    line's tokens is held."""
+    The text is read in slices of about `SLICE_CHARS` characters, each ending
+    just after a line break.  A slice is split once; numpy finds each token's
+    line from the slice's code points, and the tokens of hyperedge lines are
+    interned in one pass, so no list of every token is held.  The rows go to
+    the numpy half that `build` uses, and an error names the row's line."""
     text = text.removeprefix("\ufeff")
-    edges = _edge_tokens(text.splitlines())
-    first = next(edges, None)
-    if first is None:
+    intern: defaultdict[str, int] = defaultdict(count().__next__)
+    ids, sizes, line_nos = [], [], []
+    lines = 0  # line breaks before the slice
+    start = 0
+    while start < len(text):
+        cut = _BREAK.search(text, start + SLICE_CHARS - 1)
+        piece = text[start : cut.end() if cut else len(text)]
+        start += len(piece)
+        tokens = piece.split()
+        code = np.frombuffer(piece.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        kind = _CLASS.take(code, mode="clip")
+        breaks = np.flatnonzero(kind == 2)
+        # the \n of a \r\n ends no line of its own; no slice starts inside one
+        breaks = breaks[(code[breaks] != 10) | (code[breaks - 1] != 13) | (breaks == 0)]
+        solid = np.concatenate(([False], kind == 0))
+        firsts = np.flatnonzero(solid[1:] > solid[:-1])  # each token's first character
+        line = np.searchsorted(breaks, firsts)
+        heads = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
+        widths = np.diff(heads, append=firsts.size)
+        edge = code[firsts[heads]] != ord("#")
+        if not edge.all():
+            tokens = list(compress(tokens, np.repeat(edge, widths).tolist()))
+        ids.append(np.fromiter(map(intern.__getitem__, tokens), dtype=np.int64, count=len(tokens)))
+        sizes.append(widths[edge])
+        line_nos.append(line[heads[edge]] + (lines + 1))
+        lines += breaks.size
+        del tokens, code, kind  # before the next slice's are made
+    if not sum(map(len, sizes)):
         raise InputError("no hyperedges in input")
-    try:
-        return build(chain((first,), edges), policy)
-    except InputError as exc:
-        # rewrite the edge index into the line number of that hyperedge line
-        head, _, rest = str(exc).partition(": ")
-        if head.startswith("edge "):
-            line_nos = (ln for ln, line in enumerate(text.splitlines(), start=1)
-                        if any(_edge_tokens((line,))))
-            ln = next(islice(line_nos, int(head[5:]), None))
-            raise InputError(f"line {ln}: {rest}") from None
-        raise
+    line_of = _joined(line_nos)
+    return _from_rows(_joined(ids), _joined(sizes), list(intern), policy,
+                      lambda i: f"line {line_of[i]}")
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end.  The list is emptied, so that the parts are freed
+    and a callee handed the result holds its only reference."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
 
 
 def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:

@@ -4,21 +4,26 @@ They scan members, sweep to a fixpoint or enumerate every outcome, so they
 are slow, and the costly ones are guarded to small fixtures.
 `local_lower_bound` reads e-peel's own bound array.  `kd_levels_reference`
 peels the (k,d) levels one at a time, each by `peel_level`, where
-`kd_decompose` peels groups of them in lockstep.  No library route runs
-them, and `hypercore` imports nothing from here.
+`kd_decompose` peels groups of them in lockstep.  `parse_hg_reference`
+splits .hg text line by line and finds duplicate rows by `np.lexsort`, where
+`parse_hg` tokenizes slices of text and sorts packed keys.  No library route
+runs them, and `hypercore` imports nothing from here.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, count, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from hypercore.diffusion import _GAMMA, _M1, _M2, _MASK, _run_key, check_beta
 from hypercore.kdcore import KDCoreResult, _distinct, _rows
 from hypercore.localcore import local_core
-from hypercore.model import GuardError, Hypergraph, _ranges
+from hypercore.model import (BuildReport, GuardError, Hypergraph, InputError,
+                             SingletonPolicy, _ranges)
 from hypercore.peel import CoreAssignment, _lower_bounds
 
 ORACLE_NODE_GUARD = 200
@@ -49,6 +54,90 @@ def level_set(res: CoreAssignment, k: int) -> set[int]:
 def core_members(res: KDCoreResult, k: int, d: int) -> set[int]:
     """The (k,d)-core: the nodes of level k with d_k(v) >= d."""
     return {v for v, dv in res.levels.get(k, {}).items() if dv >= d}
+
+
+# -- .hg text ---------------------------------------------------------------
+
+
+def build_reference(
+    edge_lists: Iterable[Sequence[str]],
+    policy: SingletonPolicy = SingletonPolicy.REJECT,
+) -> tuple[Hypergraph, BuildReport]:
+    """`build` with duplicate rows found per width by a stable `np.lexsort`
+    of the rows, so a repeat sorts right after its first copy."""
+    intern: defaultdict[str, int] = defaultdict(count().__next__)
+    flat: list[int] = []
+    sizes: list[int] = []
+    for members in edge_lists:
+        flat.extend(map(intern.__getitem__, members))
+        sizes.append(len(members))
+    if not sizes:
+        raise InputError("no hyperedges given")
+    labels = list(intern)
+
+    n, m = len(labels), len(sizes)
+    key = np.repeat(np.arange(m), sizes) * n + np.fromiter(flat, dtype=np.int64, count=len(flat))
+    key.sort()
+    row, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], max(n, 1))
+    cards = np.bincount(row, minlength=m)
+    offsets = np.cumsum(cards) - cards
+
+    short = np.flatnonzero(cards < (1 if policy is SingletonPolicy.DROP else 2))
+    if short.size:
+        idx = int(short[0])
+        if not cards[idx]:
+            raise InputError(f"edge {idx}: empty hyperedge")
+        tokens = [labels[ids[offsets[idx]]]] * sizes[idx]
+        raise InputError(f"edge {idx}: singleton hyperedge {tokens!r}")
+    report = BuildReport(singleton_edges=np.flatnonzero(cards == 1).tolist())
+
+    keep = cards >= 2
+    for c in np.flatnonzero(np.bincount(cards[keep])).tolist():
+        idx = np.flatnonzero(cards == c)
+        block = ids[offsets[idx, None] + np.arange(c)]
+        order = np.lexsort(block.T[::-1])
+        repeat = (block[order[1:]] == block[order[:-1]]).all(axis=1)
+        keep[idx[order[1:][repeat]]] = False
+    report.duplicate_edges = np.flatnonzero(~keep & (cards >= 2)).tolist()
+    edge_flat, cards = ids[np.repeat(keep, cards)], cards[keep]
+
+    if report.singleton_edges:
+        used = np.bincount(edge_flat, minlength=n) > 0
+        report.isolated_labels = [labels[v] for v in np.flatnonzero(~used).tolist()]
+        labels = [labels[v] for v in np.flatnonzero(used).tolist()]
+        edge_flat = (np.cumsum(used) - 1)[edge_flat]
+    return Hypergraph(edge_flat, cards, labels), report
+
+
+def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
+    """Each hyperedge line's tokens; a blank line, or one whose first token
+    starts with '#', is skipped."""
+    for tokens in map(str.split, lines):
+        if tokens and tokens[0][0] != "#":
+            yield tokens
+
+
+def parse_hg_reference(
+    text: str, policy: SingletonPolicy = SingletonPolicy.REJECT
+) -> tuple[Hypergraph, BuildReport]:
+    """`parse_hg` one line at a time: `str.splitlines`, then `str.split` per
+    line into `build_reference`; an error's edge index is turned into its
+    line number by finding that hyperedge line again."""
+    text = text.removeprefix("\ufeff")
+    edges = _edge_tokens(text.splitlines())
+    first = next(edges, None)
+    if first is None:
+        raise InputError("no hyperedges in input")
+    try:
+        return build_reference(chain((first,), edges), policy)
+    except InputError as exc:
+        head, _, rest = str(exc).partition(": ")
+        if head.startswith("edge "):
+            line_nos = (ln for ln, line in enumerate(text.splitlines(), start=1)
+                        if any(_edge_tokens((line,))))
+            ln = next(islice(line_nos, int(head[5:]), None))
+            raise InputError(f"line {ln}: {rest}") from None
+        raise
 
 
 # -- local-core ------------------------------------------------------------

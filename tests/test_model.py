@@ -1,6 +1,8 @@
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from hypercore import (
     sir_run,
     volume_density,
 )
+from hypercore import model
 from hypercore.model import BuildReport, Residual, member_lists
 from conftest import by_label, hg
-from oracles import edges, hypergraph, local_lower_bound, sir_expected_spread
+from oracles import (build_reference, edges, hypergraph, local_lower_bound, parse_hg_reference,
+                     sir_expected_spread)
 
 
 def test_public_names():
@@ -454,6 +458,90 @@ def test_parse_matches_reference(text, policy):
         return H.labels, edges(H), report
 
     assert _outcome(parsed, text, policy) == _outcome(_reference_parse, text, policy)
+
+
+# every code point str.split splits on (chr(c).isspace()), so all of
+# str.splitlines' breaks, plus \r\n, '#' alone and at the start of a label, a
+# non-BMP character and a lone surrogate
+UNICODE_PIECES = ([chr(c) for c in range(0x3001) if chr(c).isspace()]
+                  + ["\r\n", "#", "#a", "a", "b", "c", "\u00e9", "\U0001f600", "\ud800"] * 3)
+
+
+def _parsed_state(parse, text, policy):
+    """Labels, every array of the hypergraph and the report, or the error."""
+    try:
+        H, report = parse(text, policy)
+    except InputError as exc:
+        return "InputError", str(exc)
+    arrays = [getattr(H, name).tolist() for name in (
+        "edge_flat", "edge_offsets", "inc_offsets", "inc_flat", "nbr_offsets", "nbr_flat",
+        "pair_edge", "pair_starts")]
+    return H.n, H.labels, H.label_to_id, H.d_pair, arrays, report
+
+
+@pytest.mark.parametrize("slice_chars", [model.SLICE_CHARS, 1, 3])
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(st.sampled_from(UNICODE_PIECES), max_size=40).map("".join),
+       st.sampled_from(SingletonPolicy))
+@example(False, "a b\r\n\r\nc\r\n", SingletonPolicy.REJECT)
+@example(False, "\nc\r", SingletonPolicy.REJECT)
+@example(True, "#x\x85 # y\u2029a\u3000b\x1fc\r\rb c\x1c\ud800", SingletonPolicy.DROP)
+def test_parse_matches_the_per_line_reference(slice_chars, bom, text, policy):
+    # the slices end after any line break, never inside \r\n, so at every
+    # slice length the tokens, lines and error line numbers are the per-line
+    # parser's
+    text = "\ufeff" * bom + text
+    with mock.patch.object(model, "SLICE_CHARS", slice_chars):
+        got = _parsed_state(parse_hg, text, policy)
+    assert got == _parsed_state(parse_hg_reference, text, policy)
+
+
+def test_character_classes_match_str():
+    # the tokenizer's two fixed classes are str.split's whitespace and
+    # str.splitlines' breaks; an interpreter that changes either must fail
+    # here rather than mis-tokenize
+    kind = model._CLASS
+    assert kind[-1] == 0  # every code point past the table is neither
+    space, breaks = set(), set()
+    for c in chain(range(0xD800), range(0xE000, 0x110000)):
+        ch = chr(c)
+        if ch.isspace():
+            space.add(c)
+        if len(f"a{ch}b".splitlines()) == 2:
+            breaks.add(c)
+    assert set(np.flatnonzero(kind).tolist()) == space
+    assert set(np.flatnonzero(kind == 2).tolist()) == breaks
+    assert len(space) == 29 and max(space) < kind.size - 1
+    assert len("a\r\nb".splitlines()) == 2  # \r\n is one break
+
+
+def test_duplicate_rows_by_rank_folds():
+    """Rows of 12 ids of 17 bits (2**16 + 20 labels, label vi interned as id
+    i): a key holds three ids, so each row folds to its dense rank three
+    times.  Rows share long prefixes and differ in late columns, two differ
+    only in their first id's top bit, and copies come before, between and
+    after their first copy's neighbors in sort order."""
+    rng = random.Random(5)
+    n = 2**16 + 20
+    rows = [[f"v{v}", f"v{v + 1}"] for v in range(0, n, 2)]
+    prefix = [f"v{v}" for v in rng.sample(range(n), 11)]
+    wide = [prefix[:k] + [f"v{v}" for v in rng.sample(range(n), 12 - k)]
+            for k in (11, 11, 11, 9, 6, 3, 0)]
+    wide += [prefix + [f"v{v}"] for v in (n - 1, 0, n // 2)]
+    tail = [f"v{v}" for v in range(2**16 + 1, 2**16 + 12)]
+    wide += [["v0"] + tail, [f"v{2**16}"] + tail]
+    for row in list(wide):
+        for _ in range(rng.randint(1, 2)):
+            wide.insert(rng.randrange(len(wide) + 1), rng.sample(row, len(row)))
+    rows += wide
+    folds = []
+    rank = model._dense_rank
+    with mock.patch.object(model, "_dense_rank", lambda key: folds.append(key.size) or rank(key)):
+        H, report = build(rows)
+    assert folds.count(len(wide)) == 3
+    ref_H, ref_report = build_reference(rows)
+    assert report == ref_report and len(report.duplicate_edges) == len(wide) - 12
+    assert H.labels == ref_H.labels and edges(H) == edges(ref_H)
 
 
 def test_packed_keys_on_wide_ids():
