@@ -179,9 +179,8 @@ def cmd_sir(args) -> int:
         H = diffusion.intervention_delete(H, ranked, args.delete_top_k)
         if args.seed_node is not None and args.seed_node not in H.label_to_id:
             raise InputError(f"seed node {args.seed_node!r} was deleted by --delete-top-k")
-    if H.n == 0:
-        print("hypergraph is empty: no node to seed", file=sys.stderr)
-        return 0
+    # with no node to seed, the outputs get what --runs 0 writes
+    count = args.runs if H.n else 0
     cores = local_core(H).core
 
     rng = gen.seeded_random(args.rng_seed)
@@ -193,7 +192,7 @@ def cmd_sir(args) -> int:
     with (_written(args.aggregate_out, newline="")
           if args.aggregate_out else contextlib.nullcontext()) as fh, _output(args.out) as out:
         out.write("run\tseed\tcore\tspread\n")
-        for i in range(args.runs):
+        for i in range(count):
             # each run draws its seed as it starts, so --runs allocates nothing
             s = rng.randrange(H.n) if fixed is None else fixed
             outcome = diffusion.sir_run(
@@ -206,6 +205,8 @@ def cmd_sir(args) -> int:
             w.writerow(["core", "runs", "mean_spread"])
             for c in sorted(runs):
                 w.writerow([c, runs[c], spread[c] / runs[c]])
+    if H.n == 0:
+        print("hypergraph is empty: no node to seed", file=sys.stderr)
     return 0
 
 

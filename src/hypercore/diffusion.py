@@ -158,6 +158,12 @@ def sir_run(
     max_steps: int = 100,
     rng_seed: int = 0,
 ) -> SirOutcome:
+    """One SIR run from node `seed`: each infectious node attempts each
+    susceptible neighbor once, with probability beta, for at most
+    max_steps steps.  The draws are the keyed hashes of the module
+    docstring under rng_seed, so a run is a function of its arguments.
+    beta outside [0, 1], a negative max_steps, an unknown seed or an
+    rng_seed too long for `str` raises InputError."""
     check_beta(beta)
     if max_steps < 0:
         raise InputError(f"max_steps must be >= 0, got {max_steps}")

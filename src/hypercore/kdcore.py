@@ -16,8 +16,10 @@ for v in V_k and (k, e) for e in E_k.  Nodes are ranked by descending c and
 hyperedges by descending least member core, ties by id, so V_k and E_k are
 rank prefixes, and a cell's id is its level's base plus its rank.  One numpy
 sub-round runs one sub-round of every level of the group still peeling,
-each at its own d.  Members and incidences are read through H's own CSR
-offsets, with their ids taken as ranks once per decomposition.
+each at its own d.  A group of one level (degree_core, clique_graph_core,
+a level too large to share the budget) runs the same form at base 0.
+Members and incidences are read through H's own CSR offsets, with their
+ids taken as ranks once per decomposition.
 
 No pair counts are kept: V_k is the neighborhood k-core of E_k, so only a
 touched node can lack k neighbors.  One with a live hyperedge of more than
@@ -74,6 +76,11 @@ class KDCoreResult:
 
 
 def kd_decompose(H: Hypergraph) -> KDCoreResult:
+    """Every (k,d)-core number of H: for each neighborhood level k in
+    [1, kmax], d_k(v) at each node v of core >= k.  Core numbers come from
+    local_core; a lattice of more than LATTICE_GUARD entries (the sum of
+    the core numbers) is refused with a GuardError before any level is
+    peeled."""
     core = np.array(local_core(H).core, dtype=np.int64)
     entries = int(core.sum())
     if entries > LATTICE_GUARD:
@@ -104,13 +111,12 @@ def degree_core(H: Hypergraph) -> CoreAssignment:
 class _Prefixes(NamedTuple):
     """Ids by descending value, ties by id; each id's rank, its place in
     that order; and a flat array of these ids, read as ranks.  The ids of
-    value >= k are order[:count[k]].  same: every id is its own rank."""
+    value >= k are order[:count[k]]."""
 
     order: np.ndarray
     rank: np.ndarray
     count: np.ndarray
     flat: np.ndarray
-    same: bool
 
 
 def _prefixes(values: np.ndarray, kmax: int, flat: np.ndarray) -> _Prefixes:
@@ -118,9 +124,7 @@ def _prefixes(values: np.ndarray, kmax: int, flat: np.ndarray) -> _Prefixes:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     count = np.bincount(values, minlength=kmax + 2)[::-1].cumsum()[::-1]
-    # values that never rise from one id to the next leave each id its rank
-    same = not np.count_nonzero(values[1:] > values[:-1])
-    return _Prefixes(order, rank, count, flat if same else rank[flat], same)
+    return _Prefixes(order, rank, count, rank[flat])
 
 
 def _peel(H: Hypergraph, core: np.ndarray, low: np.ndarray, kmax: int,
@@ -214,39 +218,20 @@ def _peel_group(H: Hypergraph, k0: int, k1: int, nodes: _Prefixes, edges: _Prefi
     nk.cumsum(out=nbase[1:])
     mk.cumsum(out=ebase[1:])
     size, esize = int(nbase[-1]), int(ebase[-1])
-    # with one level a cell is its rank, and with every id its own rank
-    # also its id
-    lockstep = k1 > k0
-    ids = not lockstep and nodes.same and edges.same
     # each cell's level, and its id: the id of its rank, the cell less its base
     lev, elev = levels.repeat(nk), levels.repeat(mk)
-    cnode, cedge = nodes.order[:size], edges.order[:esize]
-    if lockstep:
-        cnode = nodes.order[np.arange(size) - nbase[lev]]
-        cedge = edges.order[np.arange(esize) - ebase[elev]]
+    cnode = nodes.order[np.arange(size) - nbase[lev]]
+    cedge = edges.order[np.arange(esize) - ebase[elev]]
     recount = k1 > 1  # level 1 alone needs no wdeg
-    # whether some hyperedge at a node of V_k0 is outside E_k1
-    partial = mk[-1] < edges.order.size
-
-    def member_cells(e: np.ndarray, at: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """The cells of the members of hyperedges e at levels at, and each |e|."""
-        cell, card = _rows(H.edge_offsets, nodes.flat, e)
-        if lockstep:
-            cell += nbase[at].repeat(card)
-        return cell, card
 
     def edge_cells(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The hyperedge cells at node cells c's incidences, which of them
-        are live, and how many incidences each cell of c has."""
-        ec, count = _rows(H.inc_offsets, edges.flat, c if ids else cnode[c])
-        if not partial:
-            if lockstep:
-                ec += ebase[lev[c]].repeat(count)
-            return ec, live[ec], count
-        at = lev[c]
-        ok = ec < mk[at].repeat(count)
-        if lockstep:
-            ec += ebase[at].repeat(count)
+        are live, and how many incidences each cell of c has.  A node of V_k
+        may hold hyperedges outside E_k: their ranks are mk[k] or more."""
+        ec, count = _rows(H.inc_offsets, edges.flat, cnode[c])
+        at = lev[c].repeat(count)
+        ok = ec < mk[at]
+        ec += ebase[at]
         ok[ok] = live[ec[ok]]
         return ec, ok, count
 
@@ -261,10 +246,8 @@ def _peel_group(H: Hypergraph, k0: int, k1: int, nodes: _Prefixes, edges: _Prefi
     # members), and each level then adds in the one above: V_{k+1} is a
     # rank prefix of V_k.
     rank, card = _rows(H.edge_offsets, nodes.flat, edges.order[: mk[0]])
-    top, cell = 0, rank
-    if lockstep:
-        top = (-mk).searchsorted(-np.arange(mk[0])) - 1
-        cell = nbase[top].repeat(card) + rank
+    top = (-mk).searchsorted(-np.arange(mk[0])) - 1
+    cell = nbase[top].repeat(card) + rank
     # live degree less d: a cell is at d when it reaches 0
     slack = np.bincount(cell, minlength=size)
     marks = [slack]
@@ -313,8 +296,10 @@ def _peel_group(H: Hypergraph, k0: int, k1: int, nodes: _Prefixes, edges: _Prefi
         ec, ok, _ = edge_cells(out)
         ec = _distinct(ec[ok], esize)
         live[ec] = False
-        at = elev[ec] if lockstep or recount else None
-        cell, card = member_cells(ec if ids else cedge[ec], at)
+        # the dead hyperedges' members, as cells of each hyperedge's level
+        at = elev[ec]
+        cell, card = _rows(H.edge_offsets, nodes.flat, cedge[ec])
+        cell += nbase[at].repeat(card)
         fell = np.bincount(cell, minlength=size)
         slack -= fell
         if recount:

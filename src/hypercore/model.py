@@ -453,6 +453,11 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tuple[Hypergraph, BuildReport]:
+    """The hypergraph in the .hg file at `path`, and what building it
+    dropped or merged.  The file is read whole and decoded as UTF-8 (an
+    InputError names the first bad byte's offset), then parsed by
+    `parse_hg` under `policy`; a file that cannot be read raises its
+    OSError."""
     with open(path, "rb") as fh:
         data = fh.read()
     # not "utf-8-sig": it counts a decode error's offset from after the mark;

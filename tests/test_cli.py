@@ -660,8 +660,23 @@ def test_sir_on_lenient_emptied_input(tmp_path, capsys):
     p = tmp_path / "z.hg"
     p.write_text("z\n")
     code, out, err = run(capsys, "sir", str(p), "--lenient", "--beta", "0.5")
-    assert code == 0 and out == ""
+    assert code == 0 and out == "run\tseed\tcore\tspread\n"
     assert err.count("\n") == 1 and "empty" in err
+
+
+def test_sir_emptied_by_deletion_writes_what_no_runs_write(tmp_path, capsys):
+    # --delete-top-k removes every node: both files are written over with
+    # the headers that --runs 0 writes, not left holding an earlier run
+    p, out_path, agg = tmp_path / "ab.hg", tmp_path / "runs.tsv", tmp_path / "agg.csv"
+    p.write_text("a b\nb c\n")
+    out_path.write_text("OLD table\n" * 5)
+    agg.write_text("OLD aggregate\n" * 5)
+    code, out, err = run(capsys, "sir", str(p), "--beta", "0.5", "--runs", "3",
+                         "--delete-top-k", "5", "--out", str(out_path),
+                         "--aggregate-out", str(agg))
+    assert (code, out, err) == (0, "", "hypergraph is empty: no node to seed\n")
+    assert out_path.read_bytes() == b"run\tseed\tcore\tspread\n"
+    assert agg.read_bytes() == b"core,runs,mean_spread\r\n"
 
 
 def test_stats_out_file(fig_file, tmp_path, capsys):

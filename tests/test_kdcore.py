@@ -297,9 +297,13 @@ def test_lattice_guard(monkeypatch, fig_five):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32), st.booleans(), st.sampled_from([kdcore.GROUP_CELLS, 0, 10**9]))
 @example(seed=0, wide=True, budget=kdcore.GROUP_CELLS)
+@example(seed=0, wide=True, budget=0)
+@example(seed=0, wide=True, budget=10**9)
 def test_levels_match_the_per_level_reference(seed, wide, budget):
     # shared node pairs, and a wide hyperedge that makes E_k differ by level;
-    # groups at the default budget, of one level each, and of every level
+    # groups at the default budget, of one level each, and of every level.
+    # At seed 0 the wide hyperedge leaves hyperedges outside E_k at nodes of
+    # V_k for k >= 4, also in the groups of one level
     H = random_hypergraph(14, 16, 2, 4, seed)
     if wide:
         H = with_wide_edge(H, seed)
