@@ -47,12 +47,11 @@ class DensestResult:
 
 def volume_density(H: Hypergraph, nodes: Iterable[int]) -> Fraction:
     """Average neighbor count per node in the strongly induced H[S]."""
-    S = set(nodes)
+    S = {H._check_node(v) for v in nodes}
     if not S:
         raise InputError("volume density of the empty set is undefined")
     in_S = [False] * H.n
     for v in S:
-        H._check_node(v)
         in_S[v] = True
     total = sum(len(H.residual_neighbors(v, in_S)) for v in S)
     return Fraction(total, len(S))

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .model import GuardError, Hypergraph, _ranges
+from .model import GuardError, Hypergraph, _rows
 from .peel import CoreAssignment
 from .localcore import local_core
 
@@ -199,13 +199,6 @@ def _distinct(x: np.ndarray, size: int) -> np.ndarray:
     at = np.arange(x.size)
     mark[x] = at
     return x[mark[x] == at]
-
-
-def _rows(offsets: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR (offsets, flat)'s entries in each of rows, and how many each row holds."""
-    starts = offsets[rows]
-    count = offsets[1:][rows] - starts
-    return flat[_ranges(starts, count)], count
 
 
 def _peel_group(H: Hypergraph, k0: int, k1: int, nodes: _Prefixes, edges: _Prefixes,

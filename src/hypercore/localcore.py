@@ -45,6 +45,9 @@ class LocalCoreOptions:
 
 @dataclass
 class ConvergenceReport:
+    """`rounds` counts the rounds, the final change-free one included, and
+    `corrected_per_round[i]` the estimates that round i lowered."""
+
     rounds: int
     corrected_per_round: list[int] = field(default_factory=list)
 

@@ -10,6 +10,7 @@ other int64 arrays.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -90,11 +91,14 @@ class Hypergraph:
         if len(self.label_to_id) != n:
             dup = next(lab for v, lab in enumerate(labels) if self.label_to_id[lab] != v)
             raise InputError(f"label {dup!r} is repeated")
-        self.edge_flat = edge_flat = np.asarray(edge_flat, dtype=np.int64)
-        cards = np.asarray(cards, dtype=np.int64)
-        if edge_flat.ndim != 1 or cards.ndim != 1 or cards.min(initial=0) < 0 \
+        edge_flat, cards = np.asarray(edge_flat), np.asarray(cards)
+        if any(a.size and a.dtype.kind not in "iu" for a in (edge_flat, cards)) \
+                or edge_flat.ndim != 1 or cards.ndim != 1 or cards.min(initial=0) < 0 \
                 or cards.sum() != edge_flat.size:
-            raise InputError("edge_flat and cards must be 1-D, cards >= 0 with sum len(edge_flat)")
+            raise InputError("edge_flat and cards must be 1-D integer arrays, cards >= 0 "
+                             "with sum len(edge_flat)")
+        self.edge_flat = edge_flat = edge_flat.astype(np.int64, copy=False)
+        cards = cards.astype(np.int64, copy=False)
         m = cards.size
         self.edge_offsets = offsets = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(cards, out=offsets[1:])
@@ -151,21 +155,25 @@ class Hypergraph:
 
     # -- queries -----------------------------------------------------------
 
-    def _check_node(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise InputError(f"invalid node id {v}")
+    def _check_node(self, v: int) -> int:
+        try:
+            if 0 <= (v := operator.index(v)) < self.n:
+                return v
+        except TypeError:  # not an integer
+            pass
+        raise InputError(f"invalid node id {v}")
 
     def neighbors(self, v: int) -> list[int]:
         """Sorted co-occurrence set of v, excluding v itself."""
-        self._check_node(v)
+        v = self._check_node(v)
         return self.nbr_flat[self.nbr_offsets[v] : self.nbr_offsets[v + 1]].tolist()
 
     def neighbor_count(self, v: int) -> int:
-        self._check_node(v)
+        v = self._check_node(v)
         return int(self.nbr_offsets[v + 1] - self.nbr_offsets[v])
 
     def degree(self, v: int) -> int:
-        self._check_node(v)
+        v = self._check_node(v)
         return int(self.inc_offsets[v + 1] - self.inc_offsets[v])
 
     def residual_neighbors(self, v: int, alive: Sequence[bool]) -> set[int]:
@@ -234,10 +242,9 @@ class Residual:
         self.count = np.diff(H.nbr_offsets).tolist()
         self.inc_offsets = H.inc_offsets.tolist()
         self.inc_flat = np.arange(m, dtype=object)[H.inc_flat].tolist()
-        sizes = np.diff(H.pair_starts, append=len(H.pair_edge))
-        shared = np.flatnonzero(sizes > 1)
-        reps = sizes[shared]
-        holder = H.pair_edge[_ranges(H.pair_starts[shared], reps)]
+        bounds = np.append(H.pair_starts, len(H.pair_edge))
+        shared = np.flatnonzero(np.diff(bounds) > 1)
+        holder, reps = _rows(bounds, H.pair_edge, shared)
         entries = np.repeat(np.arange(shared.size), reps)
         self.shared_flat = entries[np.argsort(holder, kind="stable")].tolist()
         at = np.bincount(holder, minlength=m)
@@ -272,6 +279,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
     ends = lengths.cumsum()
     return np.arange(ends[-1] if ends.size else 0) + (starts - ends + lengths).repeat(lengths)
+
+
+def _rows(offsets: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of each of `rows` of the CSR (offsets, flat), end to end,
+    and how many each row holds: the one numpy gather of CSR rows."""
+    starts = offsets[rows]
+    count = offsets[1:][rows] - starts
+    return flat[_ranges(starts, count)], count
 
 
 def build(
@@ -337,7 +352,7 @@ def _from_rows(
     # stable argsort of the keys puts a repeat right after its first copy.
     keep = cards >= 2
     b = max(n - 1, 1).bit_length()
-    for c in np.flatnonzero(np.bincount(cards[keep])).tolist():
+    for c in np.flatnonzero(np.bincount(cards[keep]) > 1).tolist():
         idx = np.flatnonzero(cards == c)
         at = offsets[idx]
         key, bits = ids[at], b

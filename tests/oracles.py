@@ -20,10 +20,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from hypercore.diffusion import _GAMMA, _M1, _M2, _MASK, _run_key, check_beta
-from hypercore.kdcore import KDCoreResult, _distinct, _rows
+from hypercore.kdcore import KDCoreResult, _distinct
 from hypercore.localcore import local_core
 from hypercore.model import (BuildReport, GuardError, Hypergraph, InputError,
-                             SingletonPolicy, _ranges)
+                             SingletonPolicy, _ranges, _rows)
 from hypercore.peel import CoreAssignment, _lower_bounds
 
 ORACLE_NODE_GUARD = 200
@@ -189,7 +189,7 @@ def neighborhood_hierarchy(H: Hypergraph) -> list[int]:
 
 def local_lower_bound(H: Hypergraph, v: int) -> int:
     """max(|e_m(v)| - 1, min_u |N(u)|): guaranteed <= c(v)."""
-    H._check_node(v)
+    v = H._check_node(v)
     return int(_lower_bounds(H)[v])
 
 
@@ -333,7 +333,7 @@ def sir_expected_spread(H: Hypergraph, seed: int, beta: Fraction) -> Fraction:
     fixtures are enumerable."""
     check_beta(beta)
     beta = Fraction(beta)
-    H._check_node(seed)
+    seed = H._check_node(seed)
     potential = sum(H.neighbor_count(v) for v in range(H.n))
     if potential > ENUMERATION_ATTEMPT_GUARD:
         raise GuardError(

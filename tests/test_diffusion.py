@@ -13,6 +13,7 @@ from hypercore import (
     Hypergraph,
     InputError,
     LocalCoreOptions,
+    build,
     clique_expansion,
     degree_core,
     diffusion,
@@ -108,6 +109,23 @@ def test_splitmix64_reference_outputs():
     assert outs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
+def hop_distances(H, seed, beta, rs, max_steps=100):
+    """Hop distances from seed over the directed contacts whose draw fires,
+    cut at max_steps."""
+    threshold = int(beta * 2**53) << 11
+    dist = {seed: 0}
+    queue = deque([seed])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == max_steps:
+            continue
+        for v in H.neighbors(u):
+            if v not in dist and attempt_draw(rs, u, v) < threshold:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(5, 40), st.integers(0, 10**6),
@@ -120,20 +138,11 @@ def test_run_is_bfs_on_the_percolated_graph(n, gseed, beta, rs, max_steps, data)
 
     The graphs reach frontiers of BULK_FRONTIER nodes, so a default run mixes
     scalar and numpy steps; each run is repeated with every step in numpy,
-    and with every step in numpy in slices of 1 to 3 contacts."""
+    and with every step in numpy and BULK_SLICE at 1 to 3, so that a step
+    reads its frontier in runs of at most three nodes, some of none."""
     H = random_hypergraph(n, data.draw(st.integers(1, 3 * n)), 2, 4, gseed)
     seed = data.draw(st.integers(0, H.n - 1))
-    threshold = int(beta * 2**53) << 11
-    dist = {seed: 0}
-    queue = deque([seed])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == max_steps:
-            continue
-        for v in H.neighbors(u):
-            if v not in dist and attempt_draw(rs, u, v) < threshold:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    dist = hop_distances(H, seed, beta, rs, max_steps)
     forms = [(diffusion.BULK_FRONTIER, diffusion.BULK_SLICE),
              (1, diffusion.BULK_SLICE), (1, data.draw(st.integers(1, 3)))]
     for bulk_frontier, bulk_slice in forms:
@@ -156,6 +165,31 @@ def test_bulk_and_scalar_steps_agree_in_infection_order():
             bulk = sir_run(H, seed, beta, rng_seed=rs).infection_time
         assert list(bulk.items()) == list(scalar.items())
         assert sir_run(H, seed, beta, rng_seed=rs).infection_time == scalar
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.7, 1.0])
+def test_wide_steps_read_in_runs_keep_the_scalar_order(beta):
+    """A 400-member hyperedge plus 400 pendant pairs, at default settings: a
+    numpy step holds up to 160,400 contacts, more than BULK_SLICE, and reads
+    them in runs of whole nodes.  Infection times, key order included, equal
+    the scalar loop's and the hop distances over the firing contacts."""
+    H, _ = build([[f"w{i}" for i in range(400)]] + [[f"w{i}", f"p{i}"] for i in range(400)])
+    contacts = []
+    bulk_step = diffusion._bulk_step
+
+    def counted(H, frontier, *args):
+        contacts.append(int(np.diff(H.nbr_offsets)[frontier].sum()))
+        return bulk_step(H, frontier, *args)
+
+    for rs in range(3):
+        for seed in (0, H.n - 1):  # a member of the wide hyperedge, a pendant
+            with mock.patch.object(diffusion, "_bulk_step", counted):
+                bulk = sir_run(H, seed, beta, rng_seed=rs).infection_time
+            with mock.patch.object(diffusion, "BULK_FRONTIER", 10**9):
+                scalar = sir_run(H, seed, beta, rng_seed=rs).infection_time
+            assert list(bulk.items()) == list(scalar.items())
+            assert bulk == hop_distances(H, seed, beta, rs)
+    assert max(contacts) > diffusion.BULK_SLICE
 
 
 @pytest.mark.parametrize("H", [

@@ -194,7 +194,7 @@ def test_repeated_label_rejected():
         hypergraph([(0, 1), (1, 2)], ["a", "a", "b"])
 
 
-@pytest.mark.parametrize("query", [
+NODE_QUERIES = [
     Hypergraph.neighbors,
     Hypergraph.neighbor_count,
     Hypergraph.degree,
@@ -202,12 +202,22 @@ def test_repeated_label_rejected():
     lambda H, v: sir_run(H, v, 0.5),
     lambda H, v: sir_expected_spread(H, v, Fraction(1, 2)),
     lambda H, v: volume_density(H, [v]),
-    lambda H, v: intervention_delete(H, [v], 1),
-])
+    lambda H, v: serialize_hg(intervention_delete(H, [v], 1)),
+]
+
+
+@pytest.mark.parametrize("query", NODE_QUERIES)
 def test_node_id_out_of_range_rejected(fig_five, query):
-    for v in (-1, fig_five.n):
+    for v in (-1, fig_five.n, 0.5):
         with pytest.raises(InputError, match=f"invalid node id {v}$"):
             query(fig_five, v)
+
+
+@pytest.mark.parametrize("query", NODE_QUERIES)
+def test_numpy_node_id_is_its_int(fig_five, query):
+    # an np.int64 seed would overflow the scalar SIR loop's 64-bit products
+    for v in range(fig_five.n):
+        assert query(fig_five, np.int64(v)) == query(fig_five, v)
 
 
 def test_load_drops_a_byte_order_mark(tmp_path):
@@ -248,6 +258,8 @@ def test_malformed_edge_rejected(edges):
     ([0, 1], [3, -1]),  # the right sum, through a negative card
     ([[0, 1]], [2]),
     ([0, 1], [[2]]),
+    ([0, 1.7], [2]),  # not truncated to hyperedge (0, 1)
+    ([0, 1], [2.9]),  # not truncated to a card of 2
 ])
 def test_arrays_that_do_not_fit_rejected(edge_flat, cards):
     with pytest.raises(InputError, match="must be 1-D"):
@@ -513,6 +525,18 @@ def test_character_classes_match_str():
     assert set(np.flatnonzero(kind == 2).tolist()) == breaks
     assert len(space) == 29 and max(space) < kind.size - 1
     assert len("a\r\nb".splitlines()) == 2  # \r\n is one break
+
+
+def test_single_row_widths_skip_the_duplicate_scan():
+    """A width that one row holds cannot hold a duplicate, so its row is never
+    packed: rows of 20 and 30 ids of 7 bits would each fold to a dense rank."""
+    rows = [[f"v{v}", f"v{v + 1}"] for v in range(0, 100, 2)] + [["v1", "v0"]]
+    rows += [[f"v{v}" for v in range(20)], [f"v{v}" for v in range(30, 60)]]
+    with mock.patch.object(model, "_dense_rank", side_effect=AssertionError):
+        H, report = build(rows)
+    ref_H, ref_report = build_reference(rows)
+    assert report == ref_report and report.duplicate_edges == [50]
+    assert H.labels == ref_H.labels and edges(H) == edges(ref_H)
 
 
 def test_duplicate_rows_by_rank_folds():
