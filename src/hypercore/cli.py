@@ -131,11 +131,12 @@ def cmd_decompose(args) -> int:
 def cmd_kdcore(args) -> int:
     H, _ = _load(args.input, args.lenient)
     result = kdcore.kd_decompose(H)
-    labels = H.labels
+    labels, core = H.labels, result.core
     with _output(args.out) as out:
         for k in range(1, result.kmax + 1):
             tag = f"\t{k}\t"
-            out.write("".join([f"{labels[v]}{tag}{d}\n" for v, d in result.levels[k].items()]))
+            nodes, dk = np.flatnonzero(core >= k).tolist(), result.levels[k].tolist()
+            out.write("".join([f"{labels[v]}{tag}{d}\n" for v, d in zip(nodes, dk)]))
     return 0
 
 

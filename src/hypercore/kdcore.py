@@ -46,10 +46,10 @@ from .peel import CoreAssignment
 from .localcore import local_core
 
 # Largest lattice (sum of c(v), one entry per level a node survives) that
-# kd_decompose builds; the levels hold about 37 bytes per entry (Python
-# 3.11, numpy 2.4, x86-64 Linux: a 1,000-entry level dict takes 36,952
-# bytes, and on 10^6-entry inputs with local_core's cores given, peak RSS
-# rose by 20-21 bytes per entry over the input's own).
+# kd_decompose builds.  Each level is one int64 array, 8 bytes per entry and
+# 112 per array (Python 3.11, numpy 2.4, x86-64 Linux): on one 1,000-member
+# hyperedge (999,000 entries, local_core's cores given) tracemalloc counts
+# 8.2 bytes per entry held after the call and 8.4 at its peak.
 LATTICE_GUARD = 2**22
 
 # Most cells, node and hyperedge cells together, that one group of levels
@@ -65,9 +65,11 @@ _NONE = np.iinfo(np.int64).max
 @dataclass
 class KDCoreResult:
     kmax: int
-    # levels[k] maps surviving node -> d_k(v), for k in [1, kmax], in
-    # ascending node id order
-    levels: dict[int, dict[int, int]] = field(default_factory=dict)
+    # each node's neighborhood core number c(v), int64
+    core: np.ndarray
+    # levels[k], for k in [1, kmax]: d_k(v) as int64 for the nodes of V_k =
+    # np.flatnonzero(core >= k), in that ascending id order
+    levels: dict[int, np.ndarray] = field(default_factory=dict)
     # each level's own work, summed: its removal sub-rounds (`rounds`) and
     # its touched nodes that hold no live hyperedge of more than k members
     # (`neighbor_recounts`), whether the degree-sum bound or a member sort
@@ -88,14 +90,9 @@ def kd_decompose(H: Hypergraph) -> KDCoreResult:
     kmax = int(core.max(initial=0))
     # each hyperedge's least member core: e is in E_k while it is at least k
     low = np.minimum.reduceat(core[H.edge_flat], H.edge_offsets[:-1])
-    # one int object per node id, shared by every level's dict
-    ids = np.arange(H.n, dtype=object)
     work = {"rounds": 0, "neighbor_recounts": 0}
-    levels = {}
-    for k, dk in _peel(H, core, low, kmax, work):
-        nodes = core >= k
-        levels[k] = dict(zip(ids[nodes].tolist(), dk[nodes].tolist()))
-    return KDCoreResult(kmax, levels, work)
+    levels = dict(_peel(H, core, low, kmax, work))
+    return KDCoreResult(kmax, core, levels, work)
 
 
 def degree_core(H: Hypergraph) -> CoreAssignment:
@@ -129,8 +126,8 @@ def _prefixes(values: np.ndarray, kmax: int, flat: np.ndarray) -> _Prefixes:
 
 def _peel(H: Hypergraph, core: np.ndarray, low: np.ndarray, kmax: int,
           work: dict[str, int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, d_k) for k in [1, kmax]: d_k(v) at each node of V_k = {core >=
-    k} by the degree peel of E_k = {low >= k}, and 0 outside V_k."""
+    """(k, d_k) for k in [1, kmax]: d_k(v) at each node v of V_k = {core >=
+    k}, in ascending id order, by the degree peel of E_k = {low >= k}."""
     # members as node ranks, incidences as hyperedge ranks
     nodes, edges = _prefixes(core, kmax, H.edge_flat), _prefixes(low, kmax, H.inc_flat)
     excess = _excess(H) if kmax > 1 else None
@@ -145,9 +142,8 @@ def _peel(H: Hypergraph, core: np.ndarray, low: np.ndarray, kmax: int,
         dk = _peel_group(H, first, last, nodes, edges, excess, work)
         at = 0
         for k, count in enumerate(nodes.count[first : last + 1].tolist(), first):
-            full = np.zeros(H.n, dtype=np.int64)
-            full[nodes.order[:count]] = dk[at : at + count]
-            yield k, full
+            # a copy, in id order, so no level keeps the group's dk alive
+            yield k, dk[at : at + count][nodes.rank[core >= k]]
             at += count
         first = last + 1
 

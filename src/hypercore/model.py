@@ -184,6 +184,7 @@ class Hypergraph:
         incrementally in `Residual`, and the (k,d) degree peel in its own
         live-edge list.
         """
+        v = self._check_node(v)
         flat, offsets = self.edge_flat, self.edge_offsets
         out: set[int] = set()
         for ei in self.inc_flat[self.inc_offsets[v] : self.inc_offsets[v + 1]].tolist():
@@ -485,6 +486,20 @@ def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tupl
 
 
 def serialize_hg(H: Hypergraph) -> str:
-    """Emit the .hg format with canonical sorted members."""
-    lines = [" ".join(H.labels[v] for v in e) for e in member_lists(H)]
-    return "\n".join(lines) + "\n"
+    """The .hg text that `parse_hg` reads back to H's hyperedges, a line each:
+    members in ascending id order, those whose label starts with '#' after
+    the rest, so that no line is a comment.  An empty label, one with
+    whitespace and a hyperedge of '#' labels alone are InputErrors."""
+    labels = H.labels
+    if bad := [label for label in labels if label.split() != [label]]:
+        raise InputError(f"label {bad[0]!r} is empty or holds whitespace")
+    pound = [label[0] == "#" for label in labels]
+    lines = []
+    for e in member_lists(H):
+        e.sort(key=pound.__getitem__)  # stable: each part keeps its ascending ids
+        if pound[e[0]]:
+            raise InputError(f"hyperedge {[labels[v] for v in e]}: every label starts with '#'")
+        lines.append(" ".join([labels[v] for v in e]))
+    # parse_hg drops one leading byte order mark
+    text = "\n".join(lines) + "\n"
+    return "\ufeff" + text if text[0] == "\ufeff" else text

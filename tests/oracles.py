@@ -51,9 +51,17 @@ def level_set(res: CoreAssignment, k: int) -> set[int]:
     return {v for v, c in enumerate(res.core) if c >= k}
 
 
+def level_dict(res: KDCoreResult, k: int) -> dict[int, int]:
+    """Level k of a (k,d) result as node id -> d_k(v), in ascending id order;
+    empty outside [1, kmax]."""
+    if k not in res.levels:
+        return {}
+    return dict(zip(np.flatnonzero(res.core >= k).tolist(), res.levels[k].tolist(), strict=True))
+
+
 def core_members(res: KDCoreResult, k: int, d: int) -> set[int]:
     """The (k,d)-core: the nodes of level k with d_k(v) >= d."""
-    return {v for v, dv in res.levels.get(k, {}).items() if dv >= d}
+    return {v for v, dv in level_dict(res, k).items() if dv >= d}
 
 
 # -- .hg text ---------------------------------------------------------------
@@ -217,7 +225,7 @@ def kd_fixpoint_oracle(H: Hypergraph, k: int, d: int) -> set[int]:
 
 def kd_levels_reference(H: Hypergraph) -> KDCoreResult:
     """`kd_decompose` one level at a time: `peel_level` on V_k and E_k as
-    masks over H's own ids, each level's dict in ascending node id order."""
+    masks over H's own ids, each level's d_k in ascending node id order."""
     core = np.array(local_core(H).core, dtype=np.int64)
     kmax = int(core.max(initial=0))
     low = np.minimum.reduceat(core[H.edge_flat], H.edge_offsets[:-1])
@@ -226,8 +234,8 @@ def kd_levels_reference(H: Hypergraph) -> KDCoreResult:
     for k in range(1, kmax + 1):
         nodes = core >= k
         dk = peel_level(H, k, nodes.copy(), low >= k, work)
-        levels[k] = dict(zip(np.flatnonzero(nodes).tolist(), dk[nodes].tolist()))
-    return KDCoreResult(kmax, levels, work)
+        levels[k] = dk[nodes]
+    return KDCoreResult(kmax, core, levels, work)
 
 
 def has_neighbors(H: Hypergraph, us: np.ndarray, k: int, live: np.ndarray,

@@ -24,6 +24,7 @@ from oracles import (
     incident_edges,
     kd_fixpoint_oracle,
     kd_levels_reference,
+    level_dict,
     peel_level,
 )
 
@@ -31,14 +32,14 @@ from oracles import (
 def test_single_triple_levels(single_triple):
     res = kd_decompose(single_triple)
     assert res.kmax == 2
-    assert res.levels[1] == {0: 1, 1: 1, 2: 1}
-    assert res.levels[2] == {0: 1, 1: 1, 2: 1}
+    assert level_dict(res, 1) == {0: 1, 1: 1, 2: 1}
+    assert level_dict(res, 2) == {0: 1, 1: 1, 2: 1}
 
 
 def test_triangle_pairs(triangle_pairs):
     res = kd_decompose(triangle_pairs)
     assert res.kmax == 2
-    assert set(res.levels[2].values()) == {2}
+    assert set(level_dict(res, 2).values()) == {2}
 
 
 def test_five_node_fixture_secondary_values(fig_five):
@@ -46,14 +47,14 @@ def test_five_node_fixture_secondary_values(fig_five):
     assert kd_fixpoint_oracle(fig_five, 2, 2) == set()
     res = kd_decompose(fig_five)
     assert res.kmax == 2
-    assert set(res.levels[2].values()) == {1}
+    assert set(level_dict(res, 2).values()) == {1}
 
 
 def test_level_sets_match_neighborhood_cores(fig_five):
     res = kd_decompose(fig_five)
     cores = peel(fig_five).core
     for k in range(1, res.kmax + 1):
-        assert set(res.levels[k]) == {v for v, c in enumerate(cores) if c >= k}
+        assert set(level_dict(res, k)) == {v for v, c in enumerate(cores) if c >= k}
 
 
 def test_levels_in_ascending_id_order():
@@ -61,8 +62,8 @@ def test_levels_in_ascending_id_order():
     for seed in range(20):
         H = with_wide_edge(random_hypergraph(12 + seed % 6, 14 + seed % 10, 2, 4, seed), seed)
         res, cores = kd_decompose(H), peel(H).core
-        for k, level in res.levels.items():
-            assert list(level) == [v for v in range(H.n) if cores[v] >= k], (seed, k)
+        for k in res.levels:
+            assert list(level_dict(res, k)) == [v for v in range(H.n) if cores[v] >= k], (seed, k)
 
 
 def test_core_routes_on_the_empty_hypergraph(fig_five):
@@ -110,7 +111,7 @@ def test_secondary_values_positive():
     H = random_hypergraph(10, 15, 2, 4, 9)
     res = kd_decompose(H)
     for k in range(1, res.kmax + 1):
-        assert all(d >= 1 for d in res.levels[k].values())
+        assert all(d >= 1 for d in level_dict(res, k).values())
 
 
 def test_degree_core_single_triple(single_triple):
@@ -151,7 +152,7 @@ def test_max_nbr_core_at_least_max_degree_core():
 def test_kd_degrades_to_degree_core_at_k1():
     H = hg("a b\nb c\na c\n")  # nbr-1-core is all of V
     res = kd_decompose(H)
-    assert res.levels[1] == dict(enumerate(degree_core(H).core))
+    assert level_dict(res, 1) == dict(enumerate(degree_core(H).core))
 
 
 def neighbor_check(H, live, us, k):
@@ -276,8 +277,8 @@ def test_kd_counters_pinned(fig_five):
     H = hg("a b c d\na c\na c d\nc d\n")
     res = kd_decompose(H)
     assert res.counters == {"rounds": 8, "neighbor_recounts": 3}
-    assert by_label(H, res.levels[2]) == {"a": 2, "b": 1, "c": 2, "d": 2}
-    assert by_label(H, res.levels[3]) == {"a": 1, "b": 1, "c": 1, "d": 1}
+    assert by_label(H, level_dict(res, 2)) == {"a": 2, "b": 1, "c": 2, "d": 2}
+    assert by_label(H, level_dict(res, 3)) == {"a": 1, "b": 1, "c": 1, "d": 1}
 
 
 def test_lattice_guard(monkeypatch, fig_five):
@@ -311,8 +312,8 @@ def test_levels_match_the_per_level_reference(seed, wide, budget):
     with mock.patch.object(kdcore, "GROUP_CELLS", budget):
         res = kd_decompose(H)
     assert res.kmax == ref.kmax
-    assert [(k, list(level.items())) for k, level in res.levels.items()] == [
-        (k, list(level.items())) for k, level in ref.levels.items()]
+    assert [(k, list(level_dict(res, k).items())) for k in res.levels] == [
+        (k, list(level_dict(ref, k).items())) for k in ref.levels]
     assert res.counters == ref.counters
     work = {"rounds": 0, "neighbor_recounts": 0}
     m = H.edge_offsets.size - 1
@@ -343,9 +344,40 @@ def test_groups_span_several_levels(monkeypatch):
         monkeypatch.setattr(kdcore, "GROUP_CELLS", budget)
         res = kd_decompose(H)
         assert spans == groups
-        assert [list(level.items()) for level in res.levels.values()] == [
-            list(level.items()) for level in ref.levels.values()]
+        assert [list(level_dict(res, k).items()) for k in res.levels] == [
+            list(level_dict(ref, k).items()) for k in ref.levels]
         assert res.counters == ref.counters
+
+
+def test_levels_are_int64_arrays_over_the_core_prefix(monkeypatch):
+    # levels[k] holds d_k for the nodes np.flatnonzero(core >= k), one entry each
+    for seed in range(5):
+        res = kd_decompose(with_wide_edge(random_hypergraph(14, 16, 2, 4, seed), seed))
+        assert res.core.dtype == np.int64 and list(res.levels) == list(range(1, res.kmax + 1))
+        for k, level in res.levels.items():
+            assert type(level) is np.ndarray and level.dtype == np.int64, (seed, k)
+            assert level.size == np.count_nonzero(res.core >= k), (seed, k)
+            assert level.base is None, (seed, k)  # a copy: no view keeps its group's array
+        assert sum(level.size for level in res.levels.values()) == res.core.sum()
+    # one 200-member hyperedge: every core is 199, and each level's 201 cells
+    # pass the default budget of (200 + 1) / 2, so its levels peel in 199
+    # groups of one
+    H = hg(" ".join(f"w{i}" for i in range(200)) + "\n")
+    spans = []
+    peel_group = kdcore._peel_group
+
+    def spy(H, k0, k1, *args):
+        spans.append((k0, k1))
+        return peel_group(H, k0, k1, *args)
+
+    monkeypatch.setattr(kdcore, "_peel_group", spy)
+    res, ref = kd_decompose(H), kd_levels_reference(H)
+    assert spans == [(k, k) for k in range(1, 200)]
+    assert res.core.tolist() == [199] * 200 and sum(map(len, res.levels.values())) == 39_800
+    assert list(res.levels) == list(ref.levels) == list(range(1, 200))
+    for k, level in res.levels.items():
+        assert level.dtype == np.int64 and level.tolist() == ref.levels[k].tolist(), k
+    assert res.counters == ref.counters
 
 
 @settings(max_examples=150, deadline=None)
