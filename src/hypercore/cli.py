@@ -92,12 +92,27 @@ def _output(path: str | None):
         raise _StdoutClosed from None
 
 
+def _check_distinct(side: str | None, flag: str, out: str | None) -> None:
+    """Refuse a sidecar path that names --out's file, which the later writer
+    would write over: one regular file (through a link too) or one path not
+    yet created.  Devices such as /dev/null may take both."""
+    if not side or not out:
+        return
+    try:
+        same = os.path.samefile(side, out) and stat.S_ISREG(os.stat(out).st_mode)
+    except OSError:  # a path not yet created
+        same = os.path.realpath(side) == os.path.realpath(out)
+    if same:
+        raise InputError(f"{flag} and --out name one file: {side}")
+
+
 def cmd_decompose(args) -> int:
-    # a bad thread count is refused before the input is read, an unwritable
-    # path before any work, the sidecar's first so --out is left as it was;
-    # a table that fails to write leaves the sidecar empty, not reading like
-    # a finished run's
+    # a bad thread count or one path for both outputs is refused before the
+    # input is read, an unwritable path before any work, the sidecar's first
+    # so --out is left as it was; a table that fails to write leaves the
+    # sidecar empty, not reading like a finished run's
     opts = LocalCoreOptions(threads=args.threads)
+    _check_distinct(args.stats, "--stats", args.out)
     H, report = _load(args.input, args.lenient)
     with (_written(args.stats, keep_on_error=False) if args.stats
           else contextlib.nullcontext()) as fh, _output(args.out) as out:
@@ -167,6 +182,7 @@ def cmd_sir(args) -> int:
         if getattr(args, flag) < 0:
             raise InputError(f"--{flag.replace('_', '-')} must be >= 0")
     diffusion.check_beta(args.beta)
+    _check_distinct(args.aggregate_out, "--aggregate-out", args.out)
     if args.runs:
         # run i hashes rng_seed + i as a string; the longest is at an end
         diffusion.check_rng_seed(args.rng_seed)

@@ -15,6 +15,7 @@ blocks.  It returns the same core array as `peel`.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -39,7 +40,11 @@ class LocalCoreOptions:
     threads: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.threads <= MAX_THREADS:
+        try:
+            ok = 1 <= operator.index(self.threads) <= MAX_THREADS
+        except TypeError:  # not an integer
+            ok = False
+        if not ok:
             raise InputError(f"threads must be between 1 and {MAX_THREADS}, got {self.threads}")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 # Largest pair table (sum of |e|(|e| - 1) over hyperedges) a hypergraph may
 # have.  Peak RSS per row above the imports, on one 2,000-member hyperedge
 # (3,998,000 rows; Python 3.11, numpy 2.4, x86-64 Linux): `Hypergraph()`
-# alone about 40 bytes, then `peel` about 49 and `local_core` about 64, so
+# alone about 40 bytes, then `peel` about 41 and `local_core` about 64, so
 # `decompose --algorithm local` near the guard peaks at about 2 GB.
 PAIR_ROW_GUARD = 2**25
 
@@ -125,18 +125,15 @@ class Hypergraph:
         b = max(n, m).bit_length()
         mask = (1 << b) - 1
 
-        # one row per ordered member pair, built per cardinality: key (v, u)
-        keys = [np.empty(0, dtype=np.int64)]
-        edge_ids = [np.empty(0, dtype=np.int64)]
-        for c in np.flatnonzero(np.bincount(cards)).tolist():
-            idx = np.flatnonzero(cards == c)
-            members = edge_flat[offsets[idx, None] + np.arange(c)]
-            grid = (members[:, :, None] << b) | members[:, None, :]
-            keys.append(grid[:, ~np.eye(c, dtype=bool)].ravel())
-            edge_ids.append(np.repeat(idx, c * (c - 1)))
-            del grid
-        key, pair_edge = np.concatenate(keys), np.concatenate(edge_ids)
-        del keys, edge_ids
+        # one row per ordered member pair, key (v, u): incidence (v, e) against
+        # e's edge_flat range with v's own position skipped
+        others = cards[edge_of] - 1
+        src = np.arange(edge_flat.size).repeat(others)  # each row's incidence
+        at = _ranges(offsets[edge_of], others)
+        at += at >= src
+        key = (edge_flat[src] << b) | edge_flat[at]
+        pair_edge = edge_of[src]
+        del src, at, others
         order = np.argsort(key)
         key = key[order]
         self.pair_edge = pair_edge[order]

@@ -360,13 +360,46 @@ def test_symlinked_out_is_written_through(fig_file, tmp_path, capsys):
     assert target.read_text() == table and target.stat().st_ino == ino
 
 
-def test_one_file_named_for_table_and_sidecar_holds_no_padding(fig_file, tmp_path, capsys):
-    # the table's writer cuts the file at its end before the longer
+def test_one_file_named_for_table_and_sidecar_holds_no_padding(tmp_path):
+    # two writers of one file, as the CLI's would be if it took one path for
+    # both: the table's writer cuts the file at its end before the longer
     # sidecar's writer closes; that later cut must not pad it with zeros
-    both = tmp_path / "both"
-    assert run(capsys, "decompose", fig_file, "--out", str(both), "--stats", str(both))[0] == 0
-    data = both.read_bytes()
+    both = str(tmp_path / "both")
+    with cli._written(both) as side, cli._written(both) as table:
+        side.write('{"algorithm": "local"}\n')
+        side.flush()
+        table.write("a\t2\n")
+    data = (tmp_path / "both").read_bytes()
     assert data.startswith(b"a\t2\n") and b"\0" not in data
+
+
+@pytest.mark.parametrize("command", ["decompose", "sir"])
+@pytest.mark.parametrize("kind", ["existing", "not yet created", "symlink to --out",
+                                  "hard link to --out"])
+def test_one_path_for_both_outputs_refused(tmp_path, capsys, monkeypatch, command, kind):
+    # the later writer would write over the earlier one's file: refused
+    # before the input is read, with the file left as it was
+    def refuse_load(*args, **kwargs):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "load_hg", refuse_load)
+    out = tmp_path / "out"
+    side = out
+    if kind != "not yet created":
+        out.write_text("kept\n")
+    if kind == "symlink to --out":
+        side = tmp_path / "link"
+        side.symlink_to(out)
+    elif kind == "hard link to --out":
+        side = tmp_path / "link"
+        os.link(out, side)
+    code, stdout, err = run(capsys, *_writer_argv(command, "nosuch.hg", [out, side]))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "name one file" in err and err.count("\n") == 1, err
+    if kind == "not yet created":
+        assert not out.exists()
+    else:
+        assert out.read_text() == "kept\n"
 
 
 @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from hypercore import (
@@ -66,8 +67,11 @@ def test_jacobi_threads_under_fast_switching():
 
 
 def test_threads_must_be_positive(fig_five):
-    with pytest.raises(InputError):
-        local_core(fig_five, LocalCoreOptions(threads=0))
+    # a count that is not an integer is refused too; a numpy integer is one
+    for threads in (0, 2.5, "2", None):
+        with pytest.raises(InputError):
+            local_core(fig_five, LocalCoreOptions(threads=threads))
+    assert local_core(fig_five, LocalCoreOptions(threads=np.int64(2))).core == peel(fig_five).core
 
 
 def test_single_triple_one_round(single_triple):

@@ -15,9 +15,13 @@ from hypercore import (
     SingletonPolicy,
     build,
     clique_expansion,
+    e_peel,
+    greedy_densest,
     intervention_delete,
     load_hg,
+    local_core,
     parse_hg,
+    peel,
     serialize_hg,
     sir_run,
     volume_density,
@@ -317,6 +321,8 @@ def edge_lists(draw):
 @example([])
 @example([["a", "b", "c"], ["a", "b", "d"], ["a", "b"]])
 @example([[str(v) for v in range(42)], ["0", "1"], ["1", "2", "x"]])
+# one hyperedge of each width from 2 to 12, over 14 nodes
+@example([[str((c + j) % 14) for j in range(c)] for c in range(2, 13)])
 def test_pair_table_matches_brute_force(raw):
     H = build(raw)[0] if raw else hypergraph([], [])
     members = edges(H)
@@ -734,3 +740,36 @@ def test_residual_matches_definition_under_deletion(raw, order):
         assert R.delete(v) == H.residual_neighbors(v, alive)
         alive[v] = False
     _assert_residual_is_definitional(H, R, alive)
+
+
+@st.composite
+def shared_pair_edges(draw):
+    """edge_lists() with two more hyperedges, a b and a b c, so that the
+    pair a b is held at least twice."""
+    return draw(edge_lists()) + [["a", "b"], ["a", "b", "c"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_pair_edges(), st.permutations(range(MAX_NODES + 3)))
+def test_routes_ignore_the_order_of_holders_in_a_pair_group(raw, order):
+    """pair_edge lists each group's holders in no set order: reversed within
+    every group, every route that reads the pair table answers the same."""
+    H, flipped = build(raw)[0], build(raw)[0]
+    assert H.d_pair >= 2
+    bounds = np.append(H.pair_starts, len(H.pair_edge))
+    group = np.repeat(np.arange(len(H.pair_starts)), np.diff(bounds))
+    rows = bounds[group] + bounds[group + 1] - 1 - np.arange(len(H.pair_edge))
+    flipped.pair_edge = H.pair_edge[rows]
+    assert flipped.pair_edge.tolist() != H.pair_edge.tolist()
+    a, b = local_core(H), local_core(flipped)
+    assert (a.core, a.counters, a.report) == (b.core, b.counters, b.report)
+    for route in (peel, e_peel):
+        a, b = route(H), route(flipped)
+        assert (a.core, a.counters) == (b.core, b.counters)
+    a, b = greedy_densest(H), greedy_densest(flipped)
+    assert (a.nodes, a.density) == (b.nodes, b.density)
+    R, S = Residual(H), Residual(flipped)
+    for v in (v for v in order if v < H.n):
+        for slot in Residual.__slots__:
+            assert getattr(R, slot) == getattr(S, slot), slot
+        assert R.delete(v) == S.delete(v)
