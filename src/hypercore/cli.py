@@ -93,17 +93,28 @@ def _output(path: str | None):
 
 
 def _check_distinct(side: str | None, flag: str, out: str | None) -> None:
-    """Refuse a sidecar path that names --out's file, which the later writer
-    would write over: one regular file (through a link too) or one path not
-    yet created.  Devices such as /dev/null may take both."""
-    if not side or not out:
+    """Refuse a sidecar path that names the table's file, which the later
+    writer would write over: --out's file (through a link too, or one path
+    not yet created), or with no --out the regular file that stdout writes
+    to (`> F` with `/dev/stdout` or F itself).  Devices such as /dev/null
+    and pipes may take both, and a stdout with no descriptor is no file."""
+    if not side:
+        return
+    if out:
+        try:
+            same = os.path.samefile(side, out) and stat.S_ISREG(os.stat(out).st_mode)
+        except OSError:  # a path not yet created
+            same = os.path.realpath(side) == os.path.realpath(out)
+        if same:
+            raise InputError(f"{flag} and --out name one file: {side}")
         return
     try:
-        same = os.path.samefile(side, out) and stat.S_ISREG(os.stat(out).st_mode)
-    except OSError:  # a path not yet created
-        same = os.path.realpath(side) == os.path.realpath(out)
+        table = os.fstat(sys.stdout.fileno())
+        same = stat.S_ISREG(table.st_mode) and os.path.samestat(os.stat(side), table)
+    except OSError:  # no descriptor (io.UnsupportedOperation), or a path not yet created
+        same = False
     if same:
-        raise InputError(f"{flag} and --out name one file: {side}")
+        raise InputError(f"{flag} names the file that stdout writes to: {side}")
 
 
 def cmd_decompose(args) -> int:
@@ -280,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="local",
                    choices=["peel", "epeel", "local", "naive-h", "degree", "clique"])
     p.add_argument("--threads", type=int, default=1,
-                   help="local: run each round's node blocks on this many threads "
-                        f"(1 to {MAX_THREADS})")
+                   help="local: split each round into this many node blocks, run on "
+                        f"as many threads, at most one per CPU (1 to {MAX_THREADS})")
     p.add_argument("--stats", metavar="PATH", help="write counters/rounds JSON sidecar")
     p.set_defaults(func=cmd_decompose)
 

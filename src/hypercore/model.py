@@ -22,8 +22,9 @@ import numpy as np
 # Largest pair table (sum of |e|(|e| - 1) over hyperedges) a hypergraph may
 # have.  Peak RSS per row above the imports, on one 2,000-member hyperedge
 # (3,998,000 rows; Python 3.11, numpy 2.4, x86-64 Linux): `Hypergraph()`
-# alone about 40 bytes, then `peel` about 41 and `local_core` about 64, so
-# `decompose --algorithm local` near the guard peaks at about 2 GB.
+# alone about 40 bytes, then `peel` or `local_core` about 41 (both scan the
+# groups once, in `shared_groups`), so `decompose --algorithm local` or
+# `peel` near the guard peaks at about 1.4 GB.
 PAIR_ROW_GUARD = 2**25
 
 
@@ -240,15 +241,13 @@ class Residual:
         self.count = np.diff(H.nbr_offsets).tolist()
         self.inc_offsets = H.inc_offsets.tolist()
         self.inc_flat = np.arange(m, dtype=object)[H.inc_flat].tolist()
-        bounds = np.append(H.pair_starts, len(H.pair_edge))
-        shared = np.flatnonzero(np.diff(bounds) > 1)
-        holder, reps = _rows(bounds, H.pair_edge, shared)
-        entries = np.repeat(np.arange(shared.size), reps)
+        gnode, holder, reps = shared_groups(H)
+        entries = np.repeat(np.arange(gnode.size), reps)
         self.shared_flat = entries[np.argsort(holder, kind="stable")].tolist()
         at = np.bincount(holder, minlength=m)
         self.shared_offsets = np.concatenate(([0], np.cumsum(at))).tolist()
         self.gcount = reps.tolist()
-        self.gnode = (np.searchsorted(H.nbr_offsets, shared, side="right") - 1).tolist()
+        self.gnode = gnode.tolist()
 
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
@@ -271,6 +270,16 @@ class Residual:
                         count[gnode[s]] += 1
         out.discard(v)
         return out
+
+
+def shared_groups(H: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair groups that two or more hyperedges hold, in H.nbr_flat order:
+    the node whose neighbor each one counts, the holders of each end to end,
+    and how many each has."""
+    bounds = np.append(H.pair_starts, len(H.pair_edge))
+    shared = np.flatnonzero(np.diff(bounds) > 1)
+    holder, reps = _rows(bounds, H.pair_edge, shared)
+    return np.searchsorted(H.nbr_offsets, shared, side="right") - 1, holder, reps
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -402,6 +402,39 @@ def test_one_path_for_both_outputs_refused(tmp_path, capsys, monkeypatch, comman
         assert out.read_text() == "kept\n"
 
 
+def _cli_process(argv, stdout):
+    """The CLI run in a fresh interpreter, its stdout on `stdout`."""
+    src = os.path.dirname(os.path.dirname(hypercore.__file__))
+    return subprocess.run([sys.executable, "-m", "hypercore.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("argv", [("decompose", "--stats"),
+                                  ("sir", "--beta", "0.5", "--runs", "3", "--aggregate-out")])
+def test_sidecar_naming_the_stdout_file_refused(fig_file, tmp_path, argv):
+    # with no --out the table goes to stdout; a sidecar that names stdout's
+    # regular file, as /dev/stdout or by its path, would be written over by
+    # it: refused before the input is read, with the file left as it was
+    table = tmp_path / "table"
+    for side in ("/dev/stdout", str(table)):
+        table.write_text("kept\n")
+        with open(table, "ab") as fh:
+            proc = _cli_process([argv[0], str(tmp_path / "nosuch.hg"), *argv[1:], side], fh)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith("error: ") and "file that stdout writes to" in err, err
+        assert err.count("\n") == 1, err
+        assert table.read_text() == "kept\n"
+    # a pipe and the null device are no file: they take both, as before
+    header = b"a\t2\n" if argv[0] == "decompose" else b"run\tseed\tcore\tspread\n"
+    for stdout in (subprocess.PIPE, subprocess.DEVNULL):
+        proc = _cli_process([argv[0], fig_file, *argv[1:], "/dev/stdout"], stdout)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert stdout == subprocess.DEVNULL or header in proc.stdout
+
+
 @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
 def test_null_device_outputs(fig_file, capsys):
     for argv in (("decompose", "--out", os.devnull, "--stats", os.devnull),

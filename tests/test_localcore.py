@@ -1,19 +1,24 @@
+import os
 import random
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercore import (
     InputError,
     LocalCoreOptions,
+    build,
     clique_graph_core,
     local_core,
     naive_graph_h_index,
     peel,
     random_hypergraph,
 )
+from hypercore.localcore import CODE_BITS
+from hypercore.model import PAIR_ROW_GUARD
 from conftest import by_label, hg, scan_pool, with_wide_edge
 from oracles import (core_correction, h_operator, hypergraph, naive_core_oracle,
                      neighborhood_hierarchy)
@@ -52,9 +57,11 @@ def test_thread_counts_match_sequential(fig_five):
         assert local_core(fig_five, LocalCoreOptions(threads=t)).core == expected
 
 
-def test_jacobi_threads_under_fast_switching():
+def test_jacobi_threads_under_fast_switching(monkeypatch):
     # more threads than cores and a tiny switch interval interleave the
-    # blocks' writes to the shared estimate array as much as possible
+    # blocks' writes to the shared estimate array as much as possible; the
+    # pool takes no more threads than the CPU count, so that is raised
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     H = random_hypergraph(400, 800, 2, 4, 9)
     expected = peel(H).core
     interval = sys.getswitchinterval()
@@ -214,7 +221,12 @@ def test_thread_use(monkeypatch):
     expected = peel(H).core
     for opts in (None, LocalCoreOptions(threads=1)):
         assert _threads_started(monkeypatch, H, opts) == (expected, 0), opts
+    # two blocks on a host of four CPUs run on two threads, and four blocks
+    # on a host of two CPUs too
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert _threads_started(monkeypatch, H, LocalCoreOptions(threads=2)) == (expected, 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _threads_started(monkeypatch, H, LocalCoreOptions(threads=4)) == (expected, 2)
 
 
 def test_single_wide_edge_at_lower_bound():
@@ -235,3 +247,57 @@ def test_report_history_sums(fig_five):
     res = local_core(fig_five)
     assert res.report.corrected_per_round[-1] == 0
     assert len(res.report.corrected_per_round) == res.report.rounds
+
+
+def reference_rounds(H):
+    """The definitional round iterated to a fixpoint from neighbor counts:
+    each node's h-index of its neighbors' estimates, lowered by the core
+    correction and never above its old estimate, all from the round-start
+    estimates.  Returns the fixpoint and each round's count of lowered
+    estimates, the last round change-free."""
+    nbrs = [H.neighbors(v) for v in range(H.n)]
+    est = [len(nbr) for nbr in nbrs]
+    history = []
+    while True:
+        new = [min(est[v], core_correction(H, v, h_operator([est[u] for u in nbr]), est))
+               for v, nbr in enumerate(nbrs)]
+        history.append(sum(a < b for a, b in zip(new, est)))
+        est = new
+        if not history[-1]:
+            return est, history
+
+
+@st.composite
+def shared_pair_hypergraphs(draw):
+    """Random hypergraphs on which the node pair 0 1 is held by 2 to 4
+    hyperedges of different widths."""
+    n = draw(st.integers(6, 14))
+    edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=5), max_size=24))
+    for width in draw(st.lists(st.integers(2, n), min_size=2, max_size=4, unique=True)):
+        edges.append({0, 1, *draw(st.permutations(range(2, n)))[: width - 2]})
+    return build([[str(v) for v in e] for e in edges])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_pair_hypergraphs(), st.integers(1, 3))
+def test_rounds_match_the_definitional_round(H, threads):
+    # the weighted-incidence round, with its -1 and +1 entries for the pair
+    # held several times, lowers the definitional round's estimates, round
+    # for round, on every thread count
+    assert H.d_pair >= 2
+    res = local_core(H, LocalCoreOptions(threads=threads))
+    assert (res.core, res.report.corrected_per_round) == reference_rounds(H)
+    assert res.report.rounds == len(res.report.corrected_per_round)
+
+
+def test_round_keys_fit_in_int64():
+    # a round's sort key is ((node * (hi + 1) + hi - value) << CODE_BITS) |
+    # code: the most distinct cardinalities a pair table within the guard
+    # holds (the widths 2, 3, ...), with the weights -1 and +1, fit the code
+    widths = rows = 0
+    while rows + (widths + 2) * (widths + 1) <= PAIR_ROW_GUARD:
+        widths += 1
+        rows += (widths + 1) * widths
+    assert widths + 2 <= 1 << CODE_BITS
+    # and n <= PAIR_ROW_GUARD, so node * (hi + 1) + hi < n**2
+    assert PAIR_ROW_GUARD**2 << CODE_BITS <= 2**59
