@@ -24,23 +24,36 @@ same targets in the same order:
 - A frontier of fewer than BULK_FRONTIER nodes runs a scalar loop over
   Python ints; an np.int64 times GAMMA would overflow.
 - A wider frontier draws its attempts in numpy, in uint64 words whose
-  products wrap mod 2**64, reading the frontier's neighbor rows with
-  `model._rows` in runs of whole nodes of about BULK_SLICE contacts.  It
-  drops targets already infected before drawing and marks each target whose
-  draw fires once.
+  products wrap mod 2**64.  A run's first numpy step hashes k_u for every
+  node at once into one per-run array, beside the counter terms
+  (v + 1) * GAMMA (`_node_keys`); each numpy step indexes the keys by its
+  frontier and the terms by its targets.  It reads the frontier's neighbor
+  rows with `model._rows` in runs of whole nodes of about BULK_SLICE
+  contacts and drops targets already infected before drawing.  It keeps
+  the first firing attempt on each target by a reversed scatter into a
+  per-run n-vector, the mark: the last write to a slot comes from its
+  earliest position.
+
+A run that reaches a numpy step therefore pays Θ(n) once, however few nodes
+it infects: the keys, the counter terms, the mark and the infected mask,
+25 bytes per node.
 
 The cutoff exists because a numpy step costs some tens of microseconds
 whatever its size.  Many tiny runs, such as 100,000 runs on a 3-node path
 (frontiers of at most 2 nodes), took about 14 times as long with every step
 in numpy (Python 3.11, numpy 2.4, one x86 core).  On runs with wide
 frontiers the scalar loop's bigint arithmetic per contact dominates instead.
-The runs pay: 60 runs at beta = 1 on a 400-member hyperedge plus 400 pendant
-pairs (steps of 160,400 contacts) took 31-32 ms, and 49-53 ms in one pass.
+The runs of BULK_SLICE contacts bound a step's temporaries.  60 runs at
+beta = 1 on a 400-member hyperedge plus 400 pendant pairs (steps of 160,400
+contacts) took 53-55 ms in runs and 53-56 ms in one pass (Python 3.11,
+numpy 2.4, a shared 2-CPU x86 host).
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -61,8 +74,22 @@ class SirOutcome:
 
 
 def check_beta(beta) -> None:
+    # a float is let through by its type: isinstance against numbers.Real
+    # takes about 0.4 µs, a tenth of a run on a 3-node path
+    if type(beta) is not float and not isinstance(beta, numbers.Real):
+        raise InputError(f"beta must be a real number, got {beta!r}")
     if not 0 <= beta <= 1:
         raise InputError(f"beta must be in [0, 1], got {beta}")
+
+
+def _check_count(name: str, value) -> int:
+    """`value` as a Python int >= 0 (`operator.index`), or InputError."""
+    try:
+        if (value := operator.index(value)) >= 0:
+            return value
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    raise InputError(f"{name} must be >= 0, got {value}")
 
 
 _GAMMA = 0x9E3779B97F4A7C15  # the splitmix64 increment, 2**64 / golden ratio
@@ -76,7 +103,9 @@ _U_GAMMA, _U_M1, _U_M2 = np.uint64(_GAMMA), np.uint64(_M1), np.uint64(_M2)
 def _run_key(rng_seed: int) -> int:
     # any int, negative or >= 2**64, maps to one 64-bit key on every platform
     try:
-        text = str(rng_seed)
+        text = str(operator.index(rng_seed))
+    except TypeError:
+        raise InputError(f"rng_seed must be an integer, got {rng_seed!r}") from None
     except ValueError:  # past sys.get_int_max_str_digits()
         raise InputError(
             f"rng_seed has more than {sys.get_int_max_str_digits()} digits") from None
@@ -85,7 +114,8 @@ def _run_key(rng_seed: int) -> int:
 
 
 def check_rng_seed(rng_seed: int) -> None:
-    """Refuse an rng_seed that `str` cannot render (see `_run_key`)."""
+    """Refuse an rng_seed that is not an integer or that `str` cannot
+    render (see `_run_key`)."""
     _run_key(rng_seed)
 
 
@@ -101,44 +131,59 @@ def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _node_keys(run_key: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The run's per-node uint64 words for every node u < n: the counter
+    term (u + 1) * GAMMA mod 2**64, which each draw adds for its target, and
+    the key k_u = splitmix64(run_key + (u + 1) * GAMMA mod 2**64)."""
+    gammas = np.arange(1, n + 1, dtype=np.uint64) * _U_GAMMA
+    return gammas, _splitmix64_array(gammas + np.uint64(run_key))
+
+
 def _bulk_step(
     H: Hypergraph,
     frontier: list[int],
     step: int,
-    run_key: int,
-    threshold: int,
+    gammas: np.ndarray,
+    keys: np.ndarray,
+    last: np.uint64,
     infection_time: dict[int, int],
     infected: np.ndarray,
+    mark: np.ndarray,
 ) -> list[int]:
     """One step of `sir_run` with every attempt drawn in numpy.
 
+    An attempt u -> v fires iff splitmix64(keys[u] + gammas[v]) <= last.
     The frontier is read in runs of whole nodes, in the scalar loop's order,
     of under BULK_SLICE contacts plus one node's; a target marked by one run
-    is dropped from the next.  Marks `infection_time` and `infected`, and
-    returns the targets newly infected, in the scalar loop's order."""
-    newly: list[int] = []
-    if not threshold:  # nothing fires, and threshold - 1 is no uint64
-        return newly
+    is dropped from the next.  Within a run, the first firing attempt on each
+    target is found by a reversed scatter into `mark`, a per-run n-vector:
+    the last write to a slot is from its earliest position.  Marks
+    `infection_time` and `infected`, and returns the targets newly infected,
+    in the scalar loop's order."""
     offsets, flat = H.nbr_offsets, H.nbr_flat
     f = np.array(frontier, dtype=np.int64)
-    k = _splitmix64_array((f + 1).astype(np.uint64) * _U_GAMMA + np.uint64(run_key))
-    # an attempt fires iff its draw is <= last; last = 2**64 - 1 at beta = 1
-    last = np.uint64(threshold - 1)
-    ends = np.cumsum(offsets[f + 1] - offsets[f])
-    cuts = np.searchsorted(ends, np.arange(BULK_SLICE, ends[-1], BULK_SLICE)).tolist()
+    k = keys[f]
+    cuts: list[int] = []
+    if flat.size > BULK_SLICE:  # else every frontier fits in one run
+        ends = np.cumsum(offsets[f + 1] - offsets[f])
+        if ends[-1] > BULK_SLICE:
+            cuts = np.searchsorted(ends, np.arange(BULK_SLICE, ends[-1], BULK_SLICE)).tolist()
+    newly: list[int] = []
     for a, b in zip([0] + cuts, cuts + [f.size]):
         v, c = _rows(offsets, flat, f[a:b])
         open_ = ~infected[v]
         v = v[open_]
         z = np.repeat(k[a:b], c)[open_]
-        z += (v + 1).astype(np.uint64) * _U_GAMMA
-        fresh: list[int] = []
-        for x in v[_splitmix64_array(z) <= last].tolist():
-            if x not in infection_time:
-                infection_time[x] = step
-                fresh.append(x)
+        z += gammas[v]
+        hit = v[_splitmix64_array(z) <= last]
+        at = np.arange(hit.size)
+        # a repeated index keeps its last write, as numpy assigns a 1-d index
+        # in order; the shared-target tests fail if it does not
+        mark[hit[::-1]] = at[::-1]
+        fresh = hit[mark[hit] == at]
         infected[fresh] = True
-        newly += fresh
+        newly += fresh.tolist()
+    infection_time.update(dict.fromkeys(newly, step))
     return newly
 
 
@@ -153,11 +198,19 @@ def sir_run(
     susceptible neighbor once, with probability beta, for at most
     max_steps steps.  The draws are the keyed hashes of the module
     docstring under rng_seed, so a run is a function of its arguments.
-    beta outside [0, 1], a negative max_steps, an unknown seed or an
-    rng_seed too long for `str` raises InputError."""
+    A beta that is not a real number in [0, 1], a max_steps that is not an
+    integer >= 0, an unknown seed, and an rng_seed that is not an integer or
+    is too long for `str` raise InputError.
+
+    A run that reaches a numpy step pays Θ(n) there, once: the infected
+    mask, the per-node keys and counter terms (`_node_keys`) and the mark,
+    25 bytes per node."""
     check_beta(beta)
-    if max_steps < 0:
-        raise InputError(f"max_steps must be >= 0, got {max_steps}")
+    try:  # inline: a call costs about 1.5 % of a run on a 3-node path
+        if (max_steps := operator.index(max_steps)) < 0:
+            raise InputError(f"max_steps must be >= 0, got {max_steps}")
+    except TypeError:
+        raise InputError(f"max_steps must be an integer, got {max_steps!r}") from None
     seed = H._check_node(seed)
 
     run_key = _run_key(rng_seed)
@@ -173,10 +226,16 @@ def sir_run(
         step += 1
         if len(frontier) >= bulk:
             if infected is None:
+                if not threshold:  # nothing fires, and threshold - 1 is no uint64
+                    break
                 infected = np.zeros(H.n, dtype=bool)
                 infected[list(infection_time)] = True
+                gammas, keys = _node_keys(run_key, H.n)
+                # an attempt fires iff its draw is <= last; 2**64 - 1 at beta = 1
+                last = np.uint64(threshold - 1)
+                mark = np.empty(H.n, dtype=np.int64)
             frontier = _bulk_step(
-                H, frontier, step, run_key, threshold, infection_time, infected)
+                H, frontier, step, gammas, keys, last, infection_time, infected, mark)
             continue
         newly: list[int] = []
         for u in frontier:
@@ -207,9 +266,9 @@ def intervention_delete(H: Hypergraph, ranked_nodes: list[int], top_k: int) -> H
 
     The result is rebuilt from the surviving edges, so nodes left without any
     edge are stripped per the usual build rules; deleting enough nodes can
-    yield an empty hypergraph."""
-    if top_k < 0:
-        raise InputError(f"top_k must be >= 0, got {top_k}")
+    yield an empty hypergraph.  A top_k that is not an integer >= 0 raises
+    InputError."""
+    top_k = _check_count("top_k", top_k)
     doomed = {H._check_node(v) for v in ranked_nodes[:top_k]}
     kept = [[H.labels[v] for v in e] for e in member_lists(H) if doomed.isdisjoint(e)]
     if not kept:  # build rejects an empty edge list

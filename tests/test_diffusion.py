@@ -55,6 +55,39 @@ def test_beta_out_of_range(path3):
             sir_expected_spread(path3, 0, beta)
 
 
+@pytest.mark.parametrize("beta", ["0.5", None, 0.5j, 1 + 0j])
+def test_beta_that_is_no_real_number_refused(path3, beta):
+    with pytest.raises(InputError, match="beta must be a real number"):
+        sir_run(path3, 0, beta=beta)
+
+
+@pytest.mark.parametrize("max_steps", ["3", None, 2.5, 3.0])
+def test_max_steps_that_is_no_integer_refused(path3, max_steps):
+    # unchecked, 2.5 runs 3 steps (step < 2.5)
+    with pytest.raises(InputError, match="max_steps must be an integer"):
+        sir_run(path3, 0, beta=1.0, max_steps=max_steps)
+    assert sir_run(path3, 0, beta=1.0, max_steps=np.int64(1)).infection_time == {0: 0, 1: 1}
+
+
+@pytest.mark.parametrize("rng_seed", [1.5, None, "7", 7.0])
+def test_rng_seed_that_is_no_integer_refused(path3, rng_seed):
+    # unchecked, "7" makes exactly the draws of 7, since str("7") == str(7)
+    with pytest.raises(InputError, match="rng_seed must be an integer"):
+        sir_run(path3, 0, beta=0.5, rng_seed=rng_seed)
+    with pytest.raises(InputError, match="rng_seed must be an integer"):
+        diffusion.check_rng_seed(rng_seed)
+
+
+def test_integer_rng_seeds_keep_their_draws():
+    H = random_hypergraph(30, 60, 2, 4, 5)
+    for rs in (0, 7, -3, 2**70):
+        out = sir_run(H, 0, 0.5, rng_seed=rs).infection_time
+        assert out == hop_distances(H, 0, 0.5, rs)
+        if -2**63 <= rs < 2**63:
+            assert list(sir_run(H, 0, 0.5, rng_seed=np.int64(rs)).infection_time.items()) \
+                == list(out.items())
+
+
 def test_negative_max_steps_refused(path3):
     with pytest.raises(InputError, match="max_steps must be >= 0, got -4"):
         sir_run(path3, 0, beta=1.0, max_steps=-4)
@@ -192,6 +225,54 @@ def test_wide_steps_read_in_runs_keep_the_scalar_order(beta):
     assert max(contacts) > diffusion.BULK_SLICE
 
 
+def _shared_targets():
+    """Seed s reaches six hubs; every hub reaches each of eight targets, and
+    every target each of five leaves, so two numpy steps find each target
+    (and leaf) from several frontier nodes."""
+    hubs = [f"h{i}" for i in range(6)]
+    targets = [f"t{j}" for j in range(8)]
+    leaves = [f"l{k}" for k in range(5)]
+    return build([["s", h] for h in hubs] + [[h, t] for h in hubs for t in targets]
+                 + [[t, x] for t in targets for x in leaves])[0]
+
+
+@pytest.mark.parametrize("bulk_slice", [1, 2, 3, 2**16])
+def test_shared_targets_keep_their_first_attempt(bulk_slice):
+    """Frontier nodes that reach the same targets, within one run of a step
+    (BULK_SLICE 2**16) and across runs (BULK_SLICE 1 to 3): every step in
+    numpy gives the scalar loop's infection times, key order included, and
+    the hop distances over the firing contacts."""
+    H = _shared_targets()
+    rng = random.Random(bulk_slice)
+    bulk_step = diffusion._bulk_step
+
+    def distinct(H, frontier, *args):
+        # each target is in the next frontier once, however many reach it
+        newly = bulk_step(H, frontier, *args)
+        assert len(set(newly)) == len(newly)
+        return newly
+
+    for beta in [0.0, 1.0] + [rng.random() for _ in range(12)]:
+        for rs in range(4):
+            with mock.patch.multiple(diffusion, BULK_FRONTIER=1, BULK_SLICE=bulk_slice,
+                                     _bulk_step=distinct):
+                bulk = sir_run(H, H.label_to_id["s"], beta, rng_seed=rs).infection_time
+            with mock.patch.object(diffusion, "BULK_FRONTIER", 10**9):
+                scalar = sir_run(H, H.label_to_id["s"], beta, rng_seed=rs).infection_time
+            assert list(bulk.items()) == list(scalar.items()), (beta, rs)
+            assert bulk == hop_distances(H, H.label_to_id["s"], beta, rs)
+            assert beta < 1 or len(bulk) == H.n
+
+
+@pytest.mark.parametrize("run_key", [0, 1, 2**64 - 1, 0x0123456789ABCDEF])
+def test_node_keys_are_the_scalar_keys(run_key):
+    # 2**64 - 1 + (u + 1) * GAMMA wraps mod 2**64 for every u
+    gammas, keys = diffusion._node_keys(run_key, 50)
+    assert gammas.dtype == keys.dtype == np.uint64
+    assert gammas.tolist() == [(u + 1) * _GAMMA % 2**64 for u in range(50)]
+    assert keys.tolist() == [splitmix64((run_key + (u + 1) * _GAMMA) % 2**64) for u in range(50)]
+
+
 @pytest.mark.parametrize("H", [
     random_hypergraph(60, 150, 2, 2, 1),  # d_pair = 1: exact densest probes
     random_hypergraph(16, 30, 2, 4, 1),  # shared pairs: exact densest enumerates
@@ -270,6 +351,13 @@ def test_intervention_deletes_incident_edges(fig_five):
 def test_intervention_negative_top_k_refused(fig_five):
     with pytest.raises(InputError):
         intervention_delete(fig_five, [0, 1, 2], -1)
+
+
+@pytest.mark.parametrize("top_k", [2.5, "1", None])
+def test_intervention_top_k_that_is_no_integer_refused(fig_five, top_k):
+    with pytest.raises(InputError, match="top_k must be an integer"):
+        intervention_delete(fig_five, [0, 1, 2], top_k)
+    assert intervention_delete(fig_five, [0, 1, 2], np.int64(0)).n == fig_five.n
 
 
 def test_intervention_can_empty(single_triple):
