@@ -76,18 +76,22 @@ def greedy_densest(H: Hypergraph) -> DensestResult:
     left, as Peel does, and keep the densest residual; density >= optimum /
     guarantee_factor(H).
 
-    Each residual's volume is read off the pair table.  A hyperedge dies
-    with its first deleted member, and a pair group with the last live
-    hyperedge that holds it, so the residual after t deletions holds the
-    groups that die at position t or later.  The first densest residual
-    wins."""
+    A hyperedge dies with its first deleted member and a pair group with
+    its last holder; the residual after t deletions holds the groups that
+    die at t or later, and the first densest wins.  A hyperedge's death ends
+    |e|(|e| - 1) rows; a shared group adds -1 per holder and +1 at its last."""
     n = _node_count(H)
     order = _peel(H, np.diff(H.nbr_offsets).tolist(), bounded=False)[1]
     pos = np.argsort(order)  # node -> its position in the deletion order
+    cards = np.diff(H.edge_offsets)
     edge_death = np.minimum.reduceat(pos[H.edge_flat], H.edge_offsets[:-1])
-    group_death = np.maximum.reduceat(edge_death[H.pair_edge], H.pair_starts)
+    holder_death = edge_death[H.shared_holder]
+    group_death = np.maximum.reduceat(holder_death, np.cumsum(H.shared_count) - H.shared_count)
+    # groups dying at each position; float64 sums are exact below the pair-row guard
+    died = np.bincount(edge_death, cards * (cards - 1), minlength=n).astype(np.int64)
+    died += np.bincount(group_death, minlength=n) - np.bincount(holder_death, minlength=n)
     # total[t]: residual neighbor counts summed over the nodes left after t deletions
-    total = np.cumsum(np.bincount(group_death, minlength=n)[::-1])[::-1].tolist()
+    total = np.cumsum(died[::-1])[::-1].tolist()
     best = 0
     for t in range(1, n):
         if total[t] * (n - best) > total[best] * (n - t):

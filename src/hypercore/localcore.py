@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Hypergraph, InputError, shared_groups
+from .model import Hypergraph, InputError
 from .peel import CoreAssignment
 
 # Most threads `LocalCoreOptions` accepts.  A round runs that many node
@@ -115,7 +115,7 @@ def local_core(H: Hypergraph, opts: LocalCoreOptions | None = None) -> CoreAssig
     est = np.diff(offsets)
     hi = int(est.max())
     m = H.edge_offsets.size - 1
-    gnode, holder, reps = shared_groups(H)
+    gnode, holder, reps = H.shared_node, H.shared_holder, H.shared_count
     g = gnode.size
     # what the entries read, shifted to the key's value field: each
     # hyperedge's emin, then each shared group's largest holder emin

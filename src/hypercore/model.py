@@ -21,10 +21,9 @@ import numpy as np
 
 # Largest pair table (sum of |e|(|e| - 1) over hyperedges) a hypergraph may
 # have.  Peak RSS per row above the imports, on one 2,000-member hyperedge
-# (3,998,000 rows; Python 3.11, numpy 2.4, x86-64 Linux): `Hypergraph()`
-# alone about 40 bytes, then `peel` or `local_core` about 41 (both scan the
-# groups once, in `shared_groups`), so `decompose --algorithm local` or
-# `peel` near the guard peaks at about 1.4 GB.
+# (3,998,000 rows; Python 3.11, numpy 2.4, x86-64 Linux), is 40.3 bytes after
+# `Hypergraph()` and still 40.3 after `peel` and `local_core`, so `decompose
+# --algorithm local` or `peel` near the guard peaks at about 1.4 GB.
 PAIR_ROW_GUARD = 2**25
 
 
@@ -62,10 +61,10 @@ class Hypergraph:
     """Immutable simple hypergraph with CSR incidence and neighbor adjacency.
 
     Hyperedge e holds the next cards[e] ids of edge_flat; this edge CSR is
-    its only form.  The (v, u) co-occurrence pairs are enumerated once, into
-    a pair table: one row per ordered pair of distinct members of a
-    hyperedge, sorted and grouped by (v, u).  Group g is the pair of
-    nbr_flat[g] and the node whose nbr_offsets range holds g.
+    its only form.  The constructor alone lists the (v, u) co-occurrence
+    pairs, one row per ordered pair of members of a hyperedge, grouped by
+    (v, u): group g is nbr_flat[g] and the node whose nbr_offsets range
+    holds g.  Only groups that two or more hyperedges hold keep holders.
 
     Every hyperedge's ids are strictly ascending, at least 2 and in [0, n),
     and every node is a member of some hyperedge: any other edge, a label in
@@ -78,12 +77,14 @@ class Hypergraph:
         labels: node id -> original label, in first-seen order.
         edge_offsets, edge_flat: CSR of each hyperedge's members, m + 1 offsets.
         inc_*, nbr_*: CSR (offsets, flat) of each node's hyperedges, neighbors.
-        pair_edge, pair_starts: hyperedge of each row, first row of each group.
+        shared_node, shared_holder, shared_count: per shared group, in nbr_flat
+            order, its node, its holders end to end (in no set order), their count.
         d_pair: largest group size, i.e. most hyperedges sharing a node pair.
     """
 
     __slots__ = ("n", "labels", "label_to_id", "inc_offsets", "inc_flat", "nbr_offsets",
-                 "nbr_flat", "edge_flat", "edge_offsets", "pair_edge", "pair_starts", "d_pair")
+                 "nbr_flat", "edge_flat", "edge_offsets", "shared_node", "shared_holder",
+                 "shared_count", "d_pair")
 
     def __init__(self, edge_flat: Sequence[int], cards: Sequence[int], labels: list[str]):
         self.n = n = len(labels)
@@ -133,16 +134,20 @@ class Hypergraph:
         at = _ranges(offsets[edge_of], others)
         at += at >= src
         key = (edge_flat[src] << b) | edge_flat[at]
-        pair_edge = edge_of[src]
+        row_edge = edge_of[src]
         del src, at, others
         order = np.argsort(key)
         key = key[order]
-        self.pair_edge = pair_edge[order]
-        del order, pair_edge
-        self.pair_starts = np.flatnonzero(np.diff(key, prepend=-1))
-        self.d_pair = int(np.diff(self.pair_starts, append=rows).max(initial=0))
-        group_key = key[self.pair_starts]
-        del key
+        row_edge = row_edge[order]
+        del order
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        size = np.diff(starts, append=rows)
+        self.d_pair = int(size.max(initial=0))
+        shared = np.flatnonzero(size > 1)
+        group_key = key[starts]
+        self.shared_node, self.shared_count = group_key[shared] >> b, size[shared]
+        self.shared_holder = row_edge[_ranges(starts[shared], self.shared_count)]
+        del key, row_edge, starts, size
 
         # incidences sorted by (node, edge)
         incidence = np.sort((edge_flat << b) | edge_of)
@@ -241,13 +246,11 @@ class Residual:
         self.count = np.diff(H.nbr_offsets).tolist()
         self.inc_offsets = H.inc_offsets.tolist()
         self.inc_flat = np.arange(m, dtype=object)[H.inc_flat].tolist()
-        gnode, holder, reps = shared_groups(H)
-        entries = np.repeat(np.arange(gnode.size), reps)
+        holder, reps = H.shared_holder, H.shared_count
+        entries = np.repeat(np.arange(reps.size), reps)
         self.shared_flat = entries[np.argsort(holder, kind="stable")].tolist()
-        at = np.bincount(holder, minlength=m)
-        self.shared_offsets = np.concatenate(([0], np.cumsum(at))).tolist()
-        self.gcount = reps.tolist()
-        self.gnode = gnode.tolist()
+        self.shared_offsets = [0] + np.cumsum(np.bincount(holder, minlength=m)).tolist()
+        self.gcount, self.gnode = reps.tolist(), H.shared_node.tolist()
 
     def delete(self, v: int) -> set[int]:
         """Remove v and kill its live hyperedges; returns v's neighbors from
@@ -270,16 +273,6 @@ class Residual:
                         count[gnode[s]] += 1
         out.discard(v)
         return out
-
-
-def shared_groups(H: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pair groups that two or more hyperedges hold, in H.nbr_flat order:
-    the node whose neighbor each one counts, the holders of each end to end,
-    and how many each has."""
-    bounds = np.append(H.pair_starts, len(H.pair_edge))
-    shared = np.flatnonzero(np.diff(bounds) > 1)
-    holder, reps = _rows(bounds, H.pair_edge, shared)
-    return np.searchsorted(H.nbr_offsets, shared, side="right") - 1, holder, reps
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -494,9 +487,12 @@ def load_hg(path: str, policy: SingletonPolicy = SingletonPolicy.REJECT) -> tupl
 def serialize_hg(H: Hypergraph) -> str:
     """The .hg text that `parse_hg` reads back to H's hyperedges, a line each:
     members in ascending id order, those whose label starts with '#' after
-    the rest, so that no line is a comment.  An empty label, one with
-    whitespace and a hyperedge of '#' labels alone are InputErrors."""
+    the rest, so that no line is a comment.  What parse_hg cannot read back
+    is an InputError: no hyperedge, an empty label, one with whitespace, or
+    a hyperedge of '#' labels alone."""
     labels = H.labels
+    if not labels:
+        raise InputError("the empty hypergraph has no .hg text")
     if bad := [label for label in labels if label.split() != [label]]:
         raise InputError(f"label {bad[0]!r} is empty or holds whitespace")
     pound = [label[0] == "#" for label in labels]

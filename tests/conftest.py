@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from hypercore import build, parse_hg, random_hypergraph
 from oracles import edges
@@ -72,3 +73,23 @@ def refuse_large_samples(monkeypatch):
         return sample(rng, population, k, **kwargs)
 
     monkeypatch.setattr(random.Random, "sample", guarded)
+
+
+@st.composite
+def edge_lists(draw):
+    """Label lists over a few nodes (so node pairs repeat), sometimes with
+    one extra hyperedge of 40 or more members."""
+    n = draw(st.integers(2, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.sets(node, min_size=2), max_size=10))
+    if draw(st.booleans()):
+        wide = set(range(n, n + draw(st.integers(40, 44))))
+        edges.append(wide | draw(st.sets(node, max_size=3)))
+    return [[str(v) for v in sorted(e)] for e in edges]
+
+
+@st.composite
+def shared_pair_edges(draw):
+    """edge_lists() with two more hyperedges, a b and a b c, so that the
+    pair a b is held at least twice."""
+    return draw(edge_lists()) + [["a", "b"], ["a", "b", "c"]]

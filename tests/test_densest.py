@@ -20,7 +20,7 @@ from hypercore import (
 )
 from hypercore import densest
 from hypercore.densest import _flow_probe
-from conftest import hg, ids, scan_pool, with_wide_edge
+from conftest import hg, ids, scan_pool, shared_pair_edges, with_wide_edge
 from oracles import edges, hypergraph, naive_core_oracle
 
 
@@ -143,6 +143,17 @@ def test_greedy_matches_reference_order():
     for seed, H in scan_pool():
         res = greedy_densest(H)
         assert (res.nodes, res.density, res.factor) == reference_greedy(H), ("pool", seed)
+
+    # a pair held two or more times, so that shared groups die after some
+    # of their holders
+    @settings(max_examples=60, deadline=None)
+    @given(shared_pair_edges())
+    def shared(raw):
+        H = build(raw)[0]
+        res = greedy_densest(H)
+        assert (res.nodes, res.density, res.factor) == reference_greedy(H)
+
+    shared()
 
 
 def test_greedy_computes_no_core_numbers(monkeypatch):

@@ -28,7 +28,7 @@ from hypercore import (
 )
 from hypercore import model
 from hypercore.model import BuildReport, Residual, member_lists
-from conftest import by_label, hg
+from conftest import by_label, edge_lists, hg, shared_pair_edges
 from oracles import (build_reference, edges, hypergraph, local_lower_bound, parse_hg_reference,
                      sir_expected_spread)
 
@@ -198,6 +198,9 @@ def test_serialize_refuses_what_parse_would_split():
     for bad in ("a b", "", " a", "a\u3000", "a\u2028b", "a\n"):
         with pytest.raises(InputError, match="is empty or holds whitespace$"):
             serialize_hg(Hypergraph([0, 1], [2], [bad, "c"]))
+    # parse_hg refuses text with no hyperedge, so there is none to write
+    with pytest.raises(InputError, match="empty hypergraph"):
+        serialize_hg(Hypergraph([], [], []))
 
 
 def test_labels_first_seen_order():
@@ -303,19 +306,6 @@ def ids_of(H, labels):
     return [H.label_to_id[ch] for ch in labels]
 
 
-@st.composite
-def edge_lists(draw):
-    """Label lists over a few nodes (so node pairs repeat), sometimes with
-    one extra hyperedge of 40 or more members."""
-    n = draw(st.integers(2, 8))
-    node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.sets(node, min_size=2), max_size=10))
-    if draw(st.booleans()):
-        wide = set(range(n, n + draw(st.integers(40, 44))))
-        edges.append(wide | draw(st.sets(node, max_size=3)))
-    return [[str(v) for v in sorted(e)] for e in edges]
-
-
 @settings(max_examples=150, deadline=None)
 @given(edge_lists())
 @example([])
@@ -333,29 +323,30 @@ def test_pair_table_matches_brute_force(raw):
     nbrs = [sorted(u for w, u in mult if w == v) for v in range(H.n)]
     assert H.nbr_flat.tolist() == [u for lst in nbrs for u in lst]
     assert H.nbr_offsets.tolist() == list(accumulate(map(len, nbrs), initial=0))
-    for csr in (H.inc_flat, H.inc_offsets, H.nbr_flat, H.nbr_offsets):
+    for csr in (H.inc_flat, H.inc_offsets, H.nbr_flat, H.nbr_offsets,
+                H.shared_node, H.shared_holder, H.shared_count):
         assert csr.dtype == np.int64
     assert H.d_pair == max(mult.values(), default=0)
     # the clique expansion is the hypergraph of the pairs v < u on H's labels
     G = clique_expansion(H)
     ref = hypergraph(sorted((v, u) for v, u in mult if v < u), H.labels)
     assert G.labels == ref.labels and G.d_pair == ref.d_pair
-    for name in ("edge_flat", "edge_offsets", "inc_flat", "inc_offsets",
-                 "nbr_flat", "nbr_offsets", "pair_edge", "pair_starts"):
+    for name in ("edge_flat", "edge_offsets", "inc_flat", "inc_offsets", "nbr_flat",
+                 "nbr_offsets", "shared_node", "shared_holder", "shared_count"):
         assert getattr(G, name).tolist() == getattr(ref, name).tolist(), name
     assert H.edge_flat.tolist() == [v for e in members for v in e]
     assert H.edge_offsets.tolist() == list(accumulate(map(len, members), initial=0))
-    # one group per (v, u), holding exactly the hyperedges that contain both
-    bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
-    groups = {
-        (v, H.nbr_flat[g]): sorted(H.pair_edge[bounds[g]:bounds[g + 1]].tolist())
-        for v in range(H.n)
-        for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1])
-    }
-    assert len(groups) == len(H.pair_starts) == len(mult)
-    assert groups == {
-        (v, u): [ei for ei, e in enumerate(members) if v in e and u in e] for v, u in mult
-    }
+    # in group order, each (v, u) that two or more hyperedges hold: v and
+    # exactly the hyperedges that contain both
+    assert _stored_shared(H) == [(v, [ei for ei, e in enumerate(members) if v in e and u in e])
+                                 for v in range(H.n) for u in nbrs[v] if mult[v, u] > 1]
+
+
+def _stored_shared(H):
+    """H's shared groups in group order, each as (node, sorted holders)."""
+    ends = np.cumsum(H.shared_count).tolist()
+    return [(v, sorted(H.shared_holder[b - c : b].tolist()))
+            for v, c, b in zip(H.shared_node.tolist(), H.shared_count.tolist(), ends)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -522,7 +513,7 @@ def _parsed_state(parse, text, policy):
         return "InputError", str(exc)
     arrays = [getattr(H, name).tolist() for name in (
         "edge_flat", "edge_offsets", "inc_offsets", "inc_flat", "nbr_offsets", "nbr_flat",
-        "pair_edge", "pair_starts")]
+        "shared_node", "shared_holder", "shared_count")]
     return H.n, H.labels, H.label_to_id, H.d_pair, arrays, report
 
 
@@ -605,8 +596,8 @@ def test_duplicate_rows_by_rank_folds():
 
 def test_packed_keys_on_wide_ids():
     """A matching on 2**16 + 10 nodes plus 4-edges that share its pairs: keys
-    need 17 bits per id and ids reach n - 1.  The pair groups and CSR lists
-    equal dicts built in one pass over the edges."""
+    need 17 bits per id and ids reach n - 1.  The shared groups and CSR
+    lists equal dicts built in one pass over the edges."""
     n = 2**16 + 10
     edges = [(v, v + 1) for v in range(0, n, 2)]
     edges += [(0, 1, n - 2, n - 1), (0, 2, 2**16, n - 1), (n - 4, n - 3, n - 2, n - 1)]
@@ -626,32 +617,28 @@ def test_packed_keys_on_wide_ids():
     assert H.nbr_offsets.tolist() == list(accumulate((len(nbrs[v]) for v in range(n)), initial=0))
     for csr in (H.inc_flat, H.inc_offsets, H.nbr_flat, H.nbr_offsets):
         assert csr.dtype == np.int64
-    bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
-    pair_edge = H.pair_edge.tolist()
-    groups = {
-        (v, H.nbr_flat[g]): sorted(pair_edge[bounds[g]:bounds[g + 1]])
-        for v in range(n)
-        for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1])
-    }
-    assert groups == pairs
+    assert _stored_shared(H) == [(pair[0], holders) for pair, holders in sorted(pairs.items())
+                                 if len(holders) > 1]
     assert H.d_pair == 3
 
 
 def _assert_residual_is_definitional(H, R, alive):
-    assert R.live == [all(alive[u] for u in e) for e in edges(H)]
-    # live hyperedges holding each ordered pair
-    holding = Counter(pair for e in edges(H) if all(alive[u] for u in e)
+    members = edges(H)
+    assert R.live == [all(alive[u] for u in e) for e in members]
+    # per ordered pair: how many hyperedges hold it, one of them, how many live ones
+    pairs = Counter(pair for e in members for pair in permutations(e, 2))
+    holder = {pair: ei for ei, e in enumerate(members) for pair in permutations(e, 2)}
+    holding = Counter(pair for e in members if all(alive[u] for u in e)
                       for pair in permutations(e, 2))
-    bounds = H.pair_starts.tolist() + [len(H.pair_edge)]
     shared = iter(range(len(R.gcount)))  # gcount holds the shared groups in order
     for v in range(H.n):
         assert R.count[v] == len(H.residual_neighbors(v, alive)), v
-        for g in range(H.nbr_offsets[v], H.nbr_offsets[v + 1]):
-            if bounds[g + 1] - bounds[g] > 1:
+        for u in H.neighbors(v):
+            if pairs[v, u] > 1:
                 live_holding = R.gcount[next(shared)]
             else:  # a private group is live exactly while its one hyperedge is
-                live_holding = R.live[H.pair_edge[bounds[g]]]
-            assert live_holding == holding[v, H.nbr_flat[g]], (v, H.nbr_flat[g])
+                live_holding = R.live[holder[v, u]]
+            assert live_holding == holding[v, u], (v, u)
     assert next(shared, None) is None
 
 
@@ -742,25 +729,20 @@ def test_residual_matches_definition_under_deletion(raw, order):
     _assert_residual_is_definitional(H, R, alive)
 
 
-@st.composite
-def shared_pair_edges(draw):
-    """edge_lists() with two more hyperedges, a b and a b c, so that the
-    pair a b is held at least twice."""
-    return draw(edge_lists()) + [["a", "b"], ["a", "b", "c"]]
-
-
 @settings(max_examples=100, deadline=None)
 @given(shared_pair_edges(), st.permutations(range(MAX_NODES + 3)))
 def test_routes_ignore_the_order_of_holders_in_a_pair_group(raw, order):
-    """pair_edge lists each group's holders in no set order: reversed within
-    every group, every route that reads the pair table answers the same."""
+    """shared_holder lists each shared group's holders in no set order:
+    reversed within every group, every route that reads them answers the
+    same."""
     H, flipped = build(raw)[0], build(raw)[0]
     assert H.d_pair >= 2
-    bounds = np.append(H.pair_starts, len(H.pair_edge))
-    group = np.repeat(np.arange(len(H.pair_starts)), np.diff(bounds))
-    rows = bounds[group] + bounds[group + 1] - 1 - np.arange(len(H.pair_edge))
-    flipped.pair_edge = H.pair_edge[rows]
-    assert flipped.pair_edge.tolist() != H.pair_edge.tolist()
+    count = H.shared_count
+    ends = np.cumsum(count)
+    group = np.repeat(np.arange(count.size), count)
+    at = 2 * ends[group] - count[group] - 1 - np.arange(ends[-1])  # start + end - 1 - i
+    flipped.shared_holder = H.shared_holder[at]
+    assert flipped.shared_holder.tolist() != H.shared_holder.tolist()
     a, b = local_core(H), local_core(flipped)
     assert (a.core, a.counters, a.report) == (b.core, b.counters, b.report)
     for route in (peel, e_peel):
